@@ -24,8 +24,8 @@
 // Two forms are provided.  `append_canonical` renders IEEE-754 bit patterns
 // as fixed-width hex into a string: the exact form, used as the cache map
 // key.  `fingerprint` folds the same bytes through 64-bit FNV-1a: the
-// compact form, used as the hash seed and surfaced in responses/telemetry
-// to name an entry without shipping the coefficients back.
+// compact form, surfaced in responses/telemetry (the wire `key`) to name
+// an entry without shipping the coefficients back.
 namespace dyncg {
 
 inline constexpr std::uint64_t kFingerprintSeed = 0xcbf29ce484222325ull;

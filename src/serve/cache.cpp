@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "envelope/scenario_key.hpp"
 #include "support/metrics.hpp"
 
 namespace dyncg {
@@ -33,11 +32,6 @@ CacheMetrics& cache_metrics() {
 }
 
 }  // namespace
-
-std::size_t ResultCache::KeyHash::operator()(const std::string& key) const {
-  return static_cast<std::size_t>(
-      fingerprint_bytes(kFingerprintSeed, key.data(), key.size()));
-}
 
 const CachedResult* ResultCache::find(const std::string& key) {
   auto it = map_.find(key);

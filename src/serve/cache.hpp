@@ -12,9 +12,12 @@
 // Keys are the exact canonical scenario strings built by
 // serve::parse_request (envelope/scenario_key.hpp): hex IEEE-754 bit
 // patterns of every trajectory coefficient plus the op parameters and the
-// canonical fault spec.  Equality is string equality — the 64-bit FNV-1a
-// fingerprint is only the hash seed — so a collision can degrade lookups
-// but can never serve the wrong bytes.
+// canonical fault spec.  Buckets use the standard library's string hash,
+// which reads the key a word at a time (keys run to tens of KB, and a
+// hit hashes its key twice: contains, then find); the 64-bit FNV-1a
+// fingerprint only names an entry in responses.  Equality is string
+// equality, so a hash collision can degrade lookups but can never serve
+// the wrong bytes.
 //
 // Eviction is FIFO by insertion order (not LRU): a lookup never reorders
 // the queue, so the sequence of hits/misses/evictions for a given request
@@ -57,12 +60,8 @@ class ResultCache {
   std::size_t capacity() const { return capacity_; }
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const std::string& key) const;
-  };
-
   std::size_t capacity_;
-  std::unordered_map<std::string, CachedResult, KeyHash> map_;
+  std::unordered_map<std::string, CachedResult> map_;
   std::deque<std::string> fifo_;  // insertion order, front = oldest
   CacheCounters counters_;
 };

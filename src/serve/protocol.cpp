@@ -51,8 +51,8 @@ bool to_index(const json::Value& v, std::uint64_t max, std::uint64_t* out) {
 
 // One trajectory in wire form: an array of 1..kMaxDimension coordinate
 // polynomials, each a non-empty array of at most kMaxDegree+1 finite
-// coefficients (constant term first) — the same shape as one entry of
-// scenario 'points'.  Shared by fleet 'ref' and fleet 'insert' points.
+// coefficients (constant term first).  The one parser for scenario
+// 'points' entries, fleet 'ref' and fleet 'insert' points.
 Status parse_point(const json::Value& pt, const char* what,
                    std::optional<Trajectory>* out) {
   if (!pt.is_array() || pt.array.empty() ||
@@ -71,15 +71,17 @@ Status parse_point(const json::Value& pt, const char* what,
                  std::to_string(kMaxDegree + 1) +
                  " coefficients (constant term first)");
     }
-    std::vector<double> c;
-    c.reserve(poly.array.size());
-    for (const json::Value& coeff : poly.array) {
+    std::vector<double> c(poly.array.size());
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      // strtod turns "1e999" into infinity; a non-finite coefficient
+      // would poison every downstream comparison, so reject it here.
+      const json::Value& coeff = poly.array[i];
       if (!coeff.is_number() || !std::isfinite(coeff.number)) {
         return bad("polynomial coefficients must be finite numbers");
       }
-      c.push_back(coeff.number);
+      c[i] = coeff.number;
     }
-    coords.push_back(Polynomial(std::move(c)));
+    coords.emplace_back(std::move(c));
   }
   out->emplace(std::move(coords));
   return Status::ok();
@@ -136,37 +138,14 @@ Status parse_scenario(const json::Value& v, Scenario* out) {
                    std::to_string(kMaxPoints) + " points");
       }
       out->inline_points = true;
+      out->points.reserve(member.array.size());
       for (const json::Value& pt : member.array) {
-        if (!pt.is_array() || pt.array.empty() ||
-            pt.array.size() > kMaxDimension) {
-          return bad(
-              "each point must be an array of 1.." +
-              std::to_string(kMaxDimension) +
-              " coordinate polynomials (arrays of coefficients)");
+        std::optional<Trajectory> point;
+        if (Status st = parse_point(pt, "scenario point", &point);
+            !st.is_ok()) {
+          return st;
         }
-        std::vector<Polynomial> coords;
-        coords.reserve(pt.array.size());
-        for (const json::Value& poly : pt.array) {
-          if (!poly.is_array() || poly.array.empty() ||
-              poly.array.size() > static_cast<std::size_t>(kMaxDegree) + 1) {
-            return bad("each coordinate must be a non-empty array of at "
-                       "most " +
-                       std::to_string(kMaxDegree + 1) +
-                       " coefficients (constant term first)");
-          }
-          std::vector<double> c;
-          c.reserve(poly.array.size());
-          for (const json::Value& coeff : poly.array) {
-            // strtod turns "1e999" into infinity; a non-finite coefficient
-            // would poison every downstream comparison, so reject it here.
-            if (!coeff.is_number() || !std::isfinite(coeff.number)) {
-              return bad("polynomial coefficients must be finite numbers");
-            }
-            c.push_back(coeff.number);
-          }
-          coords.push_back(Polynomial(std::move(c)));
-        }
-        out->points.push_back(Trajectory(std::move(coords)));
+        out->points.push_back(std::move(*point));
       }
     } else {
       return bad("unknown scenario field '" + name + "'");
@@ -372,15 +351,10 @@ StatusOr<Request> parse_request(const std::string& line) {
       }
       if (!known) return bad("unknown op '" + op + "'");
     } else if (name == "id") {
-      if (member.is_string()) {
-        r.id_json = "\"" + json::escape(member.string) + "\"";
-      } else if (member.is_number()) {
-        json::Writer w;
-        w.value(member.number);
-        r.id_json = w.str();
-      } else {
+      if (!member.is_string() && !member.is_number()) {
         return bad("'id' must be a string or a number");
       }
+      r.id_json = json::dump(member);
     } else if (name == "scenario") {
       has_scenario = true;
       if (Status st = parse_scenario(member, &sc); !st.is_ok()) return st;

@@ -92,7 +92,8 @@ inline constexpr std::uint64_t kMaxDeadlineMs = 3'600'000;
 // works from bits, never from the request's surface form.
 struct Request {
   Op op = Op::kPing;
-  // The "id" member rendered back to JSON ("\"a\"" or "7"); empty = absent.
+  // The "id" member rendered back by json::dump ("\"a\"" or "7"); empty =
+  // absent.
   std::string id_json;
   std::string machine = "mesh";
   std::size_t query = 0;

@@ -494,17 +494,20 @@ void Server::process_batch() {
     Status status = Status::ok();
     CachedResult result;
   };
+  auto compute = [](const Request& r) {
+    Computed c;
+    StatusOr<CachedResult> res = run_query(r);
+    if (res.is_ok()) {
+      c.result = std::move(res).value();
+    } else {
+      c.status = res.status();
+    }
+    return c;
+  };
   std::vector<Computed> computed(to_compute.size());
   parallel_for(
       to_compute.size(),
-      [&](std::size_t i) {
-        StatusOr<CachedResult> r = run_query(*to_compute[i]);
-        if (r.is_ok()) {
-          computed[i].result = std::move(r).value();
-        } else {
-          computed[i].status = r.status();
-        }
-      },
+      [&](std::size_t i) { computed[i] = compute(*to_compute[i]); },
       /*grain=*/1);
 
   // Pass 3: replay in arrival order with sequential cache semantics.  The
@@ -600,7 +603,11 @@ void Server::process_batch() {
       sm().responses_ok->add();
       continue;
     }
-    // Counted miss: fetch this key's computed slot.
+    // Counted miss: fetch this key's computed slot.  A key pass 1 found
+    // cached has none when an earlier miss in this batch evicted it (FIFO,
+    // cache full); a sequential server would miss and compute it too, so
+    // it is computed here.
+    Computed late;
     const Computed* slot = nullptr;
     for (std::size_t i = 0; i < to_compute.size(); ++i) {
       if (to_compute[i]->key == r.key) {
@@ -608,14 +615,13 @@ void Server::process_batch() {
         break;
       }
     }
-    if (slot == nullptr || !slot->status.is_ok()) {
+    if (slot == nullptr) {
+      late = compute(r);
+      slot = &late;
+    }
+    if (!slot->status.is_ok()) {
       ++errors_;
-      respond(item.conn,
-              render_error(r.id_json,
-                           slot != nullptr
-                               ? slot->status
-                               : Status::invalid_argument(
-                                     "batch scheduling lost a key")));
+      respond(item.conn, render_error(r.id_json, slot->status));
       sm().responses_error->add();
       continue;  // errors are never cached
     }

@@ -1,6 +1,7 @@
 #include "support/json.hpp"
 
-#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -224,34 +225,40 @@ struct Parser {
     return true;
   }
 
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+  void skip_digits() {
+    while (p < end && is_digit(*p)) ++p;
+  }
+
   bool parse_number(Value& v) {
     const char* start = p;
     if (p < end && *p == '-') ++p;
-    if (p >= end || !std::isdigit(static_cast<unsigned char>(*p))) {
-      return fail("bad number");
-    }
+    if (p >= end || !is_digit(*p)) return fail("bad number");
     if (*p == '0') {
       ++p;  // RFC 8259: no leading zeros ("01" is two tokens, i.e. invalid)
     } else {
-      while (p < end && std::isdigit(static_cast<unsigned char>(*p))) ++p;
+      skip_digits();
     }
     if (p < end && *p == '.') {
       ++p;
-      if (p >= end || !std::isdigit(static_cast<unsigned char>(*p))) {
-        return fail("bad number fraction");
-      }
-      while (p < end && std::isdigit(static_cast<unsigned char>(*p))) ++p;
+      if (p >= end || !is_digit(*p)) return fail("bad number fraction");
+      skip_digits();
     }
     if (p < end && (*p == 'e' || *p == 'E')) {
       ++p;
       if (p < end && (*p == '+' || *p == '-')) ++p;
-      if (p >= end || !std::isdigit(static_cast<unsigned char>(*p))) {
-        return fail("bad number exponent");
-      }
-      while (p < end && std::isdigit(static_cast<unsigned char>(*p))) ++p;
+      if (p >= end || !is_digit(*p)) return fail("bad number exponent");
+      skip_digits();
     }
     v.type = Value::Type::kNumber;
-    v.number = std::strtod(std::string(start, p).c_str(), nullptr);
+    // Both conversions round correctly, so they agree bit for bit wherever
+    // from_chars succeeds.  On overflow and underflow it reports an error
+    // and stores nothing; strtod then supplies +-inf or the flushed value.
+    std::from_chars_result r = std::from_chars(start, p, v.number);
+    if (r.ec != std::errc() || r.ptr != p) {
+      v.number = std::strtod(std::string(start, p).c_str(), nullptr);
+    }
     return true;
   }
 
@@ -268,16 +275,16 @@ struct Parser {
           ++p;
           return true;
         }
+        // Members and elements are parsed in place: the recursion only
+        // touches the node just appended, never its parent's vector.
         for (;;) {
           skip_ws();
-          std::string key;
-          if (!parse_string(key)) return false;
+          auto& member = v.object.emplace_back();
+          if (!parse_string(member.first)) return false;
           skip_ws();
           if (p >= end || *p != ':') return fail("expected ':'");
           ++p;
-          Value member;
-          if (!parse_value(member, depth + 1)) return false;
-          v.object.emplace_back(std::move(key), std::move(member));
+          if (!parse_value(member.second, depth + 1)) return false;
           skip_ws();
           if (p < end && *p == ',') {
             ++p;
@@ -299,9 +306,7 @@ struct Parser {
           return true;
         }
         for (;;) {
-          Value elem;
-          if (!parse_value(elem, depth + 1)) return false;
-          v.array.push_back(std::move(elem));
+          if (!parse_value(v.array.emplace_back(), depth + 1)) return false;
           skip_ws();
           if (p < end && *p == ',') {
             ++p;
@@ -361,8 +366,11 @@ void dump_number(std::string& out, double v) {
   // Counters and ledger figures parse into doubles; print exact integers
   // as integers so round-tripping a registry dump is byte-stable.
   constexpr double kExact = 9007199254740992.0;  // 2^53
-  if (v == static_cast<double>(static_cast<long long>(v)) && v < kExact &&
-      v > -kExact) {
+  if (!std::isfinite(v)) {
+    out += "null";  // JSON has no inf/nan literals (as Writer::value)
+    return;
+  }
+  if (v < kExact && v > -kExact && v == std::trunc(v)) {
     out += std::to_string(static_cast<long long>(v));
     return;
   }

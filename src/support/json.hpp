@@ -5,12 +5,13 @@
 #include <utility>
 #include <vector>
 
-// Minimal JSON support for the observability layer: a streaming writer used
-// by the trace/telemetry/bench exporters, and a small DOM parser used by the
-// schema checker tool and the tests to validate what the writers emit.  Both
-// are deliberately tiny — no external dependency, no clever performance —
-// because every document this repo produces or checks is small (traces are
-// written once at exit, bench reports are a few KB).
+// Minimal JSON support: a streaming writer used by the trace/telemetry/bench
+// exporters and the serving responses, and a small DOM parser used by the
+// serving protocol, the schema checker tool and the tests.  No external
+// dependency.  The parser is on the serving hot path: every request line
+// (up to 1 MiB; inline scenarios carry hundreds of coefficients) is parsed
+// once, so it converts numbers in place and builds each node where it
+// lives.  The writer's documents are small and it is not tuned.
 namespace dyncg {
 namespace json {
 
@@ -76,15 +77,23 @@ struct Value {
 // Parse `text` into `*out`.  Returns false and fills `*error` (if non-null)
 // with a position-annotated message on malformed input.  Accepts exactly the
 // JSON grammar (RFC 8259) minus \u surrogate pairs, which decode to U+FFFD.
+//
+// Numbers: each number is the correctly rounded double of its literal, bit
+// for bit what strtod returns for the same characters — including
+// subnormals, -0, overflow to +-inf ("1e999") and underflow to +-0
+// ("1e-400").  std::from_chars converts straight from `text`; strtod is
+// the fallback only where from_chars reports out of range.  Callers that
+// need finite values (the serving protocol) reject infinities themselves.
 bool parse(const std::string& text, Value* out, std::string* error = nullptr);
 
 // Serialize a parsed Value back to compact JSON text.  Deterministic and
 // canonical for the documents this repo round-trips: object key order is
 // preserved, numbers with an exact integer value in ±2^53 print without a
-// decimal point, other numbers print with %.17g (shortest round-trip is not
-// attempted).  Used to re-embed fetched documents (the `metrics` registry
-// inside BENCH_serve.json) and to canonicalize values for exact comparison
-// in dyncg_bench_diff.
+// decimal point, other finite numbers print with %.17g (shortest round-trip
+// is not attempted), and infinities print as null, as in Writer.  Used to
+// re-embed fetched documents (the `metrics` registry inside
+// BENCH_serve.json), to canonicalize values for exact comparison in
+// dyncg_bench_diff, and to echo a request's `id`.
 std::string dump(const Value& v);
 
 }  // namespace json

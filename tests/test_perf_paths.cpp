@@ -5,13 +5,16 @@
 // pure representation changes: every one must produce byte-identical
 // results to the allocating forms it replaced, under every thread count
 // (this suite is in the DYNCG_THREADS ctest matrix) and under recoverable
-// fault plans.  The last test pins the "steady state allocates nothing"
-// claim directly with a counting global operator new.
+// fault plans.  A counting global operator new pins the "steady state
+// allocates nothing" claims directly: fabric delivery, and the serving hit
+// path's JSON parse and cache lookup.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "machine/fabric.hpp"
@@ -19,13 +22,16 @@
 #include "machine/topology.hpp"
 #include "pieces/piecewise.hpp"
 #include "poly/roots.hpp"
+#include "serve/cache.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 
 // --- Counting global allocator -------------------------------------------
 //
 // Replaces the test binary's global new/delete with malloc/free plus an
 // allocation counter, so SteadyStateDeliver can assert a warmed-up fabric
-// round performs zero heap allocations.  Counting is process-wide; the
+// round performs zero heap allocations (and the serving tests below count
+// the allocations of a parse or a lookup).  Counting is process-wide; the
 // assertions only compare counts across a code region with no other
 // allocation sources (no gtest expectations inside the measured window).
 static std::atomic<std::uint64_t> g_allocations{0};
@@ -289,6 +295,74 @@ TEST(PerfPathsRoots, CrossingTimesIntoMatchesLegacy) {
       EXPECT_EQ(got.roots[i], want.roots[i]) << "trial " << trial;
     }
   }
+}
+
+// --- Serving hit path: allocation counts ------------------------------------
+
+// An inline-scenario request line of 64 points in 2-D with cubic
+// coordinates.  With `rng` every number is a 17-significant-digit literal
+// ("%.16e", 22+ characters); without it every number is 0.
+std::string inline_scenario_line(Rng* rng) {
+  auto number = [&] {
+    if (rng == nullptr) return std::string("0");
+    char buf[40];
+    std::snprintf(buf, sizeof buf, "%.16e", rng->uniform(-100.0, 100.0));
+    return std::string(buf);
+  };
+  std::string line = "{\"op\":\"neighbor\",\"scenario\":{\"points\":[";
+  for (int p = 0; p < 64; ++p) {
+    line += p == 0 ? "[" : ",[";
+    for (int c = 0; c < 2; ++c) {
+      line += c == 0 ? "[" : ",[";
+      for (int i = 0; i < 4; ++i) {
+        if (i != 0) line += ',';
+        line += number();
+      }
+      line += ']';
+    }
+    line += ']';
+  }
+  line += "],\"d\":" + number() + "}}";
+  return line;
+}
+
+std::uint64_t allocations_to_parse(const std::string& line) {
+  json::Value v;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const bool ok = json::parse(line, &v);
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  if (!ok) std::abort();
+  return after - before;
+}
+
+// Numbers convert straight from the line's bytes: the only allocations are
+// the DOM's own nodes, so long literals cost no more than "0".
+TEST(PerfPathsServe, JsonNumbersAllocateNothing) {
+  Rng rng(5);
+  const std::string digits = inline_scenario_line(&rng);
+  const std::string zeros = inline_scenario_line(nullptr);
+  EXPECT_EQ(allocations_to_parse(digits), allocations_to_parse(zeros));
+  EXPECT_GT(allocations_to_parse(zeros), 0u);  // arrays do allocate
+}
+
+// A lookup, hit or miss, hashes and compares the key in place.
+TEST(PerfPathsServe, CacheFindAllocatesNothing) {
+  serve::ResultCache cache(4);
+  const std::string hit_key(8192, 'h');
+  const std::string miss_key(8192, 'm');
+  cache.insert(hit_key, serve::CachedResult{"answer", {}, "mesh", 16});
+  // Warm up: the first lookups register the cache's metrics.
+  if (cache.find(hit_key) == nullptr || cache.find(miss_key) != nullptr) {
+    std::abort();
+  }
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 16; ++i) {
+    if (cache.find(hit_key) == nullptr || cache.find(miss_key) != nullptr) {
+      std::abort();
+    }
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after, before) << "cache lookups allocated";
 }
 
 }  // namespace

@@ -97,6 +97,17 @@ TEST(ServeParse, IdEchoForms) {
             "\"a\\\"b\"");
   EXPECT_EQ(parse("{\"op\":\"ping\",\"id\":7}").value().id_json, "7");
   EXPECT_EQ(parse("{\"op\":\"ping\"}").value().id_json, "");
+  // Numeric ids echo exactly: integers within +-2^53 digit for digit (a
+  // millisecond timestamp has 13 digits), other numbers at %.17g, which
+  // round-trips the parsed double.
+  auto id_echo = [](const std::string& id) {
+    return parse("{\"op\":\"ping\",\"id\":" + id + "}").value().id_json;
+  };
+  EXPECT_EQ(id_echo("1234567890123"), "1234567890123");
+  EXPECT_EQ(id_echo("9007199254740992"), "9007199254740992");
+  EXPECT_EQ(id_echo("-5"), "-5");
+  EXPECT_EQ(id_echo("0.1"), "0.10000000000000001");
+  EXPECT_EQ(id_echo("1e300"), "1.0000000000000001e+300");
 }
 
 TEST(ServeParse, FaultsCanonicalizeIntoKey) {

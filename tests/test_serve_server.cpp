@@ -283,6 +283,36 @@ TEST(ServeDeadline, ServerDefaultAppliesAndPerRequestOverrides) {
   EXPECT_NE(fourth.find("\"id\":\"override\""), std::string::npos) << fourth;
 }
 
+// --- result cache ------------------------------------------------------------
+
+// With the cache full, a key the plan pass found cached can be evicted by an
+// earlier miss in the same batch before the replay pass reaches it.  A
+// sequential server would count that request a miss and compute it, and so
+// does the batch: OK, never an error.
+TEST(ServeCache, KeyEvictedEarlierInItsBatchIsRecomputed) {
+  ServerOptions opt;
+  opt.cache_cap = 1;
+  TestServer ts(opt);
+  Client c(ts.port());
+  auto request = [](int seed) {
+    return "{\"op\":\"neighbor\",\"scenario\":{\"seed\":" +
+           std::to_string(seed) + ",\"n\":6,\"k\":1}}";
+  };
+  EXPECT_EQ(status_of(c.round_trip(request(1))), "OK");  // caches seed 1
+
+  // One burst, one batch: seed 2 misses and its insert evicts seed 1.
+  ASSERT_TRUE(c.send_raw(request(2) + "\n" + request(1) + "\n"));
+  std::string second = c.recv_line();
+  std::string first_again = c.recv_line();
+  EXPECT_EQ(status_of(second), "OK") << second;
+  EXPECT_EQ(status_of(first_again), "OK") << first_again;
+  EXPECT_NE(first_again.find("\"cache\":\"miss\""), std::string::npos)
+      << first_again;
+  EXPECT_EQ(stat_counter(c, "errors"), 0u);
+  EXPECT_EQ(stat_counter(c, "misses"), 3u);
+  EXPECT_EQ(stat_counter(c, "evictions"), 2u);
+}
+
 // --- graceful drain ----------------------------------------------------------
 
 TEST(ServeDrain, RejectsNewWorkFinishesQueuedAndExitsOk) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <new>
 #include <numeric>
@@ -149,6 +152,107 @@ TEST(Json, ParserRejectsMalformed) {
   EXPECT_FALSE(json::parse("01", &v, &err));
   EXPECT_TRUE(json::parse("  [1, 2.5e3, \"\\u0041\"] ", &v, &err)) << err;
   EXPECT_EQ(v.array[2].string, "A");
+}
+
+// json::parse converts numbers with std::from_chars and falls back to strtod
+// only on overflow, underflow or a partial parse; the contract is that every
+// number comes out bit-identical to strtod of the same token.  Tokens are
+// checked in batches, one JSON array per parse, so the million-pattern
+// sweep stays cheap.
+class StrtodDifferential {
+ public:
+  void add(const char* token) {
+    text_ += text_.empty() ? '[' : ',';
+    starts_.push_back(text_.size());
+    text_ += token;
+    if (starts_.size() == 4096) flush();
+  }
+
+  void flush() {
+    if (starts_.empty()) return;
+    text_ += ']';
+    json::Value v;
+    std::string err;
+    if (!json::parse(text_, &v, &err) || v.array.size() != starts_.size()) {
+      ADD_FAILURE() << "batch did not parse: " << err;
+    } else {
+      for (std::size_t i = 0; i < starts_.size(); ++i) {
+        // strtod stops at the ',' or ']' that ends the token.
+        const char* token = text_.c_str() + starts_[i];
+        const double want = std::strtod(token, nullptr);
+        if (bits(v.array[i].number) != bits(want)) {
+          ADD_FAILURE() << "token "
+                        << std::string(token, std::strcspn(token, ",]"))
+                        << ": parse " << v.array[i].number << " vs strtod "
+                        << want;
+        }
+      }
+    }
+    checked_ += starts_.size();
+    text_.clear();
+    starts_.clear();
+  }
+
+  std::size_t checked() const { return checked_; }
+
+ private:
+  static std::uint64_t bits(double d) {
+    std::uint64_t b;
+    std::memcpy(&b, &d, sizeof b);
+    return b;
+  }
+
+  std::string text_;
+  std::vector<std::size_t> starts_;
+  std::size_t checked_ = 0;
+};
+
+TEST(Json, NumbersMatchStrtodBitForBit) {
+  StrtodDifferential diff;
+  // Random finite bit patterns (normals, subnormals, both signs) at the
+  // precisions clients print: round-trip, short, and past 17 digits.
+  // to_chars with a precision prints exactly what %.17g, %.15g and %.25e
+  // print, several times faster than snprintf.
+  const std::pair<std::chars_format, int> kFormats[] = {
+      {std::chars_format::general, 17},
+      {std::chars_format::general, 15},
+      {std::chars_format::scientific, 25}};
+  Rng rng(20240613);
+  char buf[64];
+  for (int i = 0; i < (1 << 20); ++i) {
+    double d;
+    const std::uint64_t b = rng.next_u64();
+    std::memcpy(&d, &b, sizeof d);
+    if (!std::isfinite(d)) continue;
+    for (const auto& [format, precision] : kFormats) {
+      *std::to_chars(buf, buf + sizeof buf - 1, d, format, precision).ptr = 0;
+      diff.add(buf);
+    }
+  }
+  // 1-40-digit mantissas across the whole exponent range, into overflow
+  // and below the smallest subnormal.
+  for (int digits = 1; digits <= 40; ++digits) {
+    for (int exp = -420; exp <= 330; ++exp) {
+      std::string token = rng.uniform_int(0, 1) != 0 ? "-" : "";
+      token += static_cast<char>('0' + rng.uniform_int(1, 9));
+      if (digits > 1 && rng.uniform_int(0, 1) != 0) token += '.';
+      for (int k = 1; k < digits; ++k) {
+        token += static_cast<char>('0' + rng.uniform_int(0, 9));
+      }
+      token += 'e' + std::to_string(exp);
+      diff.add(token.c_str());
+    }
+  }
+  // Boundaries: smallest subnormal, half of it (ties to zero), largest
+  // subnormal, largest finite, first overflow; infinities, underflow, -0.
+  for (const char* token :
+       {"4.9406564584124654e-324", "2.4703282292062327e-324",
+        "2.2250738585072011e-308", "1.7976931348623158e308",
+        "1.7976931348623159e308", "1e999", "-1e999", "1e-400", "-0"}) {
+    diff.add(token);
+  }
+  diff.flush();
+  EXPECT_GE(diff.checked(), 3000000u);
 }
 
 TEST(TraceSpan, NestingDepthAndOrder) {

@@ -222,9 +222,7 @@ int connection_lost(const std::string& request_line) {
       if (id->is_string()) {
         what = "id \"" + id->string + "\"";
       } else if (id->is_number()) {
-        json::Writer w;
-        w.value(id->number);
-        what = "id " + w.str();
+        what = "id " + json::dump(*id);
       }
     }
   }

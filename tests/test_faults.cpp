@@ -84,6 +84,13 @@ struct BadSpecCase {
   const char* substring;
 };
 
+// Names each case by its spec. Without this the case prints as the bytes of
+// its two pointers, which address randomisation changes on every run, so the
+// discovered ctest names would never be the same twice.
+void PrintTo(const BadSpecCase& c, std::ostream* os) {
+  *os << '"' << c.spec << '"';
+}
+
 class FaultSpecErrors : public ::testing::TestWithParam<BadSpecCase> {};
 
 TEST_P(FaultSpecErrors, RejectedWithParseError) {

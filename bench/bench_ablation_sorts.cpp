@@ -36,10 +36,9 @@ void print_mesh_sort_ablation() {
   Row oet{"odd-even transposition", {}, {}, "Theta(n)"};
   for (std::size_t n : {64u, 256u, 1024u, 4096u, 16384u}) {
     auto keys = random_keys(n, n);
-    // Host-sorted oracle for the machine sorts below (host_sort uses the
-    // __gnu_parallel path when DYNCG_PARALLEL is on and DYNCG_THREADS > 1).
+    // Host-sorted oracle for the machine sorts below.
     auto expected = keys;
-    host_sort(expected.begin(), expected.end());
+    std::sort(expected.begin(), expected.end());
     {
       Machine m(std::make_shared<MeshTopology>(
           static_cast<std::uint32_t>(std::sqrt(static_cast<double>(n))),

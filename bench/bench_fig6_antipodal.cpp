@@ -30,7 +30,7 @@ void print_figure6() {
   auto hull = regular_polygon(5, 1.0, 3);
   Machine m = Machine::mesh_for(hull.size());
   auto pairs = machine_antipodal_pairs(m, hull);
-  host_sort(pairs.begin(), pairs.end());
+  std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
   for (const auto& [a, b] : pairs) {
     std::printf("  antipodal: v%zu -- v%zu\n", a, b);

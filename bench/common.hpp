@@ -22,16 +22,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
 #include <string>
 #include <vector>
 
 #if defined(__GLIBC__)
 #include <errno.h>  // program_invocation_short_name
-#endif
-
-#if defined(DYNCG_HAVE_PARALLEL_SORT)
-#include <parallel/algorithm>
 #endif
 
 #include "dyncg/motion.hpp"
@@ -57,21 +52,6 @@ namespace detail {
 inline const std::chrono::steady_clock::time_point process_start =
     std::chrono::steady_clock::now();
 }  // namespace detail
-
-// Sort used by bench data generation and oracle checks.  With the
-// DYNCG_PARALLEL CMake option (and OpenMP present) this dispatches to the
-// libstdc++ parallel-mode sort when more than one host thread is requested;
-// it always falls back to std::sort, so the output is identical either way.
-template <class It, class Less = std::less<typename std::iterator_traits<It>::value_type>>
-inline void host_sort(It first, It last, Less less = Less{}) {
-#if defined(DYNCG_HAVE_PARALLEL_SORT)
-  if (host_threads() > 1) {
-    __gnu_parallel::sort(first, last, less);
-    return;
-  }
-#endif
-  std::sort(first, last, less);
-}
 
 // Least-squares slope of log(y) against log(x): the measured growth
 // exponent.
@@ -185,13 +165,6 @@ class BenchReport {
     w.begin_object();
     w.key("threads");
     w.value(std::uint64_t{host_threads()});
-#if defined(DYNCG_HAVE_PARALLEL_SORT)
-    w.key("parallel_sort");
-    w.value(true);
-#else
-    w.key("parallel_sort");
-    w.value(false);
-#endif
     // Numeric-kernel dispatch target the run used ("scalar" or "avx2");
     // the ledger figures must not depend on it (exactness contract,
     // docs/PERFORMANCE.md#simd-kernels), but host_seconds does.

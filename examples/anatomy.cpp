@@ -1,17 +1,20 @@
 // Anatomy of a Theorem 4.5 run: where do the rounds go?
 //
-// Uses the MachineProfile phase profiler to break a hull-membership
-// computation into the paper's own steps — the four Theorem 3.4 partial
-// envelopes (a0, b0, c0, d0), the indicator passes (A0/B0), and the final
-// packing — on both a mesh and a hypercube, and prints the share of each.
+// Traces one hull-membership computation per machine, a mesh and a
+// hypercube, and prints the per-span totals (trace::totals): the four
+// Theorem 3.4 partial envelopes (envelope.parallel, one envelope.level per
+// merge level), the Table 1 operations underneath (ops.*), and the driver's
+// own indicator-and-pack work (the dyncg.hull_membership self line).  Self
+// costs partition the ledger, so the example fails unless they sum to it
+// exactly.
 //
 //   $ ./anatomy [n]
 #include <cstdio>
 #include <cstdlib>
 
 #include "dyncg/hull_membership.hpp"
-#include "machine/profile.hpp"
 #include "support/rng.hpp"
+#include "support/trace.hpp"
 
 int main(int argc, char** argv) {
   using namespace dyncg;
@@ -19,52 +22,42 @@ int main(int argc, char** argv) {
 
   Rng rng(2026);
   MotionSystem sys = random_motion_system(rng, n, 2, 2);
-  const int k = sys.motion_degree();
-  const int s_bound = 4 * k;
+  trace::enable();
 
   for (int which = 0; which < 2; ++which) {
     Machine m = which == 0 ? hull_membership_machine_mesh(sys)
                            : hull_membership_machine_hypercube(sys);
     std::printf("=== %s (%zu PEs, n = %zu, k = %d) ===\n",
-                m.topology().name().c_str(), m.size(), n, k);
-    MachineProfile prof(m);
-    RelativeMotion rel = RelativeMotion::around(sys, 0);
-    AngleFamily gfam(&rel, true), bfam(&rel, false);
-    PiecewiseFn a0, b0, c0, d0;
-    {
-      auto ph = prof.phase("envelope a0 = min G (Thm 3.4)");
-      a0 = parallel_envelope(m, gfam, s_bound, true);
+                m.topology().name().c_str(), m.size(), n, sys.motion_degree());
+    trace::clear();
+    IntervalSet result = hull_membership_intervals(m, sys, 0);
+    const CostSnapshot ledger = m.ledger().snapshot();
+
+    std::printf("  %-26s %5s %11s %6s %12s %10s %11s %9s\n", "span", "calls",
+                "self rounds", "share", "self msgs", "self local",
+                "incl rounds", "self ms");
+    CostSnapshot self;
+    for (const trace::Total& t : trace::totals(trace::snapshot())) {
+      self += t.self_cost;
+      double share = ledger.rounds == 0
+                         ? 0.0
+                         : 100.0 * static_cast<double>(t.self_cost.rounds) /
+                               static_cast<double>(ledger.rounds);
+      std::printf("  %-26s %5llu %11llu %5.1f%% %12llu %10llu %11llu %9.2f\n",
+                  t.name.c_str(), static_cast<unsigned long long>(t.calls),
+                  static_cast<unsigned long long>(t.self_cost.rounds), share,
+                  static_cast<unsigned long long>(t.self_cost.messages),
+                  static_cast<unsigned long long>(t.self_cost.local_ops),
+                  static_cast<unsigned long long>(t.inclusive_cost.rounds),
+                  static_cast<double>(t.self_ns) / 1e6);
     }
-    {
-      auto ph = prof.phase("envelope b0 = max G");
-      b0 = parallel_envelope(m, gfam, s_bound, false);
+    std::printf("  ledger: %s\n", ledger.to_string().c_str());
+    if (self != ledger) {
+      std::fprintf(stderr, "anatomy: self costs sum to %s, not the ledger\n",
+                   self.to_string().c_str());
+      return 1;
     }
-    {
-      auto ph = prof.phase("envelope c0 = min B");
-      c0 = parallel_envelope(m, bfam, s_bound, true);
-    }
-    {
-      auto ph = prof.phase("envelope d0 = max B");
-      d0 = parallel_envelope(m, bfam, s_bound, false);
-    }
-    IntervalSet result;
-    {
-      auto ph = prof.phase("indicators A0/B0/C0/D0 + pack");
-      // Re-run the full pipeline for the indicator half; subtract the
-      // envelope phases measured above.
-      Machine m2 = which == 0 ? hull_membership_machine_mesh(sys)
-                              : hull_membership_machine_hypercube(sys);
-      result = hull_membership_intervals(m2, sys, 0);
-      // Transfer the measured remainder: total minus four envelopes.
-      CostSnapshot whole = m2.ledger().snapshot();
-      CostSnapshot envs = prof.total();
-      m.ledger().add_rounds(whole.rounds > envs.rounds
-                                ? whole.rounds - envs.rounds
-                                : 0);
-    }
-    std::printf("%s", prof.report().c_str());
-    std::printf("P0 is a hull vertex during %s\n\n",
-                result.to_string().c_str());
+    std::printf("P0 is a hull vertex during %s\n\n", result.to_string().c_str());
   }
   return 0;
 }

@@ -28,7 +28,6 @@ namespace dyncg {
 // counters that feed the bench reports.
 void Machine::apply_fault_penalty(std::uint64_t r0, std::uint64_t r1) {
   TRACE_SPAN_COST("fault.recover", ledger_);
-  FabricTelemetry& fab = telemetry_.fabric();
   const std::vector<FaultEvent>& events = faults_->events();
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FaultEvent& e = events[i];
@@ -51,8 +50,8 @@ void Machine::apply_fault_penalty(std::uint64_t r0, std::uint64_t r1) {
           DYNCG_ASSERT(false, buf);
         }
         ledger_.add_rounds(extra);
-        ++fab.fault_link_down_hits;
-        fab.fault_detour_rounds += extra;
+        ++telemetry_.fault_link_down_hits;
+        telemetry_.fault_detour_rounds += extra;
         faults_global::count_link_down_hit();
         faults_global::count_detour_rounds(extra);
         break;
@@ -72,13 +71,13 @@ void Machine::apply_fault_penalty(std::uint64_t r0, std::uint64_t r1) {
           remapped_events_[i] = true;
           ledger_.add_rounds(dist);
           ledger_.add_messages(dist);
-          ++fab.fault_remaps;
+          ++telemetry_.fault_remaps;
           faults_global::count_remap();
         }
         // Dilation: words for the displaced rank travel the extra leg.
         ledger_.add_rounds(dist);
-        ++fab.fault_pe_down_hits;
-        fab.fault_detour_rounds += dist;
+        ++telemetry_.fault_pe_down_hits;
+        telemetry_.fault_detour_rounds += dist;
         faults_global::count_pe_down_hit();
         faults_global::count_detour_rounds(dist);
         break;
@@ -87,8 +86,8 @@ void Machine::apply_fault_penalty(std::uint64_t r0, std::uint64_t r1) {
         // Timeout plus retransmission.
         ledger_.add_rounds(2);
         ledger_.add_messages(1);
-        ++fab.fault_words_dropped;
-        ++fab.fault_retries;
+        ++telemetry_.fault_words_dropped;
+        ++telemetry_.fault_retries;
         faults_global::count_word_dropped();
         faults_global::count_retry();
         break;
@@ -103,15 +102,14 @@ std::string Machine::fault_report() const {
     os << "fault report: no faults injected\n";
     return os.str();
   }
-  const FabricTelemetry& fab = telemetry_.fabric();
   os << "fault report: plan \"" << faults_->to_string() << "\" ("
      << faults_->events().size() << " events)\n";
-  os << "  link-down hits:  " << fab.fault_link_down_hits << "\n";
-  os << "  pe-down hits:    " << fab.fault_pe_down_hits << "\n";
-  os << "  words dropped:   " << fab.fault_words_dropped << "\n";
-  os << "  retries:         " << fab.fault_retries << "\n";
-  os << "  detour rounds:   " << fab.fault_detour_rounds << "\n";
-  os << "  remaps:          " << fab.fault_remaps << "\n";
+  os << "  link-down hits:  " << telemetry_.fault_link_down_hits << "\n";
+  os << "  pe-down hits:    " << telemetry_.fault_pe_down_hits << "\n";
+  os << "  words dropped:   " << telemetry_.fault_words_dropped << "\n";
+  os << "  retries:         " << telemetry_.fault_retries << "\n";
+  os << "  detour rounds:   " << telemetry_.fault_detour_rounds << "\n";
+  os << "  remaps:          " << telemetry_.fault_remaps << "\n";
   return os.str();
 }
 

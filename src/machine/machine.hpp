@@ -44,11 +44,12 @@ class Machine {
   CostLedger& ledger() { return ledger_; }
   const CostLedger& ledger() const { return ledger_; }
 
-  // Observability aggregate: per-phase stats (fed by MachineProfile scopes)
-  // and fabric link/congestion counters (attach the fabric() member to a
-  // Fabric when replaying hop by hop).  See docs/OBSERVABILITY.md.
-  MachineTelemetry& telemetry() { return telemetry_; }
-  const MachineTelemetry& telemetry() const { return telemetry_; }
+  // Fabric link/congestion and fault counters: the machine's pattern charges
+  // bump the fault counters, and a Fabric replaying hop by hop fills the
+  // rest once attached with set_telemetry(&telemetry()).  Cost per scope is
+  // what trace spans record (support/trace.hpp).  See docs/OBSERVABILITY.md.
+  FabricTelemetry& telemetry() { return telemetry_; }
+  const FabricTelemetry& telemetry() const { return telemetry_; }
 
   // Attach a fault schedule (nullptr detaches).  The plan must outlive the
   // machine.  Rounds already on the ledger are unaffected; subsequent
@@ -101,7 +102,7 @@ class Machine {
 
   std::shared_ptr<const Topology> topo_;
   CostLedger ledger_;
-  MachineTelemetry telemetry_;
+  FabricTelemetry telemetry_;
   const FaultPlan* faults_ = nullptr;
   // Memoizes the per-event detour BFS across pattern charges (the detour
   // for a given event changes only when the active fault set does).

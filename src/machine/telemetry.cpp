@@ -95,42 +95,4 @@ std::string FabricTelemetry::to_json() const {
   return w.str();
 }
 
-void MachineTelemetry::record_phase(const std::string& label,
-                                    const CostSnapshot& delta,
-                                    double wall_seconds) {
-  for (PhaseStat& p : phases_) {
-    if (p.label == label) {
-      p.cost += delta;
-      p.wall_seconds += wall_seconds;
-      ++p.calls;
-      return;
-    }
-  }
-  phases_.push_back(PhaseStat{label, delta, wall_seconds, 1});
-}
-
-std::string MachineTelemetry::to_json() const {
-  json::Writer w;
-  w.begin_object();
-  w.key("phases");
-  w.begin_array();
-  for (const PhaseStat& p : phases_) {
-    w.begin_object();
-    w.key("label");
-    w.value(p.label);
-    w.key("cost");
-    w.value_raw(p.cost.to_json());
-    w.key("wall_seconds");
-    w.value(p.wall_seconds);
-    w.key("calls");
-    w.value(p.calls);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("fabric");
-  w.value_raw(fabric_.to_json());
-  w.end_object();
-  return w.str();
-}
-
 }  // namespace dyncg

@@ -4,24 +4,22 @@
 #include <string>
 #include <vector>
 
-#include "machine/cost.hpp"
-
-// Machine-level observability: fabric link utilisation and per-phase cost
-// aggregation.
+// Machine-level observability: fabric link utilisation and fault counters.
 //
-// The ledger answers "how much", the profiler answers "which phase"; this
-// module makes both exportable and adds the Layer A view: which physical
-// links a hop-by-hop replay actually loaded, and how congested the rounds
-// were.  Everything here is plain counters — no locking, no global state —
-// so a FabricTelemetry can be attached to any Fabric (they are per-machine
-// objects, driven from one thread) and a MachineTelemetry rides inside each
-// Machine.  See docs/OBSERVABILITY.md for the JSON schemas.
+// The ledger answers "how much" and trace spans answer "where in the
+// algorithm" (support/trace.hpp); this module adds the Layer A view: which
+// physical links a hop-by-hop replay actually loaded, how congested the
+// rounds were, and what fault recovery paid.  Everything here is plain
+// counters — no locking, no global state — so a FabricTelemetry can be
+// attached to any Fabric (they are per-machine objects, driven from one
+// thread), and one rides inside each Machine.  See docs/OBSERVABILITY.md for
+// the JSON schema.
 namespace dyncg {
 
 // Counters for one Fabric run (Layer A, hop-by-hop).  Attach with
-// Fabric::set_telemetry(&machine.telemetry().fabric()); every send() bumps
-// the directed link's counter and every deliver() records the round's
-// in-flight load.
+// Fabric::set_telemetry(&machine.telemetry()); every send() bumps the
+// directed link's counter and every deliver() records the round's in-flight
+// load.
 struct FabricTelemetry {
   std::uint64_t rounds = 0;         // deliver() calls observed
   std::uint64_t messages = 0;       // total words moved
@@ -75,32 +73,6 @@ struct FabricTelemetry {
   // Human-readable congestion summary (one line per histogram bucket).
   std::string report() const;
   std::string to_json() const;
-};
-
-// Per-machine aggregate: named phase stats (fed by MachineProfile scopes)
-// plus the fabric counters.  Accessed via Machine::telemetry().
-class MachineTelemetry {
- public:
-  struct PhaseStat {
-    std::string label;
-    CostSnapshot cost;
-    double wall_seconds = 0.0;
-    std::uint64_t calls = 0;
-  };
-
-  // Accumulate one phase scope (same label aggregates).
-  void record_phase(const std::string& label, const CostSnapshot& delta,
-                    double wall_seconds);
-
-  const std::vector<PhaseStat>& phases() const { return phases_; }
-  FabricTelemetry& fabric() { return fabric_; }
-  const FabricTelemetry& fabric() const { return fabric_; }
-
-  std::string to_json() const;
-
- private:
-  std::vector<PhaseStat> phases_;
-  FabricTelemetry fabric_;
 };
 
 }  // namespace dyncg

@@ -221,6 +221,7 @@ std::vector<std::size_t> machine_steady_hull_ids(Machine& m,
 
 ClosestPairResult<AsymptoticPoly> machine_steady_farthest_pair(
     Machine& m, const MotionSystem& system) {
+  TRACE_SPAN_COST("steady.farthest_pair", m.ledger());
   std::vector<Point2<RationalGerm>> hull =
       machine_hull_dual(m, germ_field_points(system));
   if (hull.size() == 2) {

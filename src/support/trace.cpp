@@ -4,7 +4,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <mutex>
+#include <tuple>
 
 #include "support/fatal.hpp"
 #include "support/json.hpp"
@@ -166,6 +168,66 @@ void clear() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lk(r.mu);
   for (ThreadBuffer* b : r.buffers) b->events.clear();
+}
+
+std::vector<Total> totals(const std::vector<Event>& events) {
+  // Visit each thread's spans in start order, outer before inner on a tie.
+  // `open` then holds the chain of spans enclosing the current one.
+  std::vector<std::size_t> order(events.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const Event& x = events[a];
+    const Event& y = events[b];
+    return std::tie(x.tid, x.start_ns, x.depth, a) <
+           std::tie(y.tid, y.start_ns, y.depth, b);
+  });
+  std::vector<std::uint64_t> child_ns(events.size(), 0);
+  std::vector<CostSnapshot> child_cost(events.size());
+  std::vector<std::size_t> open;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const Event& e = events[order[k]];
+    if (k > 0 && events[order[k - 1]].tid != e.tid) open.clear();
+    while (!open.empty()) {
+      const Event& top = events[open.back()];
+      if (top.depth < e.depth &&
+          top.start_ns + top.dur_ns >= e.start_ns + e.dur_ns) {
+        break;
+      }
+      open.pop_back();
+    }
+    if (!open.empty() && events[open.back()].depth + 1 == e.depth) {
+      child_ns[open.back()] += e.dur_ns;
+      child_cost[open.back()] += e.cost;
+    }
+    open.push_back(order[k]);
+  }
+
+  // Direct children are disjoint intervals inside their parent, so the
+  // time subtraction cannot wrap; cost floors at zero for spans whose
+  // children read a ledger they do not (see the header).
+  auto minus = [](std::uint64_t a, std::uint64_t b) {
+    return a > b ? a - b : std::uint64_t{0};
+  };
+  std::map<std::string, Total> by_name;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Event& e = events[i];
+    Total& t = by_name[e.name.substr(0, e.name.find('#'))];
+    ++t.calls;
+    t.inclusive_ns += e.dur_ns;
+    t.self_ns += e.dur_ns - child_ns[i];
+    t.inclusive_cost += e.cost;
+    t.self_cost += CostSnapshot{
+        minus(e.cost.rounds, child_cost[i].rounds),
+        minus(e.cost.messages, child_cost[i].messages),
+        minus(e.cost.local_ops, child_cost[i].local_ops)};
+  }
+  std::vector<Total> out;
+  out.reserve(by_name.size());
+  for (auto& [name, t] : by_name) {
+    t.name = name;
+    out.push_back(std::move(t));
+  }
+  return out;
 }
 
 namespace {

@@ -81,6 +81,26 @@ std::vector<Event> snapshot();
 // Drop every buffered event (does not change the enabled flag).
 void clear();
 
+// Per-label totals: the events of one span name, summed.  A name groups up
+// to its first '#', so request-tagged "serve.query#<key>" spans count as
+// "serve.query".  "Self" subtracts the direct children only: the spans one
+// level deeper on the same thread whose interval lies inside this one.  A
+// child's cost is subtracted field by field down to zero, so a span without
+// a ledger keeps a zero self cost above children that have one.  When every
+// span reads one ledger, the self costs of all names sum to the cost of the
+// outermost spans (docs/OBSERVABILITY.md#per-label-totals).
+struct Total {
+  std::string name;
+  std::uint64_t calls = 0;
+  std::uint64_t inclusive_ns = 0;
+  std::uint64_t self_ns = 0;
+  CostSnapshot inclusive_cost;
+  CostSnapshot self_cost;
+};
+
+// Totals over `events` (any order, e.g. snapshot()), sorted by name.
+std::vector<Total> totals(const std::vector<Event>& events);
+
 // Export the buffered events.  Returns false (leaving errno from stdio) when
 // the file cannot be written.  Neither clears the buffer.
 bool write_chrome_trace(const std::string& path);

@@ -418,7 +418,7 @@ TEST_P(SectionFourUnderFaults, NeighborSequenceByteIdentical) {
   EXPECT_EQ(got.to_string(), base.to_string());
   EXPECT_GT(faulty.ledger().snapshot().rounds, clean_rounds)
       << "recovery rounds must be charged, not hidden";
-  const FabricTelemetry& fab = faulty.telemetry().fabric();
+  const FabricTelemetry& fab = faulty.telemetry();
   EXPECT_GT(fab.fault_detour_rounds, 0u);
   if (GetParam().pe_down) {
     EXPECT_GT(fab.fault_pe_down_hits, 0u);

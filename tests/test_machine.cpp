@@ -5,7 +5,6 @@
 
 #include "machine/fabric.hpp"
 #include "machine/machine.hpp"
-#include "machine/profile.hpp"
 #include "machine/topology.hpp"
 #include "support/rng.hpp"
 
@@ -233,35 +232,6 @@ TEST(FabricReference, ShiftMatchesChargeOnProximityAndGray) {
     }
     EXPECT_EQ(rounds, topo->shift_rounds());
   }
-}
-
-
-TEST(MachineProfile, PhaseAttributionAndReport) {
-  Machine m = Machine::hypercube_for(64);
-  MachineProfile prof(m);
-  {
-    auto ph = prof.phase("exchanges");
-    m.charge_exchange(0);
-    m.charge_exchange(1);
-  }
-  {
-    auto ph = prof.phase("shifts");
-    m.charge_shift(5);
-  }
-  {
-    auto ph = prof.phase("exchanges");  // aggregates with the first scope
-    m.charge_exchange(0);
-  }
-  ASSERT_EQ(prof.entries().size(), 2u);
-  const Topology& t = m.topology();
-  EXPECT_EQ(prof.entries()[0].label, "exchanges");
-  EXPECT_EQ(prof.entries()[0].cost.rounds,
-            2 * t.exchange_rounds(0) + t.exchange_rounds(1));
-  EXPECT_EQ(prof.entries()[1].cost.rounds, 5 * t.shift_rounds());
-  EXPECT_EQ(prof.total().rounds, m.ledger().snapshot().rounds);
-  std::string rep = prof.report();
-  EXPECT_NE(rep.find("exchanges"), std::string::npos);
-  EXPECT_NE(rep.find("shifts"), std::string::npos);
 }
 
 TEST(Machine, LedgerCharges) {

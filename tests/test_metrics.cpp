@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "counting_allocator.hpp"
 #include "machine/telemetry.hpp"
 #include "serve/engine.hpp"
 #include "serve/protocol.hpp"
@@ -16,37 +14,8 @@
 // Tests for the live metrics registry (support/metrics.hpp): handle
 // semantics, bucket edges, zero overhead when disabled, shard-merge
 // determinism under the DYNCG_THREADS matrix, export formats, and the
-// never-perturbs-ledgers contract — plus the FabricTelemetry /
-// MachineTelemetry JSON edge cases the registry's histograms mirror.
-
-// Global allocation counter for the zero-overhead test, same scheme as
-// test_trace.cpp: we only compare the count across a region that performs
-// no other allocations.
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-#pragma GCC diagnostic pop
+// never-perturbs-ledgers contract — plus the FabricTelemetry JSON edge
+// cases the registry's histograms mirror.
 
 namespace dyncg {
 namespace {
@@ -137,12 +106,12 @@ TEST(Metrics, DisabledRecordPathIsFreeAndAllocationless) {
                          metrics::Stability::kDeterministic, {1, 2});
   metrics::reset();
   metrics::disable();
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   for (int i = 0; i < 1000; ++i) {
     c.add(3);
     h.observe(static_cast<std::uint64_t>(i));
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::allocations();
   EXPECT_EQ(before, after);
   EXPECT_EQ(c.value(), 0u);
 }
@@ -316,14 +285,6 @@ TEST(Telemetry, RecordRoundOneLandsInBucketOne) {
   EXPECT_EQ(t.round_histogram[0], 0u);
   EXPECT_EQ(t.round_histogram[1], 1u);
   EXPECT_EQ(t.max_in_flight, 1u);
-}
-
-TEST(Telemetry, EmptyMachineTelemetryJsonParses) {
-  MachineTelemetry t;
-  json::Value v;
-  std::string err;
-  ASSERT_TRUE(json::parse(t.to_json(), &v, &err)) << err;
-  EXPECT_NE(v.find("fabric"), nullptr);
 }
 
 }  // namespace

@@ -5,18 +5,16 @@
 // pure representation changes: every one must produce byte-identical
 // results to the allocating forms it replaced, under every thread count
 // (this suite is in the DYNCG_THREADS ctest matrix) and under recoverable
-// fault plans.  A counting global operator new pins the "steady state
-// allocates nothing" claims directly: fabric delivery, and the serving hit
-// path's JSON parse and cache lookup.
+// fault plans.  The counting global allocator (counting_allocator.hpp) pins
+// the "steady state allocates nothing" claims directly: fabric delivery, and
+// the serving hit path's JSON parse and cache lookup.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "counting_allocator.hpp"
 #include "machine/fabric.hpp"
 #include "machine/faults.hpp"
 #include "machine/topology.hpp"
@@ -25,37 +23,6 @@
 #include "serve/cache.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
-
-// --- Counting global allocator -------------------------------------------
-//
-// Replaces the test binary's global new/delete with malloc/free plus an
-// allocation counter, so SteadyStateDeliver can assert a warmed-up fabric
-// round performs zero heap allocations (and the serving tests below count
-// the allocations of a parse or a lookup).  Counting is process-wide; the
-// assertions only compare counts across a code region with no other
-// allocation sources (no gtest expectations inside the measured window).
-static std::atomic<std::uint64_t> g_allocations{0};
-
-// GCC pairs std::free against the *default* operator new and warns; the
-// replacement below allocates with std::malloc, so the pairing is correct.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void* operator new(std::size_t sz) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t sz) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(sz ? sz : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dyncg {
 namespace {
@@ -144,9 +111,9 @@ TEST(PerfPathsFabric, SteadyStateDeliverAllocatesNothing) {
     }
   };
   for (long r = 0; r < 8; ++r) one_round(r);  // warm up arenas and pools
-  std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  std::uint64_t before = test::allocations();
   for (long r = 8; r < 64; ++r) one_round(r);
-  std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  std::uint64_t after = test::allocations();
   EXPECT_EQ(after, before) << "steady-state rounds allocated";
   while (!fab.idle()) fab.deliver();
 }
@@ -328,9 +295,9 @@ std::string inline_scenario_line(Rng* rng) {
 
 std::uint64_t allocations_to_parse(const std::string& line) {
   json::Value v;
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   const bool ok = json::parse(line, &v);
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::allocations();
   if (!ok) std::abort();
   return after - before;
 }
@@ -355,13 +322,13 @@ TEST(PerfPathsServe, CacheFindAllocatesNothing) {
   if (cache.find(hit_key) == nullptr || cache.find(miss_key) != nullptr) {
     std::abort();
   }
-  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   for (int i = 0; i < 16; ++i) {
     if (cache.find(hit_key) == nullptr || cache.find(miss_key) != nullptr) {
       std::abort();
     }
   }
-  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::allocations();
   EXPECT_EQ(after, before) << "cache lookups allocated";
 }
 

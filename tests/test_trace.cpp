@@ -1,20 +1,20 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 #include <numeric>
 #include <sstream>
 
+#include "counting_allocator.hpp"
 #include "envelope/parallel_envelope.hpp"
 #include "machine/fabric.hpp"
-#include "machine/profile.hpp"
 #include "ops/basic.hpp"
+#include "serve/engine.hpp"
+#include "serve/protocol.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -22,41 +22,15 @@
 
 // Tests for the observability layer: RAII spans (nesting, cost attribution,
 // zero overhead when disabled, determinism of the simulated figures), the
-// fabric/machine telemetry counters, CostSnapshot arithmetic, and the JSON
-// writer/parser that back the export formats.
-
-// Global allocation counter for the zero-overhead test.  Counting all
-// new/delete in the test binary is safe: we only compare the count across a
-// region that performs no other allocations.
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-// GCC pairs the replaced operator delete[] with the library operator new[]
-// and flags the free(); the pairing is ours and correct (both sides malloc).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-#pragma GCC diagnostic pop
+// per-label totals computed from spans, the fabric telemetry counters,
+// CostSnapshot arithmetic, and the JSON writer/parser that back the export
+// formats.
 
 namespace dyncg {
+
+// Readable cost figures in failure messages (found by argument lookup).
+void PrintTo(const CostSnapshot& c, std::ostream* os) { *os << c.to_string(); }
+
 namespace {
 
 // Each test that records spans owns the global buffer for its duration.
@@ -318,12 +292,12 @@ TEST(TraceSpan, DisabledModeAllocatesNothing) {
   CostLedger ledger;
   // Warm up any lazy thread-local state outside the measured region.
   { TRACE_SPAN("warmup"); }
-  std::uint64_t before = g_allocations.load();
+  std::uint64_t before = test::allocations();
   for (int i = 0; i < 1000; ++i) {
     TRACE_SPAN("disabled");
     TRACE_SPAN_COST("disabled_cost", ledger);
   }
-  std::uint64_t after = g_allocations.load();
+  std::uint64_t after = test::allocations();
   EXPECT_EQ(before, after);
   EXPECT_EQ(trace::event_count(), 0u);
 }
@@ -448,36 +422,209 @@ TEST(FabricTelemetry, CountersMatchTraffic) {
   EXPECT_EQ(v.find("messages")->number, 3.0);
 }
 
-TEST(MachineTelemetry, PhasesAggregateByLabel) {
+// --- Per-label totals (trace::totals) -------------------------------------
+
+trace::Event event(const char* name, std::uint32_t tid, std::uint32_t depth,
+                   std::uint64_t start_ns, std::uint64_t dur_ns,
+                   std::uint64_t rounds) {
+  trace::Event e;
+  e.name = name;
+  e.tid = tid;
+  e.depth = depth;
+  e.start_ns = start_ns;
+  e.dur_ns = dur_ns;
+  e.cost.rounds = rounds;
+  return e;
+}
+
+const trace::Total* find_total(const std::vector<trace::Total>& totals,
+                               const std::string& name) {
+  for (const trace::Total& t : totals) {
+    if (t.name == name) return &t;
+  }
+  return nullptr;
+}
+
+TEST(TraceTotals, SameNameScopesAggregate) {
+  TraceSession session;
+  Machine m = Machine::hypercube_for(64);
+  {
+    TRACE_SPAN_COST("exchanges", m.ledger());
+    m.charge_exchange(0);
+    m.charge_exchange(1);
+  }
+  {
+    TRACE_SPAN_COST("shifts", m.ledger());
+    m.charge_shift(5);
+  }
+  {
+    TRACE_SPAN_COST("exchanges", m.ledger());  // aggregates with the first
+    m.charge_exchange(0);
+  }
+  std::vector<trace::Total> t = trace::totals(trace::snapshot());
+  ASSERT_EQ(t.size(), 2u);
+  const Topology& topo = m.topology();
+  EXPECT_EQ(t[0].name, "exchanges");
+  EXPECT_EQ(t[0].calls, 2u);
+  EXPECT_EQ(t[0].self_cost.rounds,
+            2 * topo.exchange_rounds(0) + topo.exchange_rounds(1));
+  EXPECT_EQ(t[1].name, "shifts");
+  EXPECT_EQ(t[1].calls, 1u);
+  EXPECT_EQ(t[1].self_cost.rounds, 5 * topo.shift_rounds());
+  EXPECT_EQ(t[0].self_cost + t[1].self_cost, m.ledger().snapshot());
+  // Nothing nests here, so self is inclusive.
+  for (const trace::Total& x : t) {
+    EXPECT_EQ(x.self_cost, x.inclusive_cost);
+    EXPECT_EQ(x.self_ns, x.inclusive_ns);
+  }
+}
+
+TEST(TraceTotals, CallCountsAndCostSumToLedger) {
+  TraceSession session;
   Machine m = Machine::hypercube_for(8);
-  MachineProfile prof(m);
   std::vector<long> v(8, 1);
   {
-    auto p = prof.phase("reduce");
+    TRACE_SPAN_COST("reduce", m.ledger());
     ops::reduce(m, v, std::plus<long>{});
   }
   {
-    auto p = prof.phase("reduce");
+    TRACE_SPAN_COST("reduce", m.ledger());
     ops::reduce(m, v, std::plus<long>{});
   }
   {
-    auto p = prof.phase("broadcast");
-    ops::broadcast(m, v, 0);
+    TRACE_SPAN_COST("broadcast", m.ledger());
+    ops::broadcast(m, v, 0);  // runs an ops.reduce of its own
   }
-  const auto& phases = m.telemetry().phases();
-  ASSERT_EQ(phases.size(), 2u);
-  EXPECT_EQ(phases[0].label, "reduce");
-  EXPECT_EQ(phases[0].calls, 2u);
-  EXPECT_EQ(phases[1].label, "broadcast");
-  EXPECT_EQ(phases[1].calls, 1u);
-  CostSnapshot sum = phases[0].cost + phases[1].cost;
-  EXPECT_EQ(sum, m.ledger().snapshot());
+  std::vector<trace::Total> t = trace::totals(trace::snapshot());
+  ASSERT_EQ(t.size(), 4u);
+  EXPECT_EQ(t[0].name, "broadcast");
+  EXPECT_EQ(t[0].calls, 1u);
+  EXPECT_EQ(t[1].name, "ops.broadcast");
+  EXPECT_EQ(t[1].calls, 1u);
+  EXPECT_EQ(t[2].name, "ops.reduce");
+  EXPECT_EQ(t[2].calls, 3u);
+  EXPECT_EQ(t[3].name, "reduce");
+  EXPECT_EQ(t[3].calls, 2u);
+  const CostSnapshot ledger = m.ledger().snapshot();
+  EXPECT_EQ(t[0].inclusive_cost + t[3].inclusive_cost, ledger);
+  CostSnapshot self;
+  for (const trace::Total& x : t) self += x.self_cost;
+  EXPECT_EQ(self, ledger);
+  // The scopes charge nothing themselves; the leaf op charges everything.
+  EXPECT_EQ(t[0].self_cost, CostSnapshot{});
+  EXPECT_EQ(t[3].self_cost, CostSnapshot{});
+  EXPECT_EQ(t[2].self_cost, ledger);
+}
 
-  json::Value doc;
-  std::string err;
-  ASSERT_TRUE(json::parse(m.telemetry().to_json(), &doc, &err)) << err;
-  ASSERT_NE(doc.find("phases"), nullptr);
-  EXPECT_EQ(doc.find("phases")->array.size(), 2u);
+TEST(TraceTotals, SelfSubtractsOnlyDirectChildren) {
+  // parent [0,100) > child [10,70) > grandchild [20,50); sibling [80,90)
+  // sits directly under parent.  Given out of order on purpose.
+  std::vector<trace::Event> ev = {
+      event("grandchild", 0, 2, 20, 30, 100),
+      event("sibling", 0, 1, 80, 10, 0),
+      event("parent", 0, 0, 0, 100, 111),
+      event("child", 0, 1, 10, 60, 110),
+  };
+  std::vector<trace::Total> t = trace::totals(ev);
+  ASSERT_EQ(t.size(), 4u);
+  const trace::Total* parent = find_total(t, "parent");
+  const trace::Total* child = find_total(t, "child");
+  const trace::Total* grandchild = find_total(t, "grandchild");
+  ASSERT_NE(parent, nullptr);
+  ASSERT_NE(child, nullptr);
+  ASSERT_NE(grandchild, nullptr);
+  EXPECT_EQ(parent->self_ns, 100u - 60u - 10u);
+  EXPECT_EQ(parent->self_cost.rounds, 1u);  // not 111 - 110 - 100
+  EXPECT_EQ(child->self_ns, 60u - 30u);
+  EXPECT_EQ(child->self_cost.rounds, 10u);
+  EXPECT_EQ(grandchild->self_ns, 30u);
+  EXPECT_EQ(grandchild->self_cost.rounds, 100u);
+  EXPECT_EQ(parent->inclusive_ns, 100u);
+  EXPECT_EQ(parent->inclusive_cost.rounds, 111u);
+
+  // One level deeper but outside parent's interval (its own parent was
+  // still open when the events were collected): no one's child.
+  ev.push_back(event("orphan", 0, 1, 200, 5, 4));
+  std::vector<trace::Total> t2 = trace::totals(ev);
+  EXPECT_EQ(find_total(t2, "parent")->self_ns, parent->self_ns);
+  EXPECT_EQ(find_total(t2, "orphan")->self_ns, 5u);
+}
+
+TEST(TraceTotals, OtherThreadsAreNeverChildren) {
+  // The worker span lies inside outer's interval, one level deeper, but on
+  // another thread.
+  std::vector<trace::Event> ev = {
+      event("outer", 0, 0, 100, 50, 7),
+      event("worker", 1, 1, 110, 10, 3),
+  };
+  std::vector<trace::Total> t = trace::totals(ev);
+  ASSERT_EQ(t.size(), 2u);
+  EXPECT_EQ(t[0].name, "outer");
+  EXPECT_EQ(t[0].self_ns, 50u);
+  EXPECT_EQ(t[0].self_cost.rounds, 7u);
+  EXPECT_EQ(t[1].name, "worker");
+  EXPECT_EQ(t[1].self_ns, 10u);
+  EXPECT_EQ(t[1].self_cost.rounds, 3u);
+}
+
+TEST(TraceTotals, TaggedNamesGroupWithTheirName) {
+  TraceSession session;
+  CostLedger ledger;
+  {
+    trace::Span tagged("serve.query#00ff", &ledger);
+    ledger.add_rounds(2);
+  }
+  {
+    TRACE_SPAN_COST("serve.query", ledger);
+    ledger.add_rounds(3);
+  }
+  { TRACE_SPAN("serve.queryx"); }  // a different name, not a tag
+  std::vector<trace::Total> t = trace::totals(trace::snapshot());
+  ASSERT_EQ(t.size(), 2u);
+  EXPECT_EQ(t[0].name, "serve.query");
+  EXPECT_EQ(t[0].calls, 2u);
+  EXPECT_EQ(t[0].inclusive_cost.rounds, 5u);
+  EXPECT_EQ(t[1].name, "serve.queryx");
+}
+
+// The accounting identity on served work: every charge of a query lands in
+// exactly one span's self cost, so the self costs of all names sum to the
+// serve.query span's cost, which is the cost the server reports.
+TEST(TraceTotals, SelfCostsSumToEachServedQuery) {
+  const char* lines[] = {
+      R"({"op":"neighbor","scenario":{"n":8,"k":2}})",
+      R"({"op":"pairs","scenario":{"n":8,"k":2}})",
+      R"({"op":"collisions","scenario":{"n":8,"k":2},"query":1})",
+      R"({"op":"hullwhen","scenario":{"n":8,"k":2}})",
+      R"({"op":"contain","scenario":{"n":8,"k":2}})",
+      R"({"op":"steady","scenario":{"n":8,"k":2}})",
+      R"({"op":"hullwhen","scenario":{"n":8,"k":2},"faults":"link:0-1@0.."})",
+  };
+  for (const char* line : lines) {
+    SCOPED_TRACE(line);
+    StatusOr<serve::Request> req = serve::parse_request(line);
+    ASSERT_TRUE(req.is_ok()) << req.status().to_string();
+    TraceSession session;
+    StatusOr<serve::CachedResult> res = serve::run_query(req.value());
+    ASSERT_TRUE(res.is_ok()) << res.status().to_string();
+    const CostSnapshot cost = res.value().cost;
+    EXPECT_GT(cost.rounds, 0u);
+
+    std::vector<trace::Total> t = trace::totals(trace::snapshot());
+    const trace::Total* query = find_total(t, "serve.query");
+    ASSERT_NE(query, nullptr);
+    EXPECT_EQ(query->calls, 1u);
+    EXPECT_EQ(query->inclusive_cost, cost);
+    EXPECT_EQ(query->self_cost, CostSnapshot{});
+    CostSnapshot self;
+    for (const trace::Total& x : t) self += x.self_cost;
+    EXPECT_EQ(self, cost);
+    if (req.value().has_faults) {
+      const trace::Total* recover = find_total(t, "fault.recover");
+      ASSERT_NE(recover, nullptr);
+      EXPECT_GT(recover->self_cost.rounds, 0u);
+    }
+  }
 }
 
 }  // namespace

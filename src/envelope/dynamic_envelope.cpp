@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 
 #include "envelope/scenario_key.hpp"
@@ -46,6 +47,43 @@ UpdateMetrics& update_metrics() {
 // diff compares the entry set).
 [[maybe_unused]] const UpdateMetrics& g_eager_registration = update_metrics();
 
+// Crossing-memo words (FleetFamily::memo_).  A record header packs the
+// partner slot (low 24 bits), the root count (next 7) and the backref flag
+// (top bit); an owned record's roots follow it as raw double bits, two
+// words each.
+constexpr unsigned kMemoSlotBits = 24;
+constexpr std::size_t kMemoMaxRoots = 127;
+constexpr std::uint32_t kBackref = std::uint32_t{1} << 31;
+
+int memo_partner(std::uint32_t h) {
+  return static_cast<int>(h & ((std::uint32_t{1} << kMemoSlotBits) - 1));
+}
+bool memo_backref(std::uint32_t h) { return (h & kBackref) != 0; }
+std::size_t memo_roots(std::uint32_t h) {
+  return (h >> kMemoSlotBits) & kMemoMaxRoots;
+}
+// Words of the record whose header is h.
+std::size_t memo_words(std::uint32_t h) { return 1 + 2 * memo_roots(h); }
+
+// Index of the owned record (or backref) for `partner` in a slot's list;
+// list.size() when there is none.
+std::size_t memo_find(const std::vector<std::uint32_t>& list, int partner,
+                      bool backref) {
+  for (std::size_t i = 0; i < list.size(); i += memo_words(list[i])) {
+    if (memo_partner(list[i]) == partner && memo_backref(list[i]) == backref) {
+      return i;
+    }
+  }
+  return list.size();
+}
+
+void memo_erase(std::vector<std::uint32_t>& list, int partner, bool backref) {
+  const std::size_t i = memo_find(list, partner, backref);
+  DYNCG_ASSERT(i < list.size(), "crossing memo lost the other end of a pair");
+  const auto first = list.begin() + static_cast<std::ptrdiff_t>(i);
+  list.erase(first, first + static_cast<std::ptrdiff_t>(memo_words(*first)));
+}
+
 }  // namespace
 
 // --- FleetFamily -----------------------------------------------------------
@@ -62,24 +100,40 @@ bool FleetFamily::identical(int a, int b) const {
          members_[static_cast<std::size_t>(b)].coefficients();
 }
 
-std::vector<double> FleetFamily::crossings(int a, int b,
-                                           const Interval& iv) const {
-  std::vector<double> out;
-  crossings_into(a, b, iv, out);
-  return out;
-}
-
 void FleetFamily::crossings_into(int a, int b, const Interval& iv,
                                  std::vector<double>& out) const {
-  // Global roots: bracket from t = 0 regardless of the query interval, so
-  // the bits of a crossing never depend on which overlay cell asked — the
-  // property the incremental merge tree's byte-identity contract rests on.
-  thread_local RootFindResult rr;
-  crossing_times_into(members_[static_cast<std::size_t>(a)],
-                      members_[static_cast<std::size_t>(b)], 0.0,
-                      thread_root_scratch(), rr);
+  ++lookups_;
+  std::vector<std::uint32_t>& own = memo_[static_cast<std::size_t>(a)];
+  const std::size_t at = memo_find(own, b, /*backref=*/false);
+  if (at == own.size()) {
+    // Global roots: bracket from t = 0 regardless of the query interval, so
+    // the bits of a crossing never depend on which overlay cell asked — the
+    // property the incremental merge tree's byte-identity contract rests on
+    // (and what makes them safe to memoize).
+    ++isolations_;
+    ++memo_pairs_;
+    thread_local RootFindResult rr;
+    crossing_times_into(members_[static_cast<std::size_t>(a)],
+                        members_[static_cast<std::size_t>(b)], 0.0,
+                        thread_root_scratch(), rr);
+    const std::size_t n = rr.roots.size();
+    DYNCG_ASSERT(n <= kMemoMaxRoots, "more crossings than a memo record holds");
+    own.resize(at + 1 + 2 * n);
+    own[at] = static_cast<std::uint32_t>(b) |
+              static_cast<std::uint32_t>(n) << kMemoSlotBits;
+    std::uint32_t* bits = own.data() + at + 1;
+    for (double r : rr.roots) {
+      std::memcpy(bits, &r, sizeof r);
+      bits += 2;
+    }
+    memo_[static_cast<std::size_t>(b)].push_back(
+        static_cast<std::uint32_t>(a) | kBackref);
+  }
   out.clear();
-  for (double r : rr.roots) {
+  const std::size_t n = memo_roots(own[at]);
+  for (std::size_t k = 0; k < n; ++k) {
+    double r;
+    std::memcpy(&r, own.data() + at + 1 + 2 * k, sizeof r);
     if (r > iv.lo && r < iv.hi) out.push_back(r);
   }
 }
@@ -94,9 +148,12 @@ int FleetFamily::acquire_slot(Polynomial score) {
     members_[static_cast<std::size_t>(slot)] = std::move(score);
     live_[static_cast<std::size_t>(slot)] = 1;
   } else {
+    DYNCG_ASSERT(members_.size() < (std::size_t{1} << kMemoSlotBits),
+                 "fleet family slot count exceeds the crossing memo's range");
     slot = static_cast<int>(members_.size());
     members_.push_back(std::move(score));
     live_.push_back(1);
+    memo_.emplace_back();
   }
   return slot;
 }
@@ -104,6 +161,18 @@ int FleetFamily::acquire_slot(Polynomial score) {
 void FleetFamily::release_slot(int slot) {
   DYNCG_ASSERT(live(slot), "releasing a slot that is not live");
   live_[static_cast<std::size_t>(slot)] = 0;
+  // The slot's next member crosses its partners elsewhere: drop each pair
+  // from the partner's list too (an owned record's partner holds a backref,
+  // a backref's partner holds the record).  The storage goes as well: the
+  // next member's list grows from empty, so no slot keeps the high-water
+  // mark of every member it ever held.
+  std::vector<std::uint32_t>& list = memo_[static_cast<std::size_t>(slot)];
+  for (std::size_t i = 0; i < list.size(); i += memo_words(list[i])) {
+    memo_erase(memo_[static_cast<std::size_t>(memo_partner(list[i]))], slot,
+               !memo_backref(list[i]));
+    --memo_pairs_;
+  }
+  std::vector<std::uint32_t>().swap(list);
   // Drop the coefficients (a tombstoned slot's leaf is empty, so no combine
   // ever evaluates it) and keep the slot addressable for reuse.
   members_[static_cast<std::size_t>(slot)] = Polynomial();
@@ -115,6 +184,13 @@ void FleetFamily::release_slot(int slot) {
 
 DynamicEnvelope::DynamicEnvelope(bool take_min, int s_bound, Machine* machine)
     : take_min_(take_min), s_bound_(s_bound), machine_(machine) {}
+
+DynamicEnvelopeStats DynamicEnvelope::stats() const {
+  DynamicEnvelopeStats s = stats_;
+  s.crossing_lookups = fam_.crossing_lookups();
+  s.root_isolations = fam_.root_isolations();
+  return s;
+}
 
 // One Lemma 3.1 combine charged at the effective width the pieces occupy —
 // the Section 3 adaptive-submesh observation applied per node: a path

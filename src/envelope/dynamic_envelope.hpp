@@ -27,8 +27,9 @@
 // byte-identity hold regardless of update history:
 //
 //   * global crossings — FleetFamily computes the crossing times of a member
-//     pair from t = 0 and filters them into the query interval, so a root
-//     never depends on which overlay cell asked for it.  (PolyFamily
+//     pair from t = 0 (once per pair: see its crossing memo) and filters
+//     them into the query interval, so a root never depends on which
+//     overlay cell asked for it.  (PolyFamily
 //     brackets from the cell's left endpoint, which makes envelope bytes
 //     depend on the merge shape — fine for one-shot builds, fatal for an
 //     incremental structure whose merge shape is its update history.)
@@ -57,6 +58,19 @@ namespace dyncg {
 // Family concept of pieces/piecewise.hpp; slots are acquired lowest-first
 // and recycled on release, so member ids stay dense and the merge tree's
 // leaf array does not grow under churn.
+//
+// Crossing memo: the global roots of a slot pair are a pure function of
+// the two members, so crossings_into isolates them once per ordered pair
+// (a, b) — the paper's Lemma 3.1 step 4 primitive — and keeps them until
+// either slot is released.  A path recombine
+// then isolates roots only for the pairs its update introduced; the filter
+// into the asking cell stays per call, so every byte is what a fresh
+// isolation would give.  (a, b) and (b, a) are separate entries: with a
+// zero linear coefficient the stable quadratic formula (poly/roots.cpp)
+// computes the positive root of f - g and of g - f by different
+// expressions, which can round to different bits.  The memo is
+// `mutable`, which makes FleetFamily's const methods single-threaded, like
+// the DynamicEnvelope that owns it.
 class FleetFamily {
  public:
   std::size_t size() const { return members_.size(); }
@@ -73,10 +87,10 @@ class FleetFamily {
                    double* out) const;
 
   bool identical(int a, int b) const;
-  // Crossing times strictly inside iv — computed from t = 0 and filtered,
-  // never bracketed from iv.lo (see the header comment: this is what makes
-  // incremental combines byte-identical to from-scratch ones).
-  std::vector<double> crossings(int a, int b, const Interval& iv) const;
+  // Crossing times strictly inside iv, into `out` (cleared first) — the
+  // memoized roots of a - b from t = 0, filtered; never bracketed from
+  // iv.lo (see the header comment: this is what makes incremental combines
+  // byte-identical to from-scratch ones).
   void crossings_into(int a, int b, const Interval& iv,
                       std::vector<double>& out) const;
   std::vector<Interval> defined_intervals(int) const {
@@ -85,21 +99,42 @@ class FleetFamily {
 
   // Lowest free slot (growing the family if none is free).
   int acquire_slot(Polynomial score);
+  // Frees the slot and drops every memoized pair it is in.
   void release_slot(int slot);
+
+  // Memo accounting: crossings_into calls, the root isolations they ran
+  // (memo misses), and the pairs memoized now.
+  std::uint64_t crossing_lookups() const { return lookups_; }
+  std::uint64_t root_isolations() const { return isolations_; }
+  std::size_t memoized_pairs() const { return memo_pairs_; }
 
  private:
   std::vector<Polynomial> members_;
   std::vector<char> live_;
   std::vector<int> free_slots_;  // kept as a min-heap
+  // Per slot, back to back in 32-bit words: a record for each memoized pair
+  // (slot, b) — a header (b, root count) and the roots' bits — and a
+  // backref header (a) for each memoized pair (a, slot), which is what lets
+  // release_slot find and drop the pair from a's list in O(its entries).
+  // Headers hold 24-bit slots and 7-bit root counts (asserted); serving
+  // caps fleets at 2^20 members and scores at degree 32.
+  mutable std::vector<std::vector<std::uint32_t>> memo_;
+  mutable std::size_t memo_pairs_ = 0;
+  mutable std::uint64_t lookups_ = 0;
+  mutable std::uint64_t isolations_ = 0;
 };
 
 // Deterministic update accounting, mirrored into the process-wide
-// envelope.update.* metrics counters (docs/OBSERVABILITY.md#metrics).
+// envelope.update.* metrics counters (docs/OBSERVABILITY.md#metrics) —
+// except the two crossing-memo counts, which stay out of the registry so
+// the serve gate's deterministic entry set does not change.
 struct DynamicEnvelopeStats {
   std::uint64_t inserts = 0;        // insert() calls that mutated state
   std::uint64_t erases = 0;         // erase() calls that mutated state
   std::uint64_t recombines = 0;     // pairwise combines performed
   std::uint64_t nodes_touched = 0;  // tree nodes trimmed or recombined
+  std::uint64_t crossing_lookups = 0;  // member-pair crossing requests
+  std::uint64_t root_isolations = 0;   // ... that had to isolate roots
 };
 
 // The merge-tree envelope.  External ids are caller-chosen uint64 names
@@ -149,7 +184,9 @@ class DynamicEnvelope {
   std::string snapshot();
   std::uint64_t state_fingerprint();
 
-  const DynamicEnvelopeStats& stats() const { return stats_; }
+  DynamicEnvelopeStats stats() const;
+  // Member pairs whose crossings are memoized now (see FleetFamily).
+  std::size_t memoized_pairs() const { return fam_.memoized_pairs(); }
 
  private:
   struct Node {

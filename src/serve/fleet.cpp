@@ -168,8 +168,9 @@ StatusOr<std::string> FleetRegistry::update(const Request& r) {
         std::to_string(opts_.max_members) + " (--max-fleet-members)");
   }
   if (r.fleet_has_advance && r.fleet_advance < s.env.now()) {
-    return bad("advance to " + std::to_string(r.fleet_advance) +
-               " is before the session time (time is monotone)");
+    return bad("advance to " + exact_double(r.fleet_advance) +
+               " is before the session time " + exact_double(s.env.now()) +
+               " (time is monotone)");
   }
 
   // Apply: erases, then inserts, then the advance.

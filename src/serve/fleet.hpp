@@ -24,8 +24,10 @@
 //
 // Admission (docs/SERVING.md#fleet-sessions): the registry caps open
 // sessions (--max-fleets) and members per session (--max-fleet-members) —
-// the per-session memory cap, since members bound both the merge tree and
-// the simulated machine, which is sized once at open for max_members.
+// the per-session memory cap, since members bound the merge tree, its
+// crossing memo (about four memoized member pairs per member: ~0.15 MiB of
+// heap for a 768-member fleet_churn session), and the simulated machine,
+// which is sized once at open for max_members.
 // Capacity rejections are UNAVAILABLE, semantic errors INVALID_ARGUMENT.
 //
 // Everything here is deterministic: sessions are named "fleet-1",

@@ -669,8 +669,6 @@ std::string render_metrics(const std::string& id_json,
   return w.str();
 }
 
-namespace {
-
 // %.17g round-trips a double exactly through strtod, and renders infinity
 // as "inf" — which is why next_event travels as a string (JSON has no
 // infinity literal, and the envelope of a fleet whose leader never changes
@@ -680,6 +678,8 @@ std::string exact_double(double v) {
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
 }
+
+namespace {
 
 void fleet_state_fields(json::Writer* w, std::uint64_t members, double t,
                         double next_event) {

@@ -186,6 +186,7 @@ std::string render_flush_trace(const std::string& id_json,
 // `next_event` are rendered as %.17g strings ("inf" when the envelope
 // never changes again) so the values round-trip exactly and infinity stays
 // valid JSON; the counters are plain numbers.
+std::string exact_double(double v);  // the %.17g form (fleet error text too)
 struct FleetOpenInfo {
   std::string fleet;
   std::size_t d = 2;

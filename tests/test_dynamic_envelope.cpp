@@ -10,10 +10,12 @@
 // DYNCG_THREADS=1/4 ctest matrix (the structure is single-threaded but its
 // pooled combine scratch is per-thread, so thread count must not matter).
 //
-// Also here: the PiecePool high-watermark guard (satellite of the same PR —
-// 10k update iterations must not grow the pool), and the amortized-ledger
-// bound the bench gate pins (single-member update >= 10x cheaper in
-// messages than a Theorem 3.2 rebuild at fleet size 256).
+// Also here: the PiecePool high-watermark guard (10k update iterations must
+// not grow the pool), the crossing-memo tests (recycled slots, degree-8
+// scores, a bounded memo, and the hit-rate guard that fails if the memo
+// stops saving root isolations), and the amortized-ledger bound the bench
+// gate pins (single-member update >= 10x cheaper in messages than a
+// Theorem 3.2 rebuild at fleet size 256).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -28,6 +30,7 @@
 #include "pieces/envelope_serial.hpp"
 #include "pieces/piecewise.hpp"
 #include "poly/polynomial.hpp"
+#include "poly/roots.hpp"
 #include "support/rng.hpp"
 
 namespace dyncg {
@@ -265,6 +268,196 @@ TEST(DynamicEnvelopePool, HighWatermarkBoundedOver10kUpdates) {
   const std::size_t after = thread_piece_pool().free_pieces.size();
   EXPECT_LE(after, warm + 4) << "piece pool grew under steady churn";
   expect_matches_oracle(env, live, "post-churn");
+}
+
+// --- Crossing memo ----------------------------------------------------------
+
+TEST(DynamicEnvelopeMemo, RecycledSlotGetsFreshCrossings) {
+  // t and 2 - t cross at 1, and their first combine memoizes the pair.
+  // Erasing 2 - t frees slot 1; 4 - t takes it (slots are reused
+  // lowest-first) and crosses t at 2.  A memo that kept the old pair would
+  // split the cell at 1 and disagree with the oracle.
+  DynamicEnvelope env;
+  Members live;
+  auto put = [&](std::uint64_t id, const Polynomial& p) {
+    ASSERT_EQ(env.insert(id, p), DynamicEnvelope::InsertOutcome::kInserted);
+    live.emplace(id, p);
+  };
+  put(10, Polynomial({0.0, 1.0}));
+  put(11, Polynomial({2.0, -1.0}));
+  EXPECT_EQ(env.memoized_pairs(), 1u);
+  ASSERT_TRUE(env.erase(11));
+  live.erase(11);
+  EXPECT_EQ(env.memoized_pairs(), 0u);
+  const std::uint64_t isolations = env.stats().root_isolations;
+  put(12, Polynomial({4.0, -1.0}));
+  EXPECT_EQ(env.external_id(1), 12u) << "the new member did not reuse slot 1";
+  EXPECT_EQ(env.stats().root_isolations, isolations + 1);
+  expect_matches_oracle(env, live, "recycled slot");
+  EXPECT_EQ(env.result_string(),
+            "min envelope of 2 at t=0: E10 on [0, 2]; E12 on [2, inf); \n");
+}
+
+// P(t) = (t - 1)(t - 2)...(t - 8): |P| exceeds 43 on every lobe between
+// its roots.
+const Polynomial& eight_root_poly() {
+  static const Polynomial p =
+      Polynomial::from_roots({1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0});
+  return p;
+}
+
+// A degree-8 member c * P(t) + e: two with different c cross 8 times in
+// (0.5, 8.5), since |e_a - e_b| <= 40 stays inside every lobe.
+Polynomial eight_crossing_score(Rng& rng) {
+  const double c = static_cast<double>(rng.uniform_int(1, 6));
+  const double e = static_cast<double>(rng.uniform_int(-20, 20));
+  return eight_root_poly() * c + Polynomial::constant(e);
+}
+
+// The envelope attains the live minimum on a grid over [now, hi] — denser
+// than expect_pointwise_minimal, so a dropped crossing anywhere shows.
+void expect_minimal_on_grid(DynamicEnvelope& env, const Members& live,
+                            double hi) {
+  const PiecewiseFn& e = env.envelope();
+  for (double t = env.now(); t <= hi; t += 1.0 / 32.0) {
+    const int slot = e.id_at(t);
+    ASSERT_GE(slot, 0) << "gap at t=" << t;
+    const double winner = live.at(env.external_id(slot))(t);
+    for (const auto& [id, poly] : live) {
+      EXPECT_LE(winner, poly(t) + 1e-9 * (1.0 + std::fabs(winner)))
+          << "member " << id << " beats the envelope at t=" << t;
+    }
+  }
+}
+
+TEST(DynamicEnvelopeMemo, DegreeEightScoresKeepEveryCrossing) {
+  const int s = 8;  // motion degree k = 4: scores of degree 2k
+  // The generator's closest scales with its farthest offsets still cross
+  // 8 times.
+  const Polynomial& p8 = eight_root_poly();
+  ASSERT_EQ(crossing_times(p8 + Polynomial::constant(20.0),
+                           p8 * 2.0 - Polynomial::constant(20.0))
+                .roots.size(),
+            8u);
+  Rng rng(8888);
+  DynamicEnvelope env(/*take_min=*/true, s);
+  Members live;
+  std::uint64_t next_id = 0;
+  for (int step = 0; step < 240; ++step) {
+    const std::uint64_t dice = rng.uniform_int(0, 99);
+    if (dice < 50 || live.size() < 2) {
+      Polynomial p = eight_crossing_score(rng);
+      ASSERT_NE(env.insert(next_id, p),
+                DynamicEnvelope::InsertOutcome::kDuplicateId);
+      live.emplace(next_id++, std::move(p));
+    } else if (dice < 75) {
+      auto it = live.begin();
+      std::advance(it, static_cast<long>(rng.uniform_int(
+                           0, static_cast<std::uint64_t>(live.size()) - 1)));
+      ASSERT_TRUE(env.erase(it->first));
+      live.erase(it);
+    } else {
+      ASSERT_TRUE(env.advance(env.now() + rng.uniform(0.01, 0.12)));
+    }
+    if (step % 12 == 11) {
+      const std::string where = "degree-8 step " + std::to_string(step);
+      DynamicEnvelope oracle = canonical_rebuild(
+          to_vector(live), env.now(), /*take_min=*/true, s);
+      EXPECT_EQ(env.snapshot(), oracle.snapshot()) << where;
+      expect_minimal_on_grid(env, live, 9.0);
+    }
+  }
+}
+
+TEST(DynamicEnvelopeMemo, BoundedUnderChurnAndEmptyWhenDrained) {
+  Rng rng(4711);
+  DynamicEnvelope env;
+  Members live;
+  std::uint64_t next_id = 0;
+  for (int i = 0; i < 128; ++i) {
+    Polynomial p = random_score(rng);
+    env.insert(next_id, p);
+    live.emplace(next_id++, std::move(p));
+  }
+  auto churn = [&](int iterations) {
+    for (int i = 0; i < iterations; ++i) {
+      auto it = live.begin();
+      std::advance(it, static_cast<long>(rng.uniform_int(
+                           0, static_cast<std::uint64_t>(live.size()) - 1)));
+      env.erase(it->first);
+      live.erase(it);
+      Polynomial p = random_score(rng);
+      env.insert(next_id, p);
+      live.emplace(next_id++, std::move(p));
+    }
+  };
+  // Pairs leave the memo with either member, so under steady churn the
+  // count hovers around its warm level instead of growing with history.
+  churn(1000);
+  const std::size_t warm = env.memoized_pairs();
+  ASSERT_GT(warm, 0u);
+  churn(9000);
+  EXPECT_LE(env.memoized_pairs(), warm + warm / 4)
+      << "crossing memo grew under steady churn (warm " << warm << ")";
+  expect_matches_oracle(env, live, "post-churn");
+  for (auto it = live.begin(); it != live.end(); it = live.erase(it)) {
+    ASSERT_TRUE(env.erase(it->first));
+  }
+  EXPECT_EQ(env.memoized_pairs(), 0u);
+}
+
+// A fleet_churn-shaped score: the squared distance to the origin of a
+// degree-2 planar motion centred on its insertion time t0.
+Polynomial churn_score(Rng& rng, double t0) {
+  Polynomial score;
+  for (int axis = 0; axis < 2; ++axis) {
+    const double a = rng.uniform(-64.0, 64.0);
+    const double b = rng.uniform(-8.0, 8.0);
+    const double c = rng.uniform(-2.0, 2.0);
+    const Polynomial x({a - b * t0 + c * t0 * t0, b - 2.0 * c * t0, c});
+    score += x * x;
+  }
+  return score;
+}
+
+TEST(DynamicEnvelopeMemo, ChurnIsolatesRootsForAQuarterOfLookupsAtMost) {
+  // The mechanism guard: a 768-member session under 500 erase-4/insert-4
+  // updates asks for ~4x more crossings than it isolates.  Without the memo
+  // every lookup is an isolation; the counts are exact, so a change that
+  // silently defeats the memo fails here.
+  Rng rng(1);
+  DynamicEnvelope env(/*take_min=*/true, /*s_bound=*/4);
+  std::vector<std::uint64_t> live;
+  std::uint64_t next_id = 0;
+  for (; next_id < 768; ++next_id) {
+    env.insert(next_id, churn_score(rng, 0.0));
+    live.push_back(next_id);
+  }
+  const DynamicEnvelopeStats filled = env.stats();
+  std::uint64_t ticks = 0;
+  for (int update = 0; update < 500; ++update) {
+    for (int j = 0; j < 4; ++j) {
+      const std::size_t pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::uint64_t>(live.size()) - 1));
+      ASSERT_TRUE(env.erase(live[pick]));
+      live[pick] = live.back();
+      live.pop_back();
+    }
+    const double t0 = static_cast<double>(ticks) / 65536.0;
+    for (int j = 0; j < 4; ++j) {
+      env.insert(next_id, churn_score(rng, t0));
+      live.push_back(next_id++);
+    }
+    ticks += rng.uniform_int(1, 4);
+    ASSERT_TRUE(env.advance(static_cast<double>(ticks) / 65536.0));
+  }
+  const DynamicEnvelopeStats done = env.stats();
+  const std::uint64_t lookups = done.crossing_lookups - filled.crossing_lookups;
+  const std::uint64_t isolations =
+      done.root_isolations - filled.root_isolations;
+  ASSERT_GT(lookups, 0u);
+  EXPECT_LE(4 * isolations, lookups)
+      << isolations << " root isolations for " << lookups << " lookups";
 }
 
 // --- Amortized ledger cost vs from-scratch rebuild -------------------------

@@ -527,6 +527,28 @@ TEST(ServeFleet, RejectedUpdateLeavesSessionUntouched) {
   }
 }
 
+TEST(ServeFleet, BackwardAdvanceNamesBothTimesExactly) {
+  // Times at the 1/65536 tick scale print exactly (%.17g, as in the
+  // responses' "t"), and the rejection names the session time too.
+  ServerOptions opt;
+  TestServer ts(opt);
+  Client c(ts.port());
+
+  ASSERT_EQ(status_of(c.round_trip("{\"op\":\"fleet_open\",\"k\":1}")), "OK");
+  ASSERT_EQ(status_of(c.round_trip(
+                "{\"op\":\"fleet_update\",\"fleet\":\"fleet-1\",\"insert\":["
+                "{\"id\":1,\"point\":[[1],[0]]}],"
+                "\"advance\":0.0000457763671875}")),
+            "OK");
+  const std::string rejected = c.round_trip(
+      "{\"op\":\"fleet_update\",\"fleet\":\"fleet-1\","
+      "\"advance\":0.0000152587890625}");
+  EXPECT_EQ(status_of(rejected), "INVALID_ARGUMENT") << rejected;
+  EXPECT_EQ(field_of(rejected, "error"),
+            "advance to 1.52587890625e-05 is before the session time "
+            "4.57763671875e-05 (time is monotone)");
+}
+
 TEST(ServeFleet, PipelinedBurstKeepsArrivalOrder) {
   // Fleet ops ride the same batch replay as everything else: a single
   // write containing open/update/query/close interleaved with pings is

@@ -1,15 +1,13 @@
 // Numeric kernel microbench — batched polynomial evaluation and the
-// envelope's piece-comparison primitives (src/poly/kernels.hpp).
+// coefficient updates (src/poly/kernels.hpp).
 //
 // There is no paper table for this layer: the kernels are implementation
 // machinery underneath Lemma 3.1's per-cell winner selection and the
 // register-fill setup loops.  The deterministic figure this bench reports
 // is a bit-pattern checksum of every kernel's output over a fixed input
-// sweep — by the exactness contract (docs/PERFORMANCE.md#simd-kernels) the
-// checksum is identical under scalar and AVX2 dispatch, so the
-// dyncg_bench_diff gate catches any numeric drift in either path while
-// host_seconds tracks the speedup.  Run with DYNCG_SIMD=scalar and =auto
-// and compare host wall time to measure the vector win.
+// sweep, so the dyncg_bench_diff gate catches any numeric drift
+// (docs/PERFORMANCE.md#numeric-kernels) while host_seconds tracks the
+// kernels' speed.
 #include "common.hpp"
 #include "poly/kernels.hpp"
 
@@ -30,9 +28,6 @@ class BitChecksum {
       std::memcpy(&b, &x[i], sizeof(b));
       acc_ = (acc_ * 1000003u) ^ b;
     }
-  }
-  void fold_bytes(const unsigned char* x, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) acc_ = (acc_ * 1000003u) ^ x[i];
   }
   double value() const { return static_cast<double>(acc_ % 999999999989ull); }
 
@@ -68,23 +63,6 @@ double checksum_horner_slab(std::size_t n) {
   return sum.value();
 }
 
-double checksum_winner_mask(std::size_t n) {
-  Rng rng(n + 1);
-  std::vector<double> va = random_vec(rng, n, -1.0, 1.0);
-  std::vector<double> vb = random_vec(rng, n, -1.0, 1.0);
-  for (std::size_t i = 0; i < n; i += 5) vb[i] = va[i];  // exercise ties
-  std::vector<unsigned char> mask(n);
-  BitChecksum sum;
-  for (bool take_min : {true, false}) {
-    for (bool tie_a : {true, false}) {
-      kernels::winner_mask(va.data(), vb.data(), n, take_min, tie_a,
-                           mask.data());
-      sum.fold_bytes(mask.data(), n);
-    }
-  }
-  return sum.value();
-}
-
 double checksum_coeff_kernels(std::size_t n) {
   Rng rng(n + 2);
   std::vector<double> a = random_vec(rng, n, -2.0, 2.0);
@@ -104,9 +82,8 @@ double checksum_coeff_kernels(std::size_t n) {
 }
 
 // Fixed-repetition hot loops: enough kernel work that the report's
-// host_seconds is dominated by the kernels themselves, so comparing the
-// DYNCG_SIMD=scalar and =auto reports measures the vector speedup.  The
-// returned checksum folds the final output, still dispatch-invariant.
+// host_seconds is dominated by the kernels themselves.  The returned
+// checksum folds the final output.
 double hot_horner_many(std::size_t n) {
   Rng rng(n ^ 0xbeefu);
   std::vector<double> c = random_vec(rng, 7, -2.0, 2.0);
@@ -142,7 +119,6 @@ void print_tables() {
   const Kernel kKernels[] = {
       {"horner_many (one poly, many t)", checksum_horner_many},
       {"horner_slab (family slab, one t)", checksum_horner_slab},
-      {"winner_mask (Lemma 3.1 compare)", checksum_winner_mask},
       {"diff/derivative/add/sub coeffs", checksum_coeff_kernels},
   };
   std::vector<Row> rows;
@@ -154,7 +130,6 @@ void print_tables() {
     }
     rows.push_back(std::move(r));
   }
-  std::printf("dispatch: %s\n", kernels::active_simd_name());
   print_table("Poly kernels / output bit checksums (mode-independent)", rows);
 
   const Kernel kHot[] = {
@@ -175,82 +150,49 @@ void print_tables() {
               hot_rows);
 }
 
-// Timed sweeps.  state.range(0) selects forced-scalar (0) or the
-// env/auto-resolved dispatch (1), so one run shows both columns; the
-// report's host_seconds under DYNCG_SIMD=scalar vs auto is the measured
-// speedup.
-void with_mode(benchmark::State& state, void (*body)(benchmark::State&)) {
-  bool forced = state.range(0) == 0;
-  if (forced) kernels::force_simd_mode(kernels::Simd::kScalar);
-  body(state);
-  if (forced) {
-    if (!kernels::init_simd_from_env().is_ok()) {
-      state.SkipWithError("bad DYNCG_SIMD");
-    }
-  }
-  state.SetLabel(forced ? "scalar" : kernels::active_simd_name());
-}
-
+// Timed sweeps.  The kernels inline into these loops, so each iteration
+// clobbers memory to keep its writes from being folded across iterations.
 void BM_HornerMany(benchmark::State& state) {
-  with_mode(state, [](benchmark::State& s) {
-    Rng rng(7);
-    std::vector<double> c = random_vec(rng, 7, -2.0, 2.0);
-    std::vector<double> ts = random_vec(rng, 4096, -10.0, 10.0);
-    std::vector<double> out(ts.size());
-    for (auto _ : s) {
-      kernels::horner_many(c.data(), c.size(), ts.data(), ts.size(),
-                           out.data());
-      benchmark::DoNotOptimize(out.data());
-    }
-    s.SetItemsProcessed(static_cast<std::int64_t>(s.iterations()) *
-                        static_cast<std::int64_t>(ts.size()));
-  });
+  Rng rng(7);
+  std::vector<double> c = random_vec(rng, 7, -2.0, 2.0);
+  std::vector<double> ts = random_vec(rng, 4096, -10.0, 10.0);
+  std::vector<double> out(ts.size());
+  for (auto _ : state) {
+    kernels::horner_many(c.data(), c.size(), ts.data(), ts.size(),
+                         out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(ts.size()));
 }
 
 void BM_HornerSlab(benchmark::State& state) {
-  with_mode(state, [](benchmark::State& s) {
-    PolyFamily fam = random_poly_family(11, 4096, 4);
-    std::vector<double> out(fam.size());
-    double t = 0.375;
-    for (auto _ : s) {
-      fam.values_all(t, out.data());
-      benchmark::DoNotOptimize(out.data());
-      t += 1e-6;
-    }
-    s.SetItemsProcessed(static_cast<std::int64_t>(s.iterations()) *
-                        static_cast<std::int64_t>(fam.size()));
-  });
-}
-
-void BM_WinnerMask(benchmark::State& state) {
-  with_mode(state, [](benchmark::State& s) {
-    Rng rng(13);
-    std::vector<double> va = random_vec(rng, 4096, -1.0, 1.0);
-    std::vector<double> vb = random_vec(rng, 4096, -1.0, 1.0);
-    std::vector<unsigned char> mask(va.size());
-    for (auto _ : s) {
-      kernels::winner_mask(va.data(), vb.data(), va.size(), true, true,
-                           mask.data());
-      benchmark::DoNotOptimize(mask.data());
-    }
-    s.SetItemsProcessed(static_cast<std::int64_t>(s.iterations()) *
-                        static_cast<std::int64_t>(va.size()));
-  });
+  PolyFamily fam = random_poly_family(11, 4096, 4);
+  std::vector<double> out(fam.size());
+  double t = 0.375;
+  for (auto _ : state) {
+    fam.values_all(t, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    t += 1e-6;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(fam.size()));
 }
 
 void BM_DiffCoeffs(benchmark::State& state) {
-  with_mode(state, [](benchmark::State& s) {
-    Rng rng(17);
-    std::vector<double> a = random_vec(rng, 4096, -2.0, 2.0);
-    std::vector<double> b = random_vec(rng, 4000, -2.0, 2.0);
-    std::vector<double> out(a.size());
-    for (auto _ : s) {
-      kernels::diff_coeffs(a.data(), a.size(), b.data(), b.size(), out.data());
-      benchmark::DoNotOptimize(out.data());
-    }
-    s.SetItemsProcessed(static_cast<std::int64_t>(s.iterations()) *
-                        static_cast<std::int64_t>(a.size()));
-  });
+  Rng rng(17);
+  std::vector<double> a = random_vec(rng, 4096, -2.0, 2.0);
+  std::vector<double> b = random_vec(rng, 4000, -2.0, 2.0);
+  std::vector<double> out(a.size());
+  for (auto _ : state) {
+    kernels::diff_coeffs(a.data(), a.size(), b.data(), b.size(), out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(a.size()));
 }
 
 }  // namespace
@@ -266,15 +208,10 @@ int main(int argc, char** argv) {
   const Case kCases[] = {
       {"PolyKernels/horner_many", dyncg::bench::BM_HornerMany},
       {"PolyKernels/horner_slab", dyncg::bench::BM_HornerSlab},
-      {"PolyKernels/winner_mask", dyncg::bench::BM_WinnerMask},
       {"PolyKernels/diff_coeffs", dyncg::bench::BM_DiffCoeffs},
   };
   for (const Case& c : kCases) {
-    for (long mode = 0; mode < 2; ++mode) {
-      benchmark::RegisterBenchmark(c.name, c.fn)
-          ->Args({mode})
-          ->Unit(benchmark::kMicrosecond);
-    }
+    benchmark::RegisterBenchmark(c.name, c.fn)->Unit(benchmark::kMicrosecond);
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -31,7 +31,6 @@
 
 #include "dyncg/motion.hpp"
 #include "machine/faults.hpp"
-#include "poly/kernels.hpp"
 #include "machine/machine.hpp"
 #include "pieces/piecewise.hpp"
 #include "support/build_info.hpp"
@@ -165,11 +164,6 @@ class BenchReport {
     w.begin_object();
     w.key("threads");
     w.value(std::uint64_t{host_threads()});
-    // Numeric-kernel dispatch target the run used ("scalar" or "avx2");
-    // the ledger figures must not depend on it (exactness contract,
-    // docs/PERFORMANCE.md#simd-kernels), but host_seconds does.
-    w.key("dispatch");
-    w.value(kernels::active_simd_name());
     w.end_object();
     w.key("faults");
     w.begin_object();

@@ -6,7 +6,6 @@
 #include <functional>
 
 #include "envelope/scenario_key.hpp"
-#include "poly/kernels.hpp"
 #include "poly/roots.hpp"
 #include "support/ackermann.hpp"
 #include "support/assert.hpp"
@@ -18,8 +17,8 @@ namespace {
 
 // Deterministic update counters (docs/OBSERVABILITY.md#metrics): the merge
 // tree, its recombine paths, and its trims are a pure function of the update
-// stream — independent of thread count, dispatch target, and batching — so
-// the serve registry gate pins them exactly.
+// stream — independent of thread count — so the serve registry gate pins
+// them exactly.
 struct UpdateMetrics {
   metrics::Counter& inserts = metrics::counter(
       "envelope.update.inserts", "dynamic envelope member inserts",
@@ -87,13 +86,6 @@ void memo_erase(std::vector<std::uint32_t>& list, int partner, bool backref) {
 }  // namespace
 
 // --- FleetFamily -----------------------------------------------------------
-
-void FleetFamily::values_many(int id, const double* ts, std::size_t n,
-                              double* out) const {
-  const std::vector<double>& c =
-      members_[static_cast<std::size_t>(id)].coefficients();
-  kernels::horner_many(c.data(), c.size(), ts, n, out);
-}
 
 bool FleetFamily::identical(int a, int b) const {
   return members_[static_cast<std::size_t>(a)].coefficients() ==

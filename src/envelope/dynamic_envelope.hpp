@@ -82,9 +82,6 @@ class FleetFamily {
   double value(int id, double t) const {
     return members_[static_cast<std::size_t>(id)](t);
   }
-  // Batched-evaluation hook (kernels.hpp); bit-identical to value() loops.
-  void values_many(int id, const double* ts, std::size_t n,
-                   double* out) const;
 
   bool identical(int a, int b) const;
   // Crossing times strictly inside iv, into `out` (cleared first) — the

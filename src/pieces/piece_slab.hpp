@@ -7,7 +7,7 @@
 
 #include "pieces/interval.hpp"
 
-// Structure-of-arrays piece storage (docs/PERFORMANCE.md#simd-kernels).
+// Structure-of-arrays piece storage (docs/PERFORMANCE.md#numeric-kernels).
 //
 // A piece of an envelope is a (member id, interval) pair (Section 2.5).  The
 // envelope hot paths — overlay sweeps, pairwise combines, the per-level
@@ -27,7 +27,7 @@ struct Piece {
 };
 
 // Borrowed raw view of a slab: the contiguous breakpoint/id arrays the
-// batched kernels and sweeps consume directly.
+// sweeps consume directly.
 struct PieceSlabView {
   const double* lo = nullptr;
   const double* hi = nullptr;

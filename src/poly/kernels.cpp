@@ -1,436 +1,9 @@
 #include "poly/kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-
-#if defined(DYNCG_SIMD_AVX2)
-#include <immintrin.h>
-#endif
-
-#include "support/assert.hpp"
-#include "support/metrics.hpp"
 
 namespace dyncg {
 namespace kernels {
-namespace {
-
-// Deterministic-class batching counters (docs/OBSERVABILITY.md#metrics):
-// call and element totals are pure functions of the request stream — the
-// combine tree, cells, and root-search knots do not depend on thread count
-// or dispatch target — so the BENCH_serve.json registry diff catches any
-// silent change in how much work reaches the batched kernels.  Only the
-// out-of-line batched tier counts: batches under detail::kInlineBatch run
-// inline at the call site (kernels.hpp) and are deliberately uncounted, so
-// the counters measure exactly the sweeps the dispatch decision can
-// accelerate — a threshold or batching change moves them deterministically.
-struct KernelMetrics {
-  metrics::Counter& horner_calls = metrics::counter(
-      "kernels.horner.calls", "batched polynomial evaluation kernel calls",
-      metrics::Stability::kDeterministic);
-  metrics::Counter& horner_elements = metrics::counter(
-      "kernels.horner.elements", "polynomial evaluations performed batched",
-      metrics::Stability::kDeterministic);
-  metrics::Counter& compare_calls = metrics::counter(
-      "kernels.compare.calls", "batched envelope winner-mask kernel calls",
-      metrics::Stability::kDeterministic);
-  metrics::Counter& compare_elements = metrics::counter(
-      "kernels.compare.elements", "envelope winner decisions made batched",
-      metrics::Stability::kDeterministic);
-  metrics::Counter& coeffs_calls = metrics::counter(
-      "kernels.coeffs.calls", "batched coefficient update kernel calls",
-      metrics::Stability::kDeterministic);
-  metrics::Counter& coeffs_elements = metrics::counter(
-      "kernels.coeffs.elements", "coefficient slots updated batched",
-      metrics::Stability::kDeterministic);
-};
-
-KernelMetrics& kernel_metrics() {
-  static KernelMetrics m;
-  return m;
-}
-
-// Register at process start: a snapshot taken before any batch reaches the
-// out-of-line tier must still show the counters (at zero), or the serve
-// gate's registry diff would flap on whether a batched sweep ran first.
-[[maybe_unused]] const KernelMetrics& g_eager_registration = kernel_metrics();
-
-// -1 = unresolved; otherwise a Simd value.  Resolution happens at most once
-// unless an explicit set/force call re-pins it.
-std::atomic<int> g_mode{-1};
-
-bool cpu_has_avx2() {
-#if defined(__GNUC__) || defined(__clang__)
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-// --- Scalar reference implementations ------------------------------------
-
-double horner_one(const double* coeffs, std::size_t nc, double t) {
-  double v = 0.0;
-  for (std::size_t j = nc; j-- > 0;) v = v * t + coeffs[j];
-  return v;
-}
-
-void horner_many_scalar(const double* coeffs, std::size_t nc, const double* ts,
-                        std::size_t n, double* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = horner_one(coeffs, nc, ts[i]);
-}
-
-void horner_slab_scalar(const double* coeffs, std::size_t stride,
-                        std::size_t rows, std::size_t count, double t,
-                        double* out) {
-  for (std::size_t m = 0; m < count; ++m) {
-    double v = 0.0;
-    for (std::size_t j = rows; j-- > 0;) v = v * t + coeffs[j * stride + m];
-    out[m] = v;
-  }
-}
-
-void winner_mask_scalar(const double* va, const double* vb, std::size_t n,
-                        bool take_min, bool tie_a, unsigned char* out) {
-  // The Lemma 3.1 rule collapses to one comparison per lane: with the tie
-  // broken toward a, "a wins" is <= (min) / >= (max); otherwise < / >.
-  if (take_min) {
-    if (tie_a) {
-      for (std::size_t i = 0; i < n; ++i) out[i] = va[i] <= vb[i] ? 1 : 0;
-    } else {
-      for (std::size_t i = 0; i < n; ++i) out[i] = va[i] < vb[i] ? 1 : 0;
-    }
-  } else {
-    if (tie_a) {
-      for (std::size_t i = 0; i < n; ++i) out[i] = va[i] >= vb[i] ? 1 : 0;
-    } else {
-      for (std::size_t i = 0; i < n; ++i) out[i] = va[i] > vb[i] ? 1 : 0;
-    }
-  }
-}
-
-void diff_coeffs_scalar(const double* a, std::size_t na, const double* b,
-                        std::size_t nb, double* out) {
-  const std::size_t n = na > nb ? na : nb;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double av = i < na ? a[i] : 0.0;
-    const double bv = i < nb ? b[i] : 0.0;
-    out[i] = (0.0 + av) - bv;
-  }
-}
-
-void derivative_coeffs_scalar(const double* c, std::size_t n, double* out) {
-  for (std::size_t i = 1; i < n; ++i) {
-    out[i - 1] = c[i] * static_cast<double>(i);
-  }
-}
-
-void add_coeffs_scalar(double* x, const double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] += y[i];
-}
-
-void sub_coeffs_scalar(double* x, const double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] -= y[i];
-}
-
-// --- AVX2 implementations -------------------------------------------------
-//
-// Compiled per-function with target("avx2") so the rest of the binary stays
-// baseline-ISA; with DYNCG_SIMD_AVX2 off these functions do not exist at
-// all.  Every lane runs the scalar recurrence verbatim: explicit mul then
-// add intrinsics (AVX2 carries no FMA, and GCC does not contract intrinsic
-// pairs), identical association order, remainders handled by the scalar
-// reference — hence byte-identical output (tests/test_simd_kernels.cpp).
-
-#if defined(DYNCG_SIMD_AVX2)
-
-__attribute__((target("avx2"))) void horner_many_avx2(const double* coeffs,
-                                                      std::size_t nc,
-                                                      const double* ts,
-                                                      std::size_t n,
-                                                      double* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d t = _mm256_loadu_pd(ts + i);
-    __m256d v = _mm256_setzero_pd();
-    for (std::size_t j = nc; j-- > 0;) {
-      v = _mm256_add_pd(_mm256_mul_pd(v, t), _mm256_set1_pd(coeffs[j]));
-    }
-    _mm256_storeu_pd(out + i, v);
-  }
-  if (i < n) horner_many_scalar(coeffs, nc, ts + i, n - i, out + i);
-}
-
-__attribute__((target("avx2"))) void horner_slab_avx2(const double* coeffs,
-                                                      std::size_t stride,
-                                                      std::size_t rows,
-                                                      std::size_t count,
-                                                      double t, double* out) {
-  const __m256d tv = _mm256_set1_pd(t);
-  std::size_t m = 0;
-  for (; m + 4 <= count; m += 4) {
-    __m256d v = _mm256_setzero_pd();
-    for (std::size_t j = rows; j-- > 0;) {
-      const __m256d c = _mm256_loadu_pd(coeffs + j * stride + m);
-      v = _mm256_add_pd(_mm256_mul_pd(v, tv), c);
-    }
-    _mm256_storeu_pd(out + m, v);
-  }
-  for (; m < count; ++m) {
-    double v = 0.0;
-    for (std::size_t j = rows; j-- > 0;) v = v * t + coeffs[j * stride + m];
-    out[m] = v;
-  }
-}
-
-__attribute__((target("avx2"))) void winner_mask_avx2(const double* va,
-                                                      const double* vb,
-                                                      std::size_t n,
-                                                      bool take_min,
-                                                      bool tie_a,
-                                                      unsigned char* out) {
-  const int pred = take_min ? (tie_a ? _CMP_LE_OQ : _CMP_LT_OQ)
-                            : (tie_a ? _CMP_GE_OQ : _CMP_GT_OQ);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d a = _mm256_loadu_pd(va + i);
-    const __m256d b = _mm256_loadu_pd(vb + i);
-    __m256d m;
-    switch (pred) {
-      case _CMP_LE_OQ: m = _mm256_cmp_pd(a, b, _CMP_LE_OQ); break;
-      case _CMP_LT_OQ: m = _mm256_cmp_pd(a, b, _CMP_LT_OQ); break;
-      case _CMP_GE_OQ: m = _mm256_cmp_pd(a, b, _CMP_GE_OQ); break;
-      default: m = _mm256_cmp_pd(a, b, _CMP_GT_OQ); break;
-    }
-    const int bits = _mm256_movemask_pd(m);
-    out[i] = static_cast<unsigned char>(bits & 1);
-    out[i + 1] = static_cast<unsigned char>((bits >> 1) & 1);
-    out[i + 2] = static_cast<unsigned char>((bits >> 2) & 1);
-    out[i + 3] = static_cast<unsigned char>((bits >> 3) & 1);
-  }
-  if (i < n) winner_mask_scalar(va + i, vb + i, n - i, take_min, tie_a, out + i);
-}
-
-__attribute__((target("avx2"))) void diff_coeffs_avx2(const double* a,
-                                                      std::size_t na,
-                                                      const double* b,
-                                                      std::size_t nb,
-                                                      double* out) {
-  const __m256d zero = _mm256_setzero_pd();
-  const std::size_t overlap = na < nb ? na : nb;
-  std::size_t i = 0;
-  for (; i + 4 <= overlap; i += 4) {
-    const __m256d av = _mm256_loadu_pd(a + i);
-    const __m256d bv = _mm256_loadu_pd(b + i);
-    _mm256_storeu_pd(out + i, _mm256_sub_pd(_mm256_add_pd(zero, av), bv));
-  }
-  // i <= overlap = min(na, nb), so the tails index both arrays safely.
-  if (i < na || i < nb) {
-    diff_coeffs_scalar(a + i, na - i, b + i, nb - i, out + i);
-  }
-}
-
-__attribute__((target("avx2"))) void derivative_coeffs_avx2(const double* c,
-                                                            std::size_t n,
-                                                            double* out) {
-  if (n < 2) return;
-  const __m256d step = _mm256_set1_pd(4.0);
-  __m256d idx = _mm256_set_pd(4.0, 3.0, 2.0, 1.0);
-  std::size_t i = 1;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d cv = _mm256_loadu_pd(c + i);
-    _mm256_storeu_pd(out + i - 1, _mm256_mul_pd(cv, idx));
-    idx = _mm256_add_pd(idx, step);
-  }
-  for (; i < n; ++i) out[i - 1] = c[i] * static_cast<double>(i);
-}
-
-__attribute__((target("avx2"))) void add_coeffs_avx2(double* x, const double* y,
-                                                     std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        x + i, _mm256_add_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
-  }
-  for (; i < n; ++i) x[i] += y[i];
-}
-
-__attribute__((target("avx2"))) void sub_coeffs_avx2(double* x, const double* y,
-                                                     std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(
-        x + i, _mm256_sub_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
-  }
-  for (; i < n; ++i) x[i] -= y[i];
-}
-
-#endif  // DYNCG_SIMD_AVX2
-
-[[maybe_unused]] bool use_avx2() { return active_simd() == Simd::kAvx2; }
-
-}  // namespace
-
-bool avx2_compiled() {
-#if defined(DYNCG_SIMD_AVX2)
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool avx2_supported() { return avx2_compiled() && cpu_has_avx2(); }
-
-const char* simd_name(Simd mode) {
-  return mode == Simd::kAvx2 ? "avx2" : "scalar";
-}
-
-Simd active_simd() {
-  int m = g_mode.load(std::memory_order_acquire);
-  if (m >= 0) return static_cast<Simd>(m);
-  // First use without an explicit override: resolve from the environment.
-  // The CLI tools pre-validate via init_simd_from_env(), so an invalid
-  // token here means a library embedder skipped validation — fail loudly
-  // rather than silently picking a mode.
-  Status st = init_simd_from_env();
-  DYNCG_ASSERT(st.is_ok(), "invalid DYNCG_SIMD value");
-  return static_cast<Simd>(g_mode.load(std::memory_order_acquire));
-}
-
-const char* active_simd_name() { return simd_name(active_simd()); }
-
-Status set_simd_mode(const std::string& token) {
-  if (token.empty() || token == "auto") {
-    g_mode.store(static_cast<int>(avx2_supported() ? Simd::kAvx2
-                                                   : Simd::kScalar),
-                 std::memory_order_release);
-    return Status::ok();
-  }
-  if (token == "scalar") {
-    g_mode.store(static_cast<int>(Simd::kScalar), std::memory_order_release);
-    return Status::ok();
-  }
-  if (token == "avx2") {
-    if (!avx2_compiled()) {
-      return Status::failed_precondition(
-          "simd mode 'avx2' unavailable: built with DYNCG_SIMD_AVX2=OFF");
-    }
-    if (!cpu_has_avx2()) {
-      return Status::failed_precondition(
-          "simd mode 'avx2' unavailable: CPU does not report AVX2");
-    }
-    g_mode.store(static_cast<int>(Simd::kAvx2), std::memory_order_release);
-    return Status::ok();
-  }
-  return Status::invalid_argument("unknown simd mode '" + token +
-                                  "' (expected scalar|avx2|auto)");
-}
-
-Status init_simd_from_env() {
-  const char* env = std::getenv("DYNCG_SIMD");
-  return set_simd_mode(env != nullptr ? std::string(env) : std::string());
-}
-
-void force_simd_mode(Simd mode) {
-  DYNCG_ASSERT(mode != Simd::kAvx2 || avx2_supported(),
-               "force_simd_mode(kAvx2) without AVX2 support");
-  g_mode.store(static_cast<int>(mode), std::memory_order_release);
-}
-
-void detail::horner_many_batched(const double* coeffs, std::size_t nc, const double* ts,
-                 std::size_t n, double* out) {
-  KernelMetrics& km = kernel_metrics();
-  km.horner_calls.add(1);
-  km.horner_elements.add(n);
-#if defined(DYNCG_SIMD_AVX2)
-  if (use_avx2()) {
-    horner_many_avx2(coeffs, nc, ts, n, out);
-    return;
-  }
-#endif
-  horner_many_scalar(coeffs, nc, ts, n, out);
-}
-
-void detail::horner_slab_batched(const double* coeffs, std::size_t stride, std::size_t rows,
-                 std::size_t count, double t, double* out) {
-  KernelMetrics& km = kernel_metrics();
-  km.horner_calls.add(1);
-  km.horner_elements.add(count);
-#if defined(DYNCG_SIMD_AVX2)
-  if (use_avx2()) {
-    horner_slab_avx2(coeffs, stride, rows, count, t, out);
-    return;
-  }
-#endif
-  horner_slab_scalar(coeffs, stride, rows, count, t, out);
-}
-
-void detail::winner_mask_batched(const double* va, const double* vb, std::size_t n,
-                 bool take_min, bool tie_a, unsigned char* out) {
-  KernelMetrics& km = kernel_metrics();
-  km.compare_calls.add(1);
-  km.compare_elements.add(n);
-#if defined(DYNCG_SIMD_AVX2)
-  if (use_avx2()) {
-    winner_mask_avx2(va, vb, n, take_min, tie_a, out);
-    return;
-  }
-#endif
-  winner_mask_scalar(va, vb, n, take_min, tie_a, out);
-}
-
-void detail::diff_coeffs_batched(const double* a, std::size_t na, const double* b,
-                 std::size_t nb, double* out) {
-  KernelMetrics& km = kernel_metrics();
-  km.coeffs_calls.add(1);
-  km.coeffs_elements.add(na > nb ? na : nb);
-#if defined(DYNCG_SIMD_AVX2)
-  if (use_avx2()) {
-    diff_coeffs_avx2(a, na, b, nb, out);
-    return;
-  }
-#endif
-  diff_coeffs_scalar(a, na, b, nb, out);
-}
-
-void detail::derivative_coeffs_batched(const double* c, std::size_t n, double* out) {
-  KernelMetrics& km = kernel_metrics();
-  km.coeffs_calls.add(1);
-  km.coeffs_elements.add(n > 0 ? n - 1 : 0);
-#if defined(DYNCG_SIMD_AVX2)
-  if (use_avx2()) {
-    derivative_coeffs_avx2(c, n, out);
-    return;
-  }
-#endif
-  derivative_coeffs_scalar(c, n, out);
-}
-
-void detail::add_coeffs_batched(double* x, const double* y, std::size_t n) {
-  KernelMetrics& km = kernel_metrics();
-  km.coeffs_calls.add(1);
-  km.coeffs_elements.add(n);
-#if defined(DYNCG_SIMD_AVX2)
-  if (use_avx2()) {
-    add_coeffs_avx2(x, y, n);
-    return;
-  }
-#endif
-  add_coeffs_scalar(x, y, n);
-}
-
-void detail::sub_coeffs_batched(double* x, const double* y, std::size_t n) {
-  KernelMetrics& km = kernel_metrics();
-  km.coeffs_calls.add(1);
-  km.coeffs_elements.add(n);
-#if defined(DYNCG_SIMD_AVX2)
-  if (use_avx2()) {
-    sub_coeffs_avx2(x, y, n);
-    return;
-  }
-#endif
-  sub_coeffs_scalar(x, y, n);
-}
 
 CoeffSlab::CoeffSlab(const std::vector<Polynomial>& members) {
   count_ = members.size();

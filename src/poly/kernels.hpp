@@ -1,120 +1,36 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "poly/polynomial.hpp"
-#include "support/status.hpp"
 
-// Batched numeric kernels for the bounded-degree polynomial primitive
-// (Section 6, property 4).  Every hot loop that evaluates, differences, or
-// differentiates polynomials funnels through these entry points; each kernel
-// has a scalar reference implementation and (when the DYNCG_SIMD_AVX2 build
-// option is on) an AVX2 implementation selected by runtime CPU dispatch.
+// Numeric kernels for the bounded-degree polynomial primitive (Section 6,
+// property 4: one evaluation is O(1) local work per PE).  Every loop that
+// evaluates, differences, or differentiates polynomials in bulk funnels
+// through these entry points; each is one scalar loop inlined at the call
+// site, because the envelope calls them millions of times with 2-6 elements
+// (one batch per overlay cell or root-search knot set).
 //
-// Exactness contract (docs/PERFORMANCE.md#simd-kernels): the AVX2 paths are
-// byte-identical to the scalar paths.  Each vector lane performs the exact
-// operation sequence of the scalar loop for that element — same association
-// order, no FMA contraction (the kernels are compiled for AVX2 only, which
-// has no fused multiply-add, and the intrinsics are explicit mul/add) — so
-// envelopes, ledgers, and cache keys do not depend on the dispatch decision.
-// Any future kernel that cannot keep this contract must stay out of the
-// deterministic paths and document an explicit tolerance instead.
-//
-// Mode selection, in priority order:
-//   1. force_simd_mode() (tests) / set_simd_mode() (the --simd CLI flag),
-//   2. the DYNCG_SIMD environment variable: scalar | avx2 | auto,
-//   3. auto: AVX2 when compiled in and reported by the CPU, else scalar.
+// Exactness contract (docs/PERFORMANCE.md#numeric-kernels): each kernel
+// performs the operation sequence of the kernel-free Polynomial code it
+// stands in for (operator(), operator-, derivative()) — same association
+// order, no FMA contraction (the build sets no -march, so the compiler has
+// no fused multiply-add to contract into) — so envelopes, ledgers, and
+// cache keys are bit-identical to that code.
 namespace dyncg {
 namespace kernels {
 
-enum class Simd {
-  kScalar,  // reference implementation, portable everywhere
-  kAvx2,    // 4-wide double lanes; requires DYNCG_SIMD_AVX2 + CPU support
-};
-
-// True when the AVX2 paths were compiled into this binary (the `simd-off`
-// preset builds with DYNCG_SIMD_AVX2=OFF and no AVX2 instruction exists in
-// the dispatched-off path).
-bool avx2_compiled();
-
-// True when AVX2 is both compiled in and reported by the host CPU.
-bool avx2_supported();
-
-// "scalar" / "avx2".
-const char* simd_name(Simd mode);
-
-// The currently active dispatch target.  Resolved once (from any prior
-// set/force call, else DYNCG_SIMD, else CPU detection) and cached.
-Simd active_simd();
-const char* active_simd_name();
-
-// Parse and apply a mode token: "scalar", "avx2", or "auto".  Returns
-// kInvalidArgument for an unknown token and kFailedPrecondition when "avx2"
-// is requested but unavailable; CLI tools surface both as usage errors
-// (exit 2).  An unset/empty token is "auto".
-Status set_simd_mode(const std::string& token);
-
-// Validate DYNCG_SIMD without touching anything else; called by the CLI
-// tools before any kernel runs so a bad value is a clean usage error
-// instead of a mid-computation abort.
-Status init_simd_from_env();
-
-// Test hook: pin the dispatch target (asserts availability for kAvx2).
-void force_simd_mode(Simd mode);
-
-// --- Batched primitives ---------------------------------------------------
-//
-// Each primitive has two tiers.  Batches below kInlineBatch run a scalar
-// loop inlined at the call site: the envelope makes millions of kernel
-// calls with 2-6 elements (one per overlay cell or root-search knot), and
-// for those the out-of-line call, the dispatch load, and the metrics gate
-// cost more than the arithmetic they wrap — profiling the fig4 bench puts
-// that overhead near 15% of total runtime.  Batches at or above the
-// threshold take the out-of-line detail::*_batched entry, which resolves
-// the dispatch target and records the batching counters.  Both tiers run
-// the identical operation sequence, so outputs are byte-identical no matter
-// which tier or dispatch target executes.
-namespace detail {
-
-// Below this element count the public wrappers run their inlined scalar
-// loop; at or above it they call the dispatched batch entry points.  8 keeps
-// every per-cell envelope batch inline while the family-wide slab sweeps
-// (the loops AVX2 actually accelerates) stay on the batched tier.
-inline constexpr std::size_t kInlineBatch = 8;
-
-// Out-of-line implementations: runtime dispatch (scalar/AVX2) plus the
-// kernels.* batching counters.  Callers use the public wrappers.
-void horner_many_batched(const double* coeffs, std::size_t nc,
-                         const double* ts, std::size_t n, double* out);
-void horner_slab_batched(const double* coeffs, std::size_t stride,
-                         std::size_t rows, std::size_t count, double t,
-                         double* out);
-void winner_mask_batched(const double* va, const double* vb, std::size_t n,
-                         bool take_min, bool tie_a, unsigned char* out);
-void diff_coeffs_batched(const double* a, std::size_t na, const double* b,
-                         std::size_t nb, double* out);
-void derivative_coeffs_batched(const double* c, std::size_t n, double* out);
-void add_coeffs_batched(double* x, const double* y, std::size_t n);
-void sub_coeffs_batched(double* x, const double* y, std::size_t n);
-
-}  // namespace detail
-
 // out[i] = c[0] + c[1] ts[i] + ... + c[nc-1] ts[i]^(nc-1), Horner order —
-// one polynomial at many times (envelope subinterval midpoints, root-search
-// knots).  nc == 0 writes +0.0, matching Polynomial::operator().
+// one polynomial at many times (root-search knots).  nc == 0 writes +0.0,
+// matching Polynomial::operator().
 inline void horner_many(const double* coeffs, std::size_t nc,
                         const double* ts, std::size_t n, double* out) {
-  if (n < detail::kInlineBatch) {
-    for (std::size_t i = 0; i < n; ++i) {
-      double v = 0.0;
-      for (std::size_t j = nc; j-- > 0;) v = v * ts[i] + coeffs[j];
-      out[i] = v;
-    }
-    return;
+  for (std::size_t i = 0; i < n; ++i) {
+    double v = 0.0;
+    for (std::size_t j = nc; j-- > 0;) v = v * ts[i] + coeffs[j];
+    out[i] = v;
   }
-  detail::horner_many_batched(coeffs, nc, ts, n, out);
 }
 
 // Many polynomials at one time over a zero-padded column-major slab:
@@ -126,35 +42,11 @@ inline void horner_many(const double* coeffs, std::size_t nc,
 inline void horner_slab(const double* coeffs, std::size_t stride,
                         std::size_t rows, std::size_t count, double t,
                         double* out) {
-  if (count < detail::kInlineBatch) {
-    for (std::size_t m = 0; m < count; ++m) {
-      double v = 0.0;
-      for (std::size_t j = rows; j-- > 0;) v = v * t + coeffs[j * stride + m];
-      out[m] = v;
-    }
-    return;
+  for (std::size_t m = 0; m < count; ++m) {
+    double v = 0.0;
+    for (std::size_t j = rows; j-- > 0;) v = v * t + coeffs[j * stride + m];
+    out[m] = v;
   }
-  detail::horner_slab_batched(coeffs, stride, rows, count, t, out);
-}
-
-// Envelope winner decision per lane: out[i] = 1 when member a beats member
-// b given values va[i]/vb[i], under the Lemma 3.1 tie rule —
-//   take_min ? (va < vb || (va == vb && tie_a))
-//            : (va > vb || (va == vb && tie_a))
-// where tie_a is (a < b), constant across the batch.  Exact comparisons.
-inline void winner_mask(const double* va, const double* vb, std::size_t n,
-                        bool take_min, bool tie_a, unsigned char* out) {
-  if (n < detail::kInlineBatch) {
-    // The rule collapses to one comparison per lane: with the tie broken
-    // toward a, "a wins" is <= (min) / >= (max); otherwise < / >.
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool w = take_min ? (tie_a ? va[i] <= vb[i] : va[i] < vb[i])
-                              : (tie_a ? va[i] >= vb[i] : va[i] > vb[i]);
-      out[i] = w ? 1 : 0;
-    }
-    return;
-  }
-  detail::winner_mask_batched(va, vb, n, take_min, tie_a, out);
 }
 
 // Difference coefficients with zero padding to max(na, nb):
@@ -163,45 +55,29 @@ inline void winner_mask(const double* va, const double* vb, std::size_t n,
 inline void diff_coeffs(const double* a, std::size_t na, const double* b,
                         std::size_t nb, double* out) {
   const std::size_t n = na > nb ? na : nb;
-  if (n < detail::kInlineBatch) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double av = i < na ? a[i] : 0.0;
-      const double bv = i < nb ? b[i] : 0.0;
-      out[i] = (0.0 + av) - bv;
-    }
-    return;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double av = i < na ? a[i] : 0.0;
+    const double bv = i < nb ? b[i] : 0.0;
+    out[i] = (0.0 + av) - bv;
   }
-  detail::diff_coeffs_batched(a, na, b, nb, out);
 }
 
 // Derivative coefficients: out[i-1] = c[i] * i for i in [1, n).  out must
 // not alias c.
 inline void derivative_coeffs(const double* c, std::size_t n, double* out) {
-  if (n < detail::kInlineBatch) {
-    for (std::size_t i = 1; i < n; ++i) {
-      out[i - 1] = c[i] * static_cast<double>(i);
-    }
-    return;
+  for (std::size_t i = 1; i < n; ++i) {
+    out[i - 1] = c[i] * static_cast<double>(i);
   }
-  detail::derivative_coeffs_batched(c, n, out);
 }
 
 // In-place elementwise accumulate: x[i] += y[i] / x[i] -= y[i].  x == y is
 // allowed (doubling / zeroing).
 inline void add_coeffs(double* x, const double* y, std::size_t n) {
-  if (n < detail::kInlineBatch) {
-    for (std::size_t i = 0; i < n; ++i) x[i] += y[i];
-    return;
-  }
-  detail::add_coeffs_batched(x, y, n);
+  for (std::size_t i = 0; i < n; ++i) x[i] += y[i];
 }
 
 inline void sub_coeffs(double* x, const double* y, std::size_t n) {
-  if (n < detail::kInlineBatch) {
-    for (std::size_t i = 0; i < n; ++i) x[i] -= y[i];
-    return;
-  }
-  detail::sub_coeffs_batched(x, y, n);
+  for (std::size_t i = 0; i < n; ++i) x[i] -= y[i];
 }
 
 // --- Coefficient slab -----------------------------------------------------

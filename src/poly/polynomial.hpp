@@ -67,7 +67,10 @@ class Polynomial {
   // True in-place compound forms: no temporary polynomial is built.  The
   // element order matches the allocating operators exactly (the in-place
   // product accumulates out[k] with i ascending, the same association order
-  // as the i-then-j convolution), so the results are bit-identical.
+  // as the i-then-j convolution), so the results are bit-identical — except
+  // for signed zeros: `+` and `-` start each coefficient from +0.0, so
+  // {-0.0, 1} + {-0.0, 2} has c0 = +0.0 while += leaves -0.0 (likewise -
+  // and -= with a +0.0 subtrahend).  The results still compare ==.
   Polynomial& operator+=(const Polynomial& o);
   Polynomial& operator-=(const Polynomial& o);
   Polynomial& operator*=(const Polynomial& o);

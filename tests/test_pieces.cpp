@@ -153,6 +153,33 @@ TEST(CombineMin, IdenticalMembersPreferSmallerId) {
   EXPECT_EQ(h.pieces[0].id, 0);
 }
 
+// Two members that are equal at every t but not identical() and never
+// cross, so the combine reaches its midpoint comparison with an exact tie —
+// the Lemma 3.1 tie rule, which the identical() shortcut above bypasses.
+struct TiedFamily {
+  std::size_t size() const { return 2; }
+  double value(int, double) const { return 1.0; }
+  bool identical(int, int) const { return false; }
+  std::vector<double> crossings(int, int, const Interval&) const { return {}; }
+  std::vector<Interval> defined_intervals(int) const {
+    return {Interval{0.0, kInfinity}};
+  }
+};
+
+TEST(CombineExtremum, ExactTiePrefersSmallerIdInBothOrders) {
+  TiedFamily fam;
+  const PiecewiseFn f0 = singleton_fn(fam, 0);
+  const PiecewiseFn f1 = singleton_fn(fam, 1);
+  for (const PiecewiseFn& h :
+       {combine_min(fam, f0, f1), combine_min(fam, f1, f0),
+        combine_max(fam, f0, f1), combine_max(fam, f1, f0)}) {
+    ASSERT_EQ(h.piece_count(), 1u);
+    EXPECT_EQ(h.pieces[0].id, 0);
+    EXPECT_EQ(h.pieces[0].iv.lo, 0.0);
+    EXPECT_TRUE(std::isinf(h.pieces[0].iv.hi));
+  }
+}
+
 TEST(CombineMin, PartialFunctionsGapBehaviour) {
   PolyFamily fam({Polynomial({1.0}), Polynomial({2.0})});
   PiecewiseFn f, g;

@@ -1,32 +1,21 @@
-// Exactness contract of the batched numeric kernels
-// (docs/PERFORMANCE.md#simd-kernels): the AVX2 paths must be byte-identical
-// to the scalar reference — same association order per lane, no FMA
-// contraction — on randomized and adversarial inputs (denormals, huge
-// degrees, alternating signs), and the whole pipeline (envelope pieces,
-// run stats, simulated-cost ledgers) must not depend on the dispatch
-// target.  Runs inside the DYNCG_THREADS=1/4 ctest matrix.
+// Exactness contract of the numeric kernels
+// (docs/PERFORMANCE.md#numeric-kernels): every kernel must be bit-identical
+// to the kernel-free Polynomial operations it stands in for — same
+// association order, no FMA contraction — on randomized and adversarial
+// inputs (denormals, degree 200, signed zeros, +/-1e155) and across batch
+// sizes.  Runs inside the DYNCG_THREADS=1/4 ctest matrix.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <vector>
 
-#include "envelope/parallel_envelope.hpp"
-#include "pieces/envelope_serial.hpp"
-#include "pieces/piecewise.hpp"
+#include "pieces/piece_slab.hpp"
 #include "poly/kernels.hpp"
 #include "support/rng.hpp"
 
 namespace dyncg {
 namespace {
-
-using kernels::Simd;
-
-// Restore the environment-derived dispatch decision after a forced-mode
-// test so later suites in the same process see the configured default.
-struct ModeGuard {
-  ~ModeGuard() { EXPECT_TRUE(kernels::init_simd_from_env().is_ok()); }
-};
 
 bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
@@ -67,9 +56,18 @@ std::vector<double> adversarial_ts() {
           -3e-12, 1e8,    -7.5e6,   1e155,    -1e155, 3.14159, 1e-30};
 }
 
+// Batch sizes on both sides of 8, where the kernels once switched from an
+// inline loop to an out-of-line one.
+constexpr std::size_t kBatchSizes[] = {0, 1, 7, 8, 9, 17};
+
+// adversarial_ts() padded with random times to the largest batch size.
+std::vector<double> batch_ts(Rng& rng) {
+  std::vector<double> ts = adversarial_ts();
+  while (ts.size() < 17) ts.push_back(rng.uniform(-50.0, 50.0));
+  return ts;
+}
+
 TEST(SimdKernels, HornerManyMatchesPolynomialOperator) {
-  ModeGuard guard;
-  kernels::force_simd_mode(Simd::kScalar);
   Rng rng(11);
   for (int iter = 0; iter < 50; ++iter) {
     std::vector<double> c =
@@ -86,37 +84,25 @@ TEST(SimdKernels, HornerManyMatchesPolynomialOperator) {
       EXPECT_EQ(std::memcmp(&out[i], &want, sizeof(double)), 0);
     }
   }
-}
-
-TEST(SimdKernels, HornerManyScalarAvx2BitIdentical) {
-  if (!kernels::avx2_supported()) {
-    GTEST_SKIP() << "AVX2 unavailable (simd-off build or older CPU)";
-  }
-  ModeGuard guard;
-  Rng rng(12);
-  std::vector<std::vector<double>> polys = adversarial_coeffs();
-  for (int iter = 0; iter < 30; ++iter) {
-    polys.push_back(
-        random_coeffs(rng, static_cast<std::size_t>(rng.uniform_int(0, 40))));
-  }
-  std::vector<double> ts = adversarial_ts();
-  for (int iter = 0; iter < 40; ++iter) ts.push_back(rng.uniform(-1e3, 1e3));
-  for (const std::vector<double>& c : polys) {
-    // Sweep batch sizes across the 4-lane boundary to cover remainders.
-    for (std::size_t n : {std::size_t{1}, std::size_t{3}, std::size_t{4},
-                          std::size_t{5}, std::size_t{8}, ts.size()}) {
-      std::vector<double> a(n), b(n);
-      kernels::force_simd_mode(Simd::kScalar);
-      kernels::horner_many(c.data(), c.size(), ts.data(), n, a.data());
-      kernels::force_simd_mode(Simd::kAvx2);
-      kernels::horner_many(c.data(), c.size(), ts.data(), n, b.data());
-      EXPECT_TRUE(bits_equal(a, b)) << "degree " << c.size() << " n " << n;
+  const std::vector<double> ts = batch_ts(rng);
+  const double sentinel = 12345.5;
+  for (const std::vector<double>& c : adversarial_coeffs()) {
+    Polynomial p(c);
+    const std::vector<double>& pc = p.coefficients();
+    for (std::size_t n : kBatchSizes) {
+      std::vector<double> out(n + 1, sentinel);
+      kernels::horner_many(pc.data(), pc.size(), ts.data(), n, out.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        double want = p(ts[i]);
+        EXPECT_EQ(std::memcmp(&out[i], &want, sizeof(double)), 0)
+            << "degree " << p.degree() << " n " << n << " t " << ts[i];
+      }
+      EXPECT_EQ(out[n], sentinel) << "wrote past a batch of " << n;
     }
   }
 }
 
 TEST(SimdKernels, HornerSlabMatchesPerMemberEvaluation) {
-  ModeGuard guard;
   Rng rng(13);
   for (int iter = 0; iter < 20; ++iter) {
     std::size_t count = static_cast<std::size_t>(rng.uniform_int(1, 23));
@@ -127,194 +113,101 @@ TEST(SimdKernels, HornerSlabMatchesPerMemberEvaluation) {
     }
     kernels::CoeffSlab slab(members);
     double t = rng.uniform(-20.0, 20.0);
-    std::vector<double> scalar_vals(count), avx_vals(count);
-    kernels::force_simd_mode(Simd::kScalar);
-    slab.values_at(t, scalar_vals.data());
+    std::vector<double> vals(count);
+    slab.values_at(t, vals.data());
     for (std::size_t m = 0; m < count; ++m) {
       double want = members[m](t);
-      EXPECT_EQ(std::memcmp(&scalar_vals[m], &want, sizeof(double)), 0)
+      EXPECT_EQ(std::memcmp(&vals[m], &want, sizeof(double)), 0)
           << "member " << m << " (zero padding must be bit-exact)";
     }
-    if (kernels::avx2_supported()) {
-      kernels::force_simd_mode(Simd::kAvx2);
-      slab.values_at(t, avx_vals.data());
-      EXPECT_TRUE(bits_equal(scalar_vals, avx_vals));
-    }
   }
-}
-
-TEST(SimdKernels, WinnerMaskMatchesEnvelopeTieRule) {
-  ModeGuard guard;
-  Rng rng(14);
-  const std::size_t n = 13;
-  std::vector<double> va(n), vb(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    va[i] = rng.uniform(-1.0, 1.0);
-    // Force exact ties on some lanes to exercise the tie-break path.
-    vb[i] = (i % 3 == 0) ? va[i] : rng.uniform(-1.0, 1.0);
+  // Slabs led by the adversarial members (padded with random ones), so
+  // degree 200 pads every shorter member with zero rows.
+  std::vector<Polynomial> pool;
+  for (const std::vector<double>& c : adversarial_coeffs()) {
+    pool.push_back(Polynomial(c));
   }
-  for (bool take_min : {true, false}) {
-    for (bool tie_a : {true, false}) {
-      std::vector<unsigned char> scalar_mask(n), avx_mask(n);
-      kernels::force_simd_mode(Simd::kScalar);
-      kernels::winner_mask(va.data(), vb.data(), n, take_min, tie_a,
-                           scalar_mask.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        bool a_wins = take_min ? (va[i] < vb[i] || (va[i] == vb[i] && tie_a))
-                               : (va[i] > vb[i] || (va[i] == vb[i] && tie_a));
-        EXPECT_EQ(scalar_mask[i] != 0, a_wins);
-      }
-      if (kernels::avx2_supported()) {
-        kernels::force_simd_mode(Simd::kAvx2);
-        kernels::winner_mask(va.data(), vb.data(), n, take_min, tie_a,
-                             avx_mask.data());
-        EXPECT_EQ(scalar_mask, avx_mask);
+  while (pool.size() < 17) {
+    pool.push_back(Polynomial(
+        random_coeffs(rng, static_cast<std::size_t>(rng.uniform_int(0, 9)))));
+  }
+  const std::vector<double> ts = batch_ts(rng);
+  for (std::size_t count : kBatchSizes) {
+    const std::vector<Polynomial> members(
+        pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(count));
+    kernels::CoeffSlab slab(members);
+    std::vector<double> vals(count);
+    for (double t : ts) {
+      slab.values_at(t, vals.data());
+      for (std::size_t m = 0; m < count; ++m) {
+        double want = members[m](t);
+        EXPECT_EQ(std::memcmp(&vals[m], &want, sizeof(double)), 0)
+            << "member " << m << " of " << count << " t " << t;
       }
     }
   }
 }
 
-TEST(SimdKernels, CoefficientKernelsBitIdenticalAcrossModes) {
-  if (!kernels::avx2_supported()) {
-    GTEST_SKIP() << "AVX2 unavailable (simd-off build or older CPU)";
-  }
-  ModeGuard guard;
+// diff_coeffs and derivative_coeffs, through Polynomial's assign_* forms,
+// against the kernel-free operator- and derivative().
+TEST(SimdKernels, CoefficientKernelsMatchKernelFreeOperators) {
   Rng rng(15);
   std::vector<std::vector<double>> inputs = adversarial_coeffs();
   for (int iter = 0; iter < 20; ++iter) {
     inputs.push_back(
         random_coeffs(rng, static_cast<std::size_t>(rng.uniform_int(0, 30))));
   }
+  Polynomial out;
   for (const std::vector<double>& a : inputs) {
+    const Polynomial p(a);
     for (const std::vector<double>& b : inputs) {
-      const std::size_t n = std::max(a.size(), b.size());
-      std::vector<double> d1(n), d2(n);
-      kernels::force_simd_mode(Simd::kScalar);
-      kernels::diff_coeffs(a.data(), a.size(), b.data(), b.size(), d1.data());
-      kernels::force_simd_mode(Simd::kAvx2);
-      kernels::diff_coeffs(a.data(), a.size(), b.data(), b.size(), d2.data());
-      EXPECT_TRUE(bits_equal(d1, d2));
+      const Polynomial q(b);
+      out.assign_difference(p, q);
+      EXPECT_TRUE(bits_equal(out.coefficients(), (p - q).coefficients()))
+          << "degrees " << p.degree() << ", " << q.degree();
     }
-    if (a.size() >= 2) {
-      std::vector<double> d1(a.size() - 1), d2(a.size() - 1);
-      kernels::force_simd_mode(Simd::kScalar);
-      kernels::derivative_coeffs(a.data(), a.size(), d1.data());
-      kernels::force_simd_mode(Simd::kAvx2);
-      kernels::derivative_coeffs(a.data(), a.size(), d2.data());
-      EXPECT_TRUE(bits_equal(d1, d2));
-    }
-    std::vector<double> x1(a), x2(a), y(a.size());
-    for (double& v : y) v = rng.uniform(-3.0, 3.0);
-    kernels::force_simd_mode(Simd::kScalar);
-    kernels::add_coeffs(x1.data(), y.data(), y.size());
-    kernels::force_simd_mode(Simd::kAvx2);
-    kernels::add_coeffs(x2.data(), y.data(), y.size());
-    EXPECT_TRUE(bits_equal(x1, x2));
-    x1 = a;
-    x2 = a;
-    kernels::force_simd_mode(Simd::kScalar);
-    kernels::sub_coeffs(x1.data(), y.data(), y.size());
-    kernels::force_simd_mode(Simd::kAvx2);
-    kernels::sub_coeffs(x2.data(), y.data(), y.size());
-    EXPECT_TRUE(bits_equal(x1, x2));
+    out.assign_derivative(p);
+    EXPECT_TRUE(bits_equal(out.coefficients(), p.derivative().coefficients()))
+        << "degree " << p.degree();
   }
 }
 
-// Satellite contract: the in-place compound operators must reproduce the
-// allocating operators bit for bit (same association order).
+// The in-place compound operators must reproduce the allocating operators
+// bit for bit (same association order) — except for signed zeros, where
+// they agree only under ==.
 TEST(SimdKernels, InPlaceCompoundOperatorsMatchAllocating) {
-  ModeGuard guard;
   Rng rng(16);
-  for (Simd mode : {Simd::kScalar, Simd::kAvx2}) {
-    if (mode == Simd::kAvx2 && !kernels::avx2_supported()) continue;
-    kernels::force_simd_mode(mode);
-    for (int iter = 0; iter < 60; ++iter) {
-      Polynomial p(
-          random_coeffs(rng, static_cast<std::size_t>(rng.uniform_int(0, 12))));
-      Polynomial q(
-          random_coeffs(rng, static_cast<std::size_t>(rng.uniform_int(0, 12))));
-      Polynomial sum = p, dif = p, prod = p, sq = p;
-      sum += q;
-      dif -= q;
-      prod *= q;
-      sq *= sq;  // aliased product
-      EXPECT_EQ(sum, p + q);
-      EXPECT_EQ(dif, p - q);
-      EXPECT_EQ(prod, p * q);
-      EXPECT_EQ(sq, p * p);
-      EXPECT_TRUE(bits_equal(sum.coefficients(), (p + q).coefficients()));
-      EXPECT_TRUE(bits_equal(prod.coefficients(), (p * q).coefficients()));
-    }
+  for (int iter = 0; iter < 60; ++iter) {
+    Polynomial p(
+        random_coeffs(rng, static_cast<std::size_t>(rng.uniform_int(0, 12))));
+    Polynomial q(
+        random_coeffs(rng, static_cast<std::size_t>(rng.uniform_int(0, 12))));
+    Polynomial sum = p, dif = p, prod = p, sq = p;
+    sum += q;
+    dif -= q;
+    prod *= q;
+    sq *= sq;  // aliased product
+    EXPECT_EQ(sum, p + q);
+    EXPECT_EQ(dif, p - q);
+    EXPECT_EQ(prod, p * q);
+    EXPECT_EQ(sq, p * p);
+    EXPECT_TRUE(bits_equal(sum.coefficients(), (p + q).coefficients()));
+    EXPECT_TRUE(bits_equal(dif.coefficients(), (p - q).coefficients()));
+    EXPECT_TRUE(bits_equal(prod.coefficients(), (p * q).coefficients()));
   }
-}
-
-struct PipelineRun {
-  PiecewiseFn serial;
-  PiecewiseFn parallel;
-  CostSnapshot cost;
-  EnvelopeRunStats stats;
-};
-
-PipelineRun run_pipeline(std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Polynomial> fns;
-  for (int i = 0; i < 48; ++i) {
-    int deg = rng.uniform_int(1, 3);
-    std::vector<double> c(static_cast<std::size_t>(deg) + 1);
-    for (double& x : c) x = rng.uniform(-2.0, 2.0);
-    fns.push_back(Polynomial(c));
-  }
-  PolyFamily fam(std::move(fns));
-  PipelineRun out;
-  out.serial = lower_envelope_serial(fam);
-  Machine m = envelope_machine_mesh(fam.size(), 3);
-  out.parallel = parallel_envelope(m, fam, 3, /*take_min=*/true, &out.stats);
-  out.cost = m.ledger().snapshot();
-  return out;
-}
-
-void expect_pieces_bit_identical(const PiecewiseFn& a, const PiecewiseFn& b) {
-  ASSERT_EQ(a.piece_count(), b.piece_count());
-  const PieceSlabView av = a.pieces.view();
-  const PieceSlabView bv = b.pieces.view();
-  EXPECT_EQ(std::memcmp(av.lo, bv.lo, av.count * sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(av.hi, bv.hi, av.count * sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(av.id, bv.id, av.count * sizeof(int)), 0);
-}
-
-// The acceptance-criteria check: envelope outputs and all simulated-cost
-// ledger figures are byte-identical between DYNCG_SIMD=scalar and auto
-// (this suite runs at DYNCG_THREADS=1 and 4 via the ctest matrix).
-TEST(SimdKernels, PipelineByteIdenticalScalarVsAuto) {
-  ModeGuard guard;
-  kernels::force_simd_mode(Simd::kScalar);
-  PipelineRun scalar_run = run_pipeline(2024);
-  ASSERT_TRUE(kernels::set_simd_mode("auto").is_ok());
-  PipelineRun auto_run = run_pipeline(2024);
-  expect_pieces_bit_identical(scalar_run.serial, auto_run.serial);
-  expect_pieces_bit_identical(scalar_run.parallel, auto_run.parallel);
-  EXPECT_EQ(scalar_run.cost.rounds, auto_run.cost.rounds);
-  EXPECT_EQ(scalar_run.cost.messages, auto_run.cost.messages);
-  EXPECT_EQ(scalar_run.cost.local_ops, auto_run.cost.local_ops);
-  EXPECT_EQ(scalar_run.stats.levels, auto_run.stats.levels);
-  EXPECT_EQ(scalar_run.stats.max_pieces, auto_run.stats.max_pieces);
-}
-
-TEST(SimdKernels, ModeValidation) {
-  ModeGuard guard;
-  EXPECT_TRUE(kernels::set_simd_mode("scalar").is_ok());
-  EXPECT_EQ(kernels::active_simd(), Simd::kScalar);
-  EXPECT_STREQ(kernels::active_simd_name(), "scalar");
-  EXPECT_TRUE(kernels::set_simd_mode("auto").is_ok());
-  EXPECT_TRUE(kernels::set_simd_mode("").is_ok());
-  Status bad = kernels::set_simd_mode("sse9");
-  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
-  if (kernels::avx2_supported()) {
-    EXPECT_TRUE(kernels::set_simd_mode("avx2").is_ok());
-    EXPECT_STREQ(kernels::active_simd_name(), "avx2");
-  } else {
-    EXPECT_FALSE(kernels::set_simd_mode("avx2").is_ok());
-  }
+  // The allocating forms start each coefficient from +0.0, so -0.0 + -0.0
+  // (and -0.0 - +0.0) comes out +0.0 there but -0.0 in place.
+  const Polynomial p({-0.0, 1.0}), add_q({-0.0, 2.0}), sub_q({0.0, 2.0});
+  Polynomial sum = p, dif = p;
+  sum += add_q;
+  dif -= sub_q;
+  const Polynomial alloc_sum = p + add_q, alloc_dif = p - sub_q;
+  EXPECT_EQ(sum, alloc_sum);
+  EXPECT_EQ(dif, alloc_dif);
+  EXPECT_TRUE(std::signbit(sum.coefficients()[0]));
+  EXPECT_FALSE(std::signbit(alloc_sum.coefficients()[0]));
+  EXPECT_TRUE(std::signbit(dif.coefficients()[0]));
+  EXPECT_FALSE(std::signbit(alloc_dif.coefficients()[0]));
 }
 
 // PieceSlab (structure-of-arrays piece storage) keeps the value view and

@@ -59,7 +59,6 @@
 #include <string>
 #include <vector>
 
-#include "poly/kernels.hpp"
 #include "serve/engine.hpp"
 #include "serve/protocol.hpp"
 #include "support/json.hpp"
@@ -359,10 +358,6 @@ bool round_trip(int fd, const std::string& request, std::string* response,
 
 int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);  // hostile lanes write into dead sockets
-  if (Status s = kernels::init_simd_from_env(); !s.is_ok()) {
-    std::fprintf(stderr, "error: %s\n", s.message().c_str());
-    return 2;
-  }
   int port = -1;
   std::string port_file;
   std::uint64_t seed = 1;

@@ -33,9 +33,6 @@
 //                     threads; overrides DYNCG_THREADS; default 1).  Never
 //                     changes the reported rounds/messages/local_ops — see
 //                     docs/PARALLELISM.md.
-//   --simd <mode>     numeric-kernel dispatch: scalar|avx2|auto (overrides
-//                     DYNCG_SIMD; default auto).  Never changes any output
-//                     byte — docs/PERFORMANCE.md#simd-kernels.
 //   --trace-out <file>  record a span trace of the run and write it to
 //                     <file> on exit: Chrome trace_event JSON (load in
 //                     chrome://tracing or ui.perfetto.dev), or a flat JSONL
@@ -65,7 +62,6 @@
 #include "machine/faults.hpp"
 #include "machine/other_topologies.hpp"
 #include "pieces/envelope_serial.hpp"
-#include "poly/kernels.hpp"
 #include "steady/machine_geometry.hpp"
 #include "support/fatal.hpp"
 #include "support/rng.hpp"
@@ -107,7 +103,7 @@ std::string g_trace_out;
                "envelope|topo> [--n N] [--k K] [--d D] [--seed S] "
                "[--machine mesh|hypercube|ccc|shuffle] [--query Q] "
                "[--farthest] [--adaptive] [--box w,h,...] [--file PATH] "
-               "[--threads T] [--simd scalar|avx2|auto] [--faults SPEC] "
+               "[--threads T] [--faults SPEC] "
                "[--fault-report] [--trace-out FILE]\n",
                argv0);
   std::exit(2);
@@ -209,11 +205,6 @@ Options parse(int argc, char** argv) {
       std::string t = next();
       long v = parse_long(argv[0], a, t.c_str(), 0, 1024);
       set_host_threads(static_cast<unsigned>(v));
-    } else if (a == "--simd") {
-      std::string mode = next();
-      if (Status s = kernels::set_simd_mode(mode); !s.is_ok()) {
-        flag_error(argv[0], a, "scalar|avx2|auto", mode);
-      }
     } else if (a == "--box") {
       std::string spec = next();
       if (spec.empty()) flag_error(argv[0], a, "w,h,...", "");
@@ -427,12 +418,6 @@ int run_command(const Options& o, const char* argv0) {
 }
 
 int main(int argc, char** argv) {
-  // Resolve DYNCG_SIMD up front so a typo'd value is a usage error (exit 2)
-  // instead of an abort inside the first kernel call; --simd overrides it.
-  if (Status s = kernels::init_simd_from_env(); !s.is_ok()) {
-    std::fprintf(stderr, "error: %s\n", s.message().c_str());
-    return 2;
-  }
   Options o = parse(argc, argv);
   static FaultPlan cli_plan;  // static: outlives every Machine in the cmds
   if (!o.faults.empty()) {

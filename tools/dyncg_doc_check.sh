@@ -1,5 +1,5 @@
 #!/bin/sh
-# Doc drift gate (ctest: doc_check).  Two invariants over README.md and
+# Doc drift gate (ctest: doc_check).  Four invariants over README.md and
 # docs/*.md:
 #
 #   1. every `--flag` the docs mention is accepted by some repo binary —
@@ -10,7 +10,10 @@
 #   2. every `bench_*` target/test name the docs mention still exists as a
 #      bench source, a CMake target, a ctest name, or a fixture;
 #   3. every protocol op the server accepts (`dyncg_serve --list-ops`) is
-#      documented in docs/SERVING.md — adding an op without wire docs fails.
+#      documented in docs/SERVING.md — adding an op without wire docs fails;
+#   4. every DYNCG_* environment variable or build option the docs mention
+#      still occurs in src/, tools/, bench/, tests/ or a CMake file, so
+#      deleting one fails this test until its documentation follows.
 #
 #   dyncg_doc_check.sh SRC_DIR CLI SERVE LOAD JSON_CHECK BENCH_DIFF
 set -e
@@ -68,6 +71,16 @@ SERVE=$2
 for op in $("$SERVE" --list-ops); do
   if ! grep -qw -- "$op" "$SRC/docs/SERVING.md"; then
     echo "doc drift: protocol op '$op' is not documented in docs/SERVING.md" >&2
+    rc=1
+  fi
+done
+
+# --- 4. environment variables / build options ----------------------------
+for tok in $(grep -hoE 'DYNCG_[A-Z0-9_]+' "$SRC/README.md" "$SRC"/docs/*.md |
+               sort -u); do
+  if ! grep -rqw -- "$tok" "$SRC/src" "$SRC/tools" "$SRC/bench" "$SRC/tests" \
+       "$SRC/CMakeLists.txt" "$SRC/CMakePresets.json"; then
+    echo "doc drift: documented name $tok occurs in no source or CMake file" >&2
     rc=1
   fi
 done

@@ -129,14 +129,6 @@ void check_bench(const Value& doc) {
   const Value* config = require(doc, "config", Value::Type::kObject, "bench");
   if (config != nullptr) {
     require(*config, "threads", Value::Type::kNumber, "bench.config");
-    // The numeric-kernel dispatch target the run used; ledger figures are
-    // dispatch-independent by contract (docs/PERFORMANCE.md#simd-kernels).
-    const Value* dispatch =
-        require(*config, "dispatch", Value::Type::kString, "bench.config");
-    if (dispatch != nullptr && dispatch->string != "scalar" &&
-        dispatch->string != "avx2") {
-      fail("bench.config: dispatch is not \"scalar\" or \"avx2\"");
-    }
   }
   // v2: the fault-injection section — active spec + process-wide counters.
   const Value* faults = require(doc, "faults", Value::Type::kObject, "bench");

@@ -92,7 +92,6 @@
 #include "dyncg/motion.hpp"
 #include "envelope/dynamic_envelope.hpp"
 #include "envelope/scenario_key.hpp"
-#include "poly/kernels.hpp"
 #include "serve/engine.hpp"
 #include "serve/fleet.hpp"
 #include "serve/protocol.hpp"
@@ -349,12 +348,6 @@ int main(int argc, char** argv) {
   // code 8 with the unanswered request printed — not as a silent SIGPIPE
   // death halfway through a script.
   std::signal(SIGPIPE, SIG_IGN);
-  // Resolve the numeric-kernel dispatch up front so a typo'd DYNCG_SIMD is
-  // a usage error here, not a mid-run abort in the oracle recompute.
-  if (Status s = kernels::init_simd_from_env(); !s.is_ok()) {
-    std::fprintf(stderr, "error: %s\n", s.message().c_str());
-    return 2;
-  }
   int port = -1;
   std::string port_file;
   std::vector<std::string> ops = {"neighbor", "pairs", "collisions"};
@@ -882,8 +875,6 @@ int main(int argc, char** argv) {
   w.begin_object();
   w.key("threads");
   w.value(std::uint64_t{host_threads()});
-  w.key("dispatch");
-  w.value(kernels::active_simd_name());
   w.end_object();
   w.key("faults");
   w.begin_object();

@@ -7,7 +7,7 @@
 //               [--max-conns N] [--deadline-ms MS] [--drain-ms MS]
 //               [--stall-timeout-ms MS] [--max-out-buf BYTES]
 //               [--max-fleets N] [--max-fleet-members N]
-//               [--threads T] [--simd MODE] [--trace-out FILE]
+//               [--threads T] [--trace-out FILE]
 //               [--metrics-out FILE] [--metrics-interval SECONDS]
 //               [--list-ops]
 //
@@ -45,9 +45,6 @@
 //   --threads T       host threads for batch compute (0 = all hardware
 //                     threads; overrides DYNCG_THREADS; default 1).  Never
 //                     changes any response byte — docs/PARALLELISM.md.
-//   --simd MODE       numeric-kernel dispatch: scalar|avx2|auto (overrides
-//                     DYNCG_SIMD; default auto).  Never changes any
-//                     response byte — docs/PERFORMANCE.md#simd-kernels.
 //   --trace-out FILE  record serve.batch/serve.query spans; written at
 //                     shutdown (Chrome trace or .jsonl) and on demand via
 //                     the flush_trace op or SIGUSR1 (write-and-clear)
@@ -71,7 +68,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "poly/kernels.hpp"
 #include "serve/server.hpp"
 #include "support/build_info.hpp"
 #include "support/metrics.hpp"
@@ -103,8 +99,7 @@ void on_flush_signal(int) {
                "[--max-line BYTES] [--max-conns N] [--deadline-ms MS] "
                "[--drain-ms MS] [--stall-timeout-ms MS] "
                "[--max-out-buf BYTES] [--max-fleets N] "
-               "[--max-fleet-members N] [--threads T] "
-               "[--simd scalar|avx2|auto] [--trace-out FILE] "
+               "[--max-fleet-members N] [--threads T] [--trace-out FILE] "
                "[--metrics-out FILE] [--metrics-interval SECONDS] "
                "[--list-ops]\n");
   std::exit(2);
@@ -139,12 +134,6 @@ long parse_long(const std::string& flag, const char* tok, long min_value,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Resolve DYNCG_SIMD before serving so a typo is a usage error here
-  // rather than an abort inside the first batch (--simd overrides it).
-  if (Status s = kernels::init_simd_from_env(); !s.is_ok()) {
-    std::fprintf(stderr, "error: %s\n", s.message().c_str());
-    return 2;
-  }
   serve::ServerOptions opt;
   std::string trace_out;
   for (int i = 1; i < argc; ++i) {
@@ -211,11 +200,6 @@ int main(int argc, char** argv) {
     } else if (a == "--threads") {
       set_host_threads(
           static_cast<unsigned>(parse_long(a, next().c_str(), 0, 1024)));
-    } else if (a == "--simd") {
-      if (Status s = kernels::set_simd_mode(next()); !s.is_ok()) {
-        std::fprintf(stderr, "error: %s\n", s.message().c_str());
-        usage();
-      }
     } else if (a == "--trace-out") {
       trace_out = next();
       if (trace_out.empty()) usage();

@@ -108,23 +108,6 @@ class BenchReport {
     }
   }
 
-  // Revision stamp for the report: run-time resolution with a baked-in
-  // configure-time fallback (support/build_info.hpp; dyncg_load stamps its
-  // BENCH_serve.json through the same helper).
-  static std::string git_rev() {
-#if defined(DYNCG_SOURCE_DIR)
-    const char* src = DYNCG_SOURCE_DIR;
-#else
-    const char* src = nullptr;
-#endif
-#if defined(DYNCG_GIT_REV)
-    const char* baked = DYNCG_GIT_REV;
-#else
-    const char* baked = nullptr;
-#endif
-    return git_revision(src, baked);
-  }
-
   // Bench binary name with the "bench_" prefix stripped ("table1_ops").
   static std::string bench_name() {
 #if defined(__GLIBC__)
@@ -159,7 +142,7 @@ class BenchReport {
     w.key("name");
     w.value(bench_name());
     w.key("git_rev");
-    w.value(git_rev());
+    w.value(git_revision());
     w.key("config");
     w.begin_object();
     w.key("threads");

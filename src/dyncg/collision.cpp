@@ -10,19 +10,27 @@
 
 namespace dyncg {
 
+namespace {
+
+// The first coordinate whose difference is not identically zero;
+// a.dimension() when a and b are the same trajectory.
+std::size_t first_difference(const Trajectory& a, const Trajectory& b) {
+  std::size_t i = 0;
+  while (i < a.dimension() && (a.coordinate(i) - b.coordinate(i)).is_zero()) {
+    ++i;
+  }
+  return i;
+}
+
+}  // namespace
+
 std::vector<double> pair_collision_times(const Trajectory& a,
                                          const Trajectory& b) {
   DYNCG_ASSERT(a.dimension() == b.dimension(), "dimension mismatch");
-  // Find the first coordinate whose difference is not identically zero and
-  // use its (clean, sign-changing) roots as candidates; a candidate is a
+  // Use the roots of the first coordinate difference that is not
+  // identically zero as (clean, sign-changing) candidates; a candidate is a
   // collision iff every other coordinate difference also vanishes there.
-  std::size_t pivot = a.dimension();
-  for (std::size_t i = 0; i < a.dimension(); ++i) {
-    if (!(a.coordinate(i) - b.coordinate(i)).is_zero()) {
-      pivot = i;
-      break;
-    }
-  }
+  const std::size_t pivot = first_difference(a, b);
   DYNCG_ASSERT(pivot < a.dimension(),
                "identical trajectories: the initial-position assumption of "
                "Section 2.4 is violated");
@@ -117,6 +125,16 @@ StatusOr<CollisionReport> try_collision_times(Machine& m,
     return Status::failed_precondition(
         "machine smaller than the system: " + std::to_string(m.size()) +
         " PEs for " + std::to_string(n) + " points");
+  }
+  // Section 2.4 assumes distinct trajectories: a point that moves with the
+  // query point collides with it at every instant.
+  const Trajectory& q = system.point(query);
+  for (std::size_t j = 0; j < n; ++j) {
+    if (j != query && first_difference(q, system.point(j)) == q.dimension()) {
+      return Status::invalid_argument(
+          "P" + std::to_string(j) + " shares its trajectory with the query P" +
+          std::to_string(query) + " (collision times need distinct ones)");
+    }
   }
   return collision_times(m, system, query, use_randomized_sort_model);
 }

@@ -31,8 +31,9 @@ CollisionReport collision_times(Machine& m, const MotionSystem& system,
                                 std::size_t query,
                                 bool use_randomized_sort_model = false);
 
-// Recoverable-error variant: rejects an out-of-range query or an undersized
-// machine with a Status instead of aborting.
+// Recoverable-error variant: rejects an out-of-range query, an undersized
+// machine, or a point sharing the query's trajectory with a Status instead
+// of aborting.
 StatusOr<CollisionReport> try_collision_times(
     Machine& m, const MotionSystem& system, std::size_t query,
     bool use_randomized_sort_model = false);

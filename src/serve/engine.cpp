@@ -24,14 +24,6 @@ namespace serve {
 
 namespace {
 
-Machine make_machine(const std::string& name, std::size_t capacity) {
-  if (name == "hypercube") return Machine(make_hypercube_for(capacity));
-  if (name == "ccc") return Machine(make_ccc_for(capacity));
-  if (name == "shuffle") return Machine(make_shuffle_exchange_for(capacity));
-  DYNCG_ASSERT(name == "mesh", "unvalidated machine name reached the engine");
-  return Machine(make_mesh_for(capacity));
-}
-
 // Per-request distributions.  The simulated figures are ledger deltas —
 // pure functions of the scenario, so their histograms are deterministic at
 // any DYNCG_THREADS even though observations happen on pool threads (shard
@@ -59,23 +51,49 @@ QueryMetrics& query_metrics() {
   return *m;
 }
 
-// printf-exact rendering: every format string below is the one dyncg_cli
-// uses, so served text and CLI stdout agree to the byte.
+// printf-exact rendering into the answer text.  The common line fits the
+// stack buffer and is formatted once; a longer one (a cube edge near 1e300)
+// is formatted again at its exact size, never cut.
 template <class... Args>
 void appendf(std::string* out, const char* fmt, Args... args) {
   char buf[256];
-  int n = std::snprintf(buf, sizeof(buf), fmt, args...);
-  if (n > 0) out->append(buf, std::min<std::size_t>(n, sizeof(buf) - 1));
+  const int n = std::snprintf(buf, sizeof(buf), fmt, args...);
+  if (n <= 0) return;
+  const std::size_t len = static_cast<std::size_t>(n);
+  if (len < sizeof(buf)) {
+    out->append(buf, len);
+  } else {
+    const std::size_t at = out->size();
+    out->resize(at + len + 1);  // snprintf writes the terminating NUL too
+    std::snprintf(out->data() + at, len + 1, fmt, args...);
+    out->resize(at + len);
+  }
 }
 
 }  // namespace
 
-StatusOr<CachedResult> run_query(const Request& req) {
-  const auto host_start = std::chrono::steady_clock::now();
-  DYNCG_ASSERT(req.system.has_value(), "run_query needs a scenario");
-  const MotionSystem& sys = *req.system;
+Machine make_machine(const std::string& name, std::size_t capacity) {
+  if (name == "hypercube") return Machine(make_hypercube_for(capacity));
+  if (name == "ccc") return Machine(make_ccc_for(capacity));
+  if (name == "shuffle") return Machine(make_shuffle_exchange_for(capacity));
+  DYNCG_ASSERT(name == "mesh", "unvalidated machine name reached the engine");
+  return Machine(make_mesh_for(capacity));
+}
 
-  // Machine sizing mirrors the corresponding dyncg_cli cmd_* exactly.
+StatusOr<Machine> query_machine(const Request& req) {
+  DYNCG_ASSERT(req.system.has_value(), "the engine needs a scenario");
+  const MotionSystem& sys = *req.system;
+  if (sys.size() < 2 && (req.op == Op::kPairs || req.op == Op::kContain ||
+                         req.op == Op::kSteady)) {
+    return Status::invalid_argument(std::string("op \"") + op_name(req.op) +
+                                    "\" needs at least 2 points, got " +
+                                    std::to_string(sys.size()));
+  }
+  if (req.op == Op::kSteady && req.query >= sys.size()) {
+    return Status::invalid_argument(
+        "query index " + std::to_string(req.query) + " out of range [0, " +
+        std::to_string(sys.size()) + ")");
+  }
   Machine m = [&] {
     switch (req.op) {
       case Op::kNeighbor: {
@@ -86,54 +104,42 @@ StatusOr<CachedResult> run_query(const Request& req) {
       case Op::kPairs:
         return req.machine == "mesh" ? allpairs_machine_mesh(sys)
                                      : allpairs_machine_hypercube(sys);
-      case Op::kCollisions:
-        return make_machine(req.machine, sys.size());
       case Op::kHullwhen:
         return req.machine == "mesh" ? hull_membership_machine_mesh(sys)
                                      : hull_membership_machine_hypercube(sys);
       case Op::kContain:
         return req.machine == "mesh" ? containment_machine_mesh(sys)
                                      : containment_machine_hypercube(sys);
-      default:  // kSteady; ping/stats never reach the engine
+      default:  // kCollisions, kSteady: one PE per point
         return make_machine(req.machine, sys.size());
     }
   }();
   if (req.has_faults) m.set_fault_plan(&req.faults);
+  return m;
+}
 
-  // Request-tagged span with the machine's ledger attached, so a trace of
-  // a serving run attributes rounds/messages to the fingerprint it served.
-  // The tag allocates, so it is built only when tracing is on (the span
-  // itself is free when disabled).
-  std::string span_name;
-  if (trace::enabled()) {
-    span_name = "serve.query#" + fingerprint_hex(req.fingerprint);
-  }
-  trace::Span span(span_name.empty() ? "serve.query" : span_name.c_str(),
-                   &m.ledger());
-
-  CachedResult out;
-  CostMeter meter(m.ledger());
+StatusOr<std::string> answer_query(Machine& m, const Request& req) {
+  const MotionSystem& sys = *req.system;
+  std::string text;
   switch (req.op) {
     case Op::kNeighbor: {
       StatusOr<NeighborSequence> seq =
           try_neighbor_sequence(m, sys, req.query, req.farthest);
       if (!seq.is_ok()) return seq.status();
-      out.text = seq.value().to_string() + "\n";
+      text = seq.value().to_string() + "\n";
       break;
     }
-    case Op::kPairs: {
-      PairSequence seq = closest_pair_sequence(m, sys, req.farthest);
-      out.text = seq.to_string() + "\n";
+    case Op::kPairs:
+      text = closest_pair_sequence(m, sys, req.farthest).to_string() + "\n";
       break;
-    }
     case Op::kCollisions: {
       StatusOr<CollisionReport> rep = try_collision_times(m, sys, req.query);
       if (!rep.is_ok()) return rep.status();
       if (rep.value().events.empty()) {
-        appendf(&out.text, "no collisions for P%zu\n", req.query);
+        appendf(&text, "no collisions for P%zu\n", req.query);
       }
       for (const CollisionEvent& e : rep.value().events) {
-        appendf(&out.text, "t = %10.4f  P%zu <-> P%zu\n", e.time, req.query,
+        appendf(&text, "t = %10.4f  P%zu <-> P%zu\n", e.time, req.query,
                 e.other);
       }
       break;
@@ -142,33 +148,32 @@ StatusOr<CachedResult> run_query(const Request& req) {
       StatusOr<IntervalSet> hit =
           try_hull_membership_intervals(m, sys, req.query);
       if (!hit.is_ok()) return hit.status();
-      appendf(&out.text, "P%zu is a hull vertex during ", req.query);
-      out.text += hit.value().to_string() + "\n";
+      appendf(&text, "P%zu is a hull vertex during ", req.query);
+      text += hit.value().to_string() + "\n";
       break;
     }
     case Op::kContain: {
       if (req.has_box) {
         StatusOr<IntervalSet> J = try_containment_intervals(m, sys, req.box);
         if (!J.is_ok()) return J.status();
-        out.text = "fits the box during " + J.value().to_string() + "\n";
+        text = "fits the box during " + J.value().to_string() + "\n";
       } else {
         SmallestCube cube = smallest_enclosing_cube(m, sys);
-        appendf(&out.text, "smallest enclosing cube: edge %.4f at t = %.4f\n",
+        appendf(&text, "smallest enclosing cube: edge %.4f at t = %.4f\n",
                 cube.edge, cube.time);
       }
       break;
     }
     case Op::kSteady: {
-      appendf(&out.text, "steady NN of P%zu: P%zu\n", req.query,
+      appendf(&text, "steady NN of P%zu: P%zu\n", req.query,
               machine_steady_neighbor(m, sys, req.query, req.farthest));
-      out.text += "steady hull: ";
+      text += "steady hull: ";
       for (std::size_t id : machine_steady_hull_ids(m, sys)) {
-        appendf(&out.text, "P%zu ", id);
+        appendf(&text, "P%zu ", id);
       }
-      out.text += "\n";
+      text += "\n";
       auto far = machine_steady_farthest_pair(m, sys);
-      appendf(&out.text, "steady farthest pair: (P%zu, P%zu)\n", far.a,
-              far.b);
+      appendf(&text, "steady farthest pair: (P%zu, P%zu)\n", far.a, far.b);
       break;
     }
     case Op::kStats:
@@ -181,6 +186,31 @@ StatusOr<CachedResult> run_query(const Request& req) {
     case Op::kFleetClose:
       return Status::invalid_argument("op carries no scenario to run");
   }
+  return text;
+}
+
+StatusOr<CachedResult> run_query(const Request& req) {
+  const auto host_start = std::chrono::steady_clock::now();
+  StatusOr<Machine> machine = query_machine(req);
+  if (!machine.is_ok()) return machine.status();
+  Machine& m = machine.value();
+
+  // Request-tagged span with the machine's ledger attached, so a trace of
+  // a serving run attributes rounds/messages to the fingerprint it served.
+  // The tag allocates, so it is built only when tracing is on (the span
+  // itself is free when disabled).
+  std::string span_name;
+  if (trace::enabled()) {
+    span_name = "serve.query#" + fingerprint_hex(req.fingerprint);
+  }
+  trace::Span span(span_name.empty() ? "serve.query" : span_name.c_str(),
+                   &m.ledger());
+
+  CostMeter meter(m.ledger());
+  StatusOr<std::string> text = answer_query(m, req);
+  if (!text.is_ok()) return text.status();
+  CachedResult out;
+  out.text = std::move(text).value();
   out.cost = meter.elapsed();
   out.topology = m.topology().name();
   out.pes = m.size();

@@ -1,28 +1,41 @@
 #pragma once
 
+#include <string>
+
+#include "machine/machine.hpp"
 #include "serve/protocol.hpp"
 #include "support/status.hpp"
 
-// Query execution for the serving layer.
+// Query execution: the one path from a validated request to its answer.
+// dyncg_cli prints answer_query's text and then its cost line; the server
+// calls run_query.  Served results and CLI stdout are therefore the same
+// bytes.
 //
-// run_query answers one validated request by building the same machine
-// dyncg_cli would build for the same scenario and rendering the same text
-// the CLI prints — byte for byte, minus the CLI's trailing cost line (the
-// ledger figures travel in the structured `cost` field instead).  The e2e
-// suite enforces that equivalence by diffing served results against CLI
-// stdout, so any drift between the two front ends is a test failure, not a
-// documentation footnote.
-//
-// run_query is a pure function of the request: it builds its own Machine,
+// All three are pure functions of the request: each builds its own Machine,
 // arms the request's own fault plan, and writes no shared state, so the
 // server may execute distinct requests of a batch concurrently
 // (docs/SERVING.md#batching).
 namespace dyncg {
 namespace serve {
 
-// Errors are the library's own validation statuses (invalid argument,
-// failed precondition, unrecoverable fault), exactly what the CLI would
-// exit with.  Requires req.system (callers never pass ping/stats).
+// A machine of the named topology (mesh, hypercube, ccc, shuffle) with at
+// least `capacity` PEs.
+Machine make_machine(const std::string& name, std::size_t capacity);
+
+// The machine req.op runs on, with req's fault plan attached (the machine
+// points into req, so req must outlive it).  Rejects, before any machine is
+// built, scenarios the algorithms cannot take: pairs, contain and steady need
+// at least two points, and steady's query must index one.  Requires
+// req.system (callers never pass admin or fleet ops).
+StatusOr<Machine> query_machine(const Request& req);
+
+// Runs req.op on `m` and renders the answer: what dyncg_cli prints minus
+// its trailing cost line, trailing '\n' kept.  Errors are the algorithms' own
+// validation statuses, exactly what the CLI exits with.
+StatusOr<std::string> answer_query(Machine& m, const Request& req);
+
+// query_machine + answer_query under a `serve.query` span, recording the
+// `serve.query.*` metrics: the text, ledger delta and machine of one answer.
 StatusOr<CachedResult> run_query(const Request& req);
 
 }  // namespace serve

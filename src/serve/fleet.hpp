@@ -42,8 +42,8 @@ struct FleetOptions {
 };
 
 // The score polynomial a fleet member contributes to the envelope: squared
-// distance to the reference (degree <= 2k).  Shared with the dyncg_load
-// --stream oracle so client and server derive scores from the same code.
+// distance to the reference (degree <= 2k).  The fleet oracle
+// (serve/client.hpp) scores with it too, so server and oracle agree.
 Polynomial fleet_score(const Trajectory& point, const Trajectory& ref);
 // The default reference when fleet_open carries no 'ref': the origin.
 Trajectory fleet_origin(std::size_t d);

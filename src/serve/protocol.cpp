@@ -318,6 +318,12 @@ const char* op_name(Op op) {
   return "?";
 }
 
+std::vector<double> fit_box(std::vector<double> box, std::size_t dimension) {
+  const double last = box.back();
+  box.resize(dimension, last);
+  return box;
+}
+
 StatusOr<Request> parse_request(const std::string& line) {
   json::Value root;
   std::string err;
@@ -534,10 +540,7 @@ StatusOr<Request> parse_request(const std::string& line) {
     return bad("query index " + std::to_string(r.query) +
                " out of range [0, " + std::to_string(r.system->size()) + ")");
   }
-  if (r.has_box) {
-    // The CLI rule: missing trailing dimensions repeat the last one.
-    r.box.resize(r.system->dimension(), r.box.back());
-  }
+  if (r.has_box) r.box = fit_box(std::move(r.box), r.system->dimension());
   build_key(&r);
   return r;
 }

@@ -15,8 +15,8 @@
 // Each request is one JSON object on one line; each response is one JSON
 // object on one line, in request order per connection.  The complete field
 // reference lives in docs/SERVING.md; this header is the single
-// implementation of both directions, shared by the server, the dyncg_load
-// client/oracle, the schema checker (dyncg_json_check --serve-request),
+// implementation of both directions, shared by the server, the client and
+// its oracles (serve/client.hpp), the schema checker (dyncg_json_check),
 // and the protocol tests — so the documented grammar and the accepted
 // grammar cannot drift apart.
 //
@@ -99,7 +99,7 @@ struct Request {
   std::size_t query = 0;
   bool farthest = false;
   bool has_box = false;
-  std::vector<double> box;  // resized to system dimension (CLI --box rule)
+  std::vector<double> box;  // fitted to the system dimension (fit_box)
   bool has_faults = false;
   FaultPlan faults;
   std::string faults_spec;  // canonical FaultPlan::to_string() form
@@ -125,6 +125,11 @@ struct Request {
   bool fleet_has_advance = false;
   double fleet_advance = 0.0;
 };
+
+// The --box rule shared by the parser and dyncg_cli: a box with fewer
+// dimensions than the system repeats its last one, and extra dimensions
+// are dropped.  `box` must be non-empty.
+std::vector<double> fit_box(std::vector<double> box, std::size_t dimension);
 
 // Parse and validate one request line.  Error statuses map onto the repo's
 // pinned codes: kParseError for malformed JSON or fault specs,

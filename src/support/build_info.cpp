@@ -23,23 +23,19 @@ std::string run_command(const std::string& cmd) {
 
 }  // namespace
 
-std::string git_revision(const char* source_dir, const char* baked) {
+std::string git_revision() {
 #if defined(__unix__) || defined(__APPLE__)
-  if (source_dir != nullptr) {
-    const std::string base = std::string("git -C \"") + source_dir + "\" ";
-    std::string rev = run_command(base + "rev-parse --short HEAD 2>/dev/null");
-    if (!rev.empty() &&
-        rev.find_first_not_of("0123456789abcdef") == std::string::npos) {
-      if (!run_command(base + "status --porcelain 2>/dev/null").empty()) {
-        rev += "-dirty";
-      }
-      return rev;
+  const std::string base = std::string("git -C \"") + DYNCG_SOURCE_DIR + "\" ";
+  std::string rev = run_command(base + "rev-parse --short HEAD 2>/dev/null");
+  if (!rev.empty() &&
+      rev.find_first_not_of("0123456789abcdef") == std::string::npos) {
+    if (!run_command(base + "status --porcelain 2>/dev/null").empty()) {
+      rev += "-dirty";
     }
+    return rev;
   }
-#else
-  (void)source_dir;
 #endif
-  return baked != nullptr ? baked : "unknown";
+  return DYNCG_GIT_REV;
 }
 
 }  // namespace dyncg

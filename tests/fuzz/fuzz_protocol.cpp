@@ -2,17 +2,21 @@
 #include <cstdint>
 #include <string>
 
+#include "serve/engine.hpp"
 #include "serve/protocol.hpp"
 #include "support/status.hpp"
 
 // libFuzzer harness for the serving wire protocol (docs/ROBUSTNESS.md
 // #serving-resilience).  One input = one request line, exactly what a
 // hostile client can put on the socket; the invariant under test is that
-// parse_request and the error-rendering path never crash, never trip a
-// sanitizer, and never loop — for ANY byte string.  Accepted requests also
-// exercise the canonical-key machinery (system materialization, key
-// rendering, fingerprinting), since that code runs on attacker-controlled
-// input before any admission decision beyond the line-length cap.
+// parse_request, the engine and the error-rendering path never crash,
+// never trip a sanitizer, and never loop — for ANY byte string.  Accepted
+// requests also exercise the canonical-key machinery (system
+// materialization, key rendering, fingerprinting), since that code runs on
+// attacker-controlled input before any admission decision beyond the
+// line-length cap.  Accepted scenarios of at most kMaxEnginePoints points
+// then run through run_query, fault plans included, so fuzzed lines reach
+// the numeric core and must end in an answer or a Status.
 //
 // Build the fuzzer with Clang via -DDYNCG_FUZZ=ON; every build replays the
 // committed seed corpus (tests/fuzz/corpus) through this same entry point
@@ -34,6 +38,13 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     }
     volatile std::size_t sink = req.key.size() + req.id_json.size();
     (void)sink;
+    // Small scenarios only, so one input stays fast enough to fuzz.
+    constexpr std::size_t kMaxEnginePoints = 16;
+    if (req.system.has_value() && req.system->size() <= kMaxEnginePoints) {
+      dyncg::StatusOr<dyncg::serve::CachedResult> answer =
+          dyncg::serve::run_query(req);
+      if (answer.is_ok() && answer.value().text.empty()) __builtin_trap();
+    }
   } else {
     // The rejection must render into a well-formed single-line response.
     std::string err = dyncg::serve::render_error("1", r.status());

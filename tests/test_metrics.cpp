@@ -32,14 +32,6 @@ struct MetricsSession {
   }
 };
 
-const metrics::CounterSnapshot* find_counter(
-    const metrics::RegistrySnapshot& snap, const std::string& name) {
-  for (const metrics::CounterSnapshot& c : snap.counters) {
-    if (c.name == name) return &c;
-  }
-  return nullptr;
-}
-
 const metrics::HistogramSnapshot* find_histogram(
     const metrics::RegistrySnapshot& snap, const std::string& name) {
   for (const metrics::HistogramSnapshot& h : snap.histograms) {

@@ -3,13 +3,16 @@
 #include <cstdint>
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "envelope/scenario_key.hpp"
 #include "pieces/interval.hpp"
 #include "serve/cache.hpp"
+#include "serve/client.hpp"
 #include "serve/engine.hpp"
+#include "serve/fleet.hpp"
 #include "serve/protocol.hpp"
 #include "support/status.hpp"
 
@@ -591,6 +594,123 @@ TEST(ServeEngine, RenderHitMissDifferOnlyInCacheField) {
   EXPECT_EQ(hit_stripped, miss);
   // Responses are single lines.
   EXPECT_EQ(hit.find('\n'), std::string::npos);
+}
+
+// A result line longer than appendf's stack buffer is formatted whole: a
+// cube edge of ~1e250 prints 300 bytes, as the CLI's printf does.
+TEST(ServeEngine, LongResultLinesAreNotCut) {
+  Request r = parse("{\"op\":\"contain\",\"scenario\":{\"points\":"
+                    "[[[1e250],[0]],[[0],[0]]],\"d\":2}}")
+                  .value();
+  StatusOr<CachedResult> res = run_query(r);
+  ASSERT_TRUE(res.is_ok()) << res.status().to_string();
+  const std::string& text = res.value().text;
+  EXPECT_EQ(text.size(), 300u) << text;
+  const std::string tail = " at t = 0.0000\n";
+  ASSERT_GE(text.size(), tail.size());
+  EXPECT_EQ(text.substr(text.size() - tail.size()), tail);
+}
+
+// --- oracles -----------------------------------------------------------------
+
+// The response a correct server sends for `line`, as a miss.
+std::string served(const std::string& line) {
+  Request r = parse(line).value();
+  return render_result(r.id_json, r.op, run_query(r).value(), false,
+                       r.fingerprint);
+}
+
+// `response` with the first occurrence of `from` replaced by `to`.
+std::string tampered(std::string response, const std::string& from,
+                     const std::string& to) {
+  std::size_t at = response.find(from);
+  EXPECT_NE(at, std::string::npos) << from << " not in " << response;
+  if (at != std::string::npos) response.replace(at, from.size(), to);
+  return response;
+}
+
+const char kNeighbor[] =
+    "{\"op\":\"neighbor\",\"id\":7,\"scenario\":{\"n\":6,\"k\":1}}";
+
+TEST(ServeOracle, AcceptsAFreshAnswerAsHitAndMiss) {
+  Request r = parse(kNeighbor).value();
+  CachedResult res = run_query(r).value();
+  for (bool hit : {false, true}) {
+    EXPECT_EQ(oracle_mismatch(kNeighbor, render_result(r.id_json, r.op, res,
+                                                       hit, r.fingerprint)),
+              "");
+  }
+}
+
+TEST(ServeOracle, FlagsEveryTamperedField) {
+  Request r = parse(kNeighbor).value();
+  CachedResult res = run_query(r).value();
+  const std::string good = served(kNeighbor);
+  const std::string rounds = "\"rounds\":" + std::to_string(res.cost.rounds);
+  const std::string key = fingerprint_hex(r.fingerprint);
+  std::string flipped = key;
+  flipped.back() = static_cast<char>(flipped.back() ^ 1);  // low bit
+  const std::string pes = "\"pes\":" + std::to_string(res.pes);
+  const std::string bad[] = {
+      tampered(good, rounds,
+               "\"rounds\":" + std::to_string(res.cost.rounds + 1)),
+      tampered(good, key, flipped),
+      tampered(good, pes, "\"pes\":" + std::to_string(2 * res.pes)),
+      tampered(good, "nearest of P0", "nearest of P1"),
+  };
+  for (const std::string& response : bad) {
+    EXPECT_NE(response, good);
+    EXPECT_NE(oracle_mismatch(kNeighbor, response), "") << response;
+  }
+}
+
+TEST(ServeOracle, FlagsOkForRejectedLinesAndErrorsForAcceptedOnes) {
+  const std::string ok = served(kNeighbor);
+  // The parser rejects this line...
+  EXPECT_NE(
+      oracle_mismatch("{\"op\":\"neighbor\",\"scenario\":{\"n\":0}}", ok),
+      "");
+  // ...and the engine this one: a hull outside the plane is UNSUPPORTED.
+  const std::string hull3d =
+      "{\"op\":\"hullwhen\",\"scenario\":{\"n\":6,\"d\":3,\"k\":1}}";
+  ASSERT_TRUE(parse(hull3d).is_ok());
+  EXPECT_EQ(run_query(parse(hull3d).value()).status().code(),
+            StatusCode::kUnsupported);
+  EXPECT_NE(oracle_mismatch(hull3d, ok), "");
+  EXPECT_EQ(oracle_mismatch(hull3d, render_error("", Status::unsupported("x"))),
+            "");
+  // A line both accept must be answered OK.
+  EXPECT_NE(oracle_mismatch(kNeighbor,
+                            render_error("7", Status::unavailable("busy"))),
+            "");
+}
+
+TEST(ServeOracle, FleetOracleFlagsAChangedKeyDigit) {
+  FleetRegistry fleets(FleetOptions{});
+  const char* lines[] = {
+      "{\"op\":\"fleet_open\",\"d\":2,\"k\":1}",
+      "{\"op\":\"fleet_update\",\"fleet\":\"fleet-1\",\"insert\":["
+      "{\"id\":5,\"point\":[[4,-1],[0]]},"
+      "{\"id\":2,\"point\":[[0,1],[3]]}],\"advance\":1.5}",
+      "{\"op\":\"fleet_query\",\"fleet\":\"fleet-1\"}",
+  };
+  std::string query;
+  for (const char* line : lines) {
+    StatusOr<std::string> response = fleets.handle(parse(line).value());
+    ASSERT_TRUE(response.is_ok()) << response.status().to_string();
+    query = response.value();
+  }
+  const std::map<std::uint64_t, Trajectory> members = {
+      {5, Trajectory({Polynomial({4.0, -1.0}), Polynomial({0.0})})},
+      {2, Trajectory({Polynomial({0.0, 1.0}), Polynomial({3.0})})},
+  };
+  EXPECT_EQ(fleet_oracle_mismatch(query, members, 1.5, /*k=*/1), "") << query;
+
+  const std::size_t digit = query.find("\"key\":\"") + 7;
+  ASSERT_LT(digit, query.size());
+  std::string changed = query;
+  changed[digit] = changed[digit] == '0' ? '1' : '0';
+  EXPECT_NE(fleet_oracle_mismatch(changed, members, 1.5, /*k=*/1), "");
 }
 
 }  // namespace

@@ -1,22 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
-#include <csignal>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "dyncg/motion.hpp"
-#include "envelope/dynamic_envelope.hpp"
-#include "envelope/scenario_key.hpp"
-#include "serve/fleet.hpp"
-#include "serve/protocol.hpp"
+#include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "support/json.hpp"
 #include "support/status.hpp"
@@ -25,7 +16,7 @@
 // (docs/ROBUSTNESS.md#serving-resilience): admission boundaries at
 // queue_cap / max_conns / max_line, deadline budgets, graceful drain,
 // slow-client defenses.  Each test runs a real Server on its own thread,
-// speaks the wire protocol over loopback sockets, and asserts exact
+// speaks the wire protocol through serve::Client, and asserts exact
 // response sequences — the protocol-level contracts the shell-script gates
 // (serve_e2e.sh, serve_chaos.sh) can only probe statistically.
 namespace dyncg {
@@ -58,68 +49,6 @@ class TestServer {
   Server server_;
   Status status_ = Status::ok();
   std::thread thread_;
-};
-
-// Blocking loopback client with line framing.
-class Client {
- public:
-  explicit Client(int port, int rcvbuf = 0) {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return;
-    if (rcvbuf > 0) {
-      setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      close(fd_);
-      fd_ = -1;  // send_raw/recv_line fail loudly in the test body
-    }
-  }
-  ~Client() {
-    if (fd_ >= 0) close(fd_);
-  }
-
-  // Send raw bytes (the caller supplies newlines, so several requests can
-  // go out in one write and land in one server read burst).
-  bool send_raw(const std::string& bytes) {
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      ssize_t n = write(fd_, bytes.data() + off, bytes.size() - off);
-      if (n <= 0) return false;
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  // Next response line; empty string on EOF / reset.
-  std::string recv_line() {
-    for (;;) {
-      std::size_t nl = buf_.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buf_.substr(0, nl);
-        buf_.erase(0, nl + 1);
-        return line;
-      }
-      char chunk[65536];
-      ssize_t n = read(fd_, chunk, sizeof(chunk));
-      if (n <= 0) return "";
-      buf_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  std::string round_trip(const std::string& request) {
-    if (!send_raw(request + "\n")) return "";
-    return recv_line();
-  }
-
-  int fd() const { return fd_; }
-
- private:
-  int fd_ = -1;
-  std::string buf_;
 };
 
 std::string status_of(const std::string& response) {
@@ -189,7 +118,7 @@ TEST(ServeAdmission, QueueCapShedsOldestFirst) {
   for (int i = 1; i <= 6; ++i) {
     burst += "{\"op\":\"ping\",\"id\":" + std::to_string(i) + "}\n";
   }
-  ASSERT_TRUE(c.send_raw(burst));
+  ASSERT_TRUE(c.send(burst));
   std::vector<std::string> responses;
   for (int i = 0; i < 6; ++i) responses.push_back(c.recv_line());
 
@@ -227,6 +156,37 @@ TEST(ServeAdmission, ConnLimitBoundary) {
   }
 }
 
+// --- degenerate scenarios ----------------------------------------------------
+
+// Well-formed lines whose scenario the algorithms cannot take: one point for
+// the ops that need two, and a query point sharing its trajectory with
+// another (the distinct-trajectory assumption of the paper's Section 2.4).
+// Each is one INVALID_ARGUMENT answer; the server and the connection carry
+// on.
+TEST(ServeErrors, DegenerateScenariosAreInvalidArguments) {
+  ServerOptions opt;
+  TestServer ts(opt);
+  Client c(ts.port());
+  const std::string lines[] = {
+      "{\"op\":\"pairs\",\"scenario\":{\"n\":1}}",
+      "{\"op\":\"contain\",\"scenario\":{\"n\":1}}",
+      "{\"op\":\"steady\",\"scenario\":{\"n\":1}}",
+      "{\"op\":\"collisions\",\"scenario\":"
+      "{\"points\":[[[0],[0]],[[0],[0]]],\"d\":2}}",
+  };
+  std::string burst;
+  for (const std::string& line : lines) burst += line + "\n";
+  burst += "{\"op\":\"ping\"}\n";
+  ASSERT_TRUE(c.send(burst));
+  for (const std::string& line : lines) {
+    std::string r = c.recv_line();
+    EXPECT_EQ(status_of(r), "INVALID_ARGUMENT") << line << " -> " << r;
+  }
+  std::string pong = c.recv_line();
+  EXPECT_EQ(status_of(pong), "OK") << pong;
+  EXPECT_EQ(stat_counter(c, "errors"), 4u);
+}
+
 // --- deadlines ---------------------------------------------------------------
 
 TEST(ServeDeadline, ExpiredAtDequeueWithoutTouchingCache) {
@@ -238,7 +198,7 @@ TEST(ServeDeadline, ExpiredAtDequeueWithoutTouchingCache) {
   const char* victim =
       "{\"op\":\"neighbor\",\"id\":\"v\",\"scenario\":"
       "{\"seed\":7,\"n\":6,\"k\":1},\"deadline_ms\":1}";
-  ASSERT_TRUE(c.send_raw(heavy(1) + "\n" + victim + "\n"));
+  ASSERT_TRUE(c.send(heavy(1) + "\n" + victim + "\n"));
   std::string first = c.recv_line();
   EXPECT_EQ(status_of(first), "OK") << first;
   std::string second = c.recv_line();
@@ -267,7 +227,7 @@ TEST(ServeDeadline, ServerDefaultAppliesAndPerRequestOverrides) {
   // how fast it reaches the front — only the victim's fate is pinned).
   const char* victim =
       "{\"op\":\"ping\",\"id\":\"inherit\"}";
-  ASSERT_TRUE(c.send_raw(heavy(2) + "\n" + victim + "\n"));
+  ASSERT_TRUE(c.send(heavy(2) + "\n" + victim + "\n"));
   (void)c.recv_line();  // heavy: OK or DEADLINE_EXCEEDED, both legal
   std::string second = c.recv_line();
   EXPECT_EQ(status_of(second), "DEADLINE_EXCEEDED") << second;
@@ -276,7 +236,7 @@ TEST(ServeDeadline, ServerDefaultAppliesAndPerRequestOverrides) {
   // A generous per-request deadline_ms overrides the tight default.
   std::string ride =
       "{\"op\":\"ping\",\"id\":\"override\",\"deadline_ms\":60000}";
-  ASSERT_TRUE(c.send_raw(heavy(3) + "\n" + ride + "\n"));
+  ASSERT_TRUE(c.send(heavy(3) + "\n" + ride + "\n"));
   (void)c.recv_line();
   std::string fourth = c.recv_line();
   EXPECT_EQ(status_of(fourth), "OK") << fourth;
@@ -301,7 +261,7 @@ TEST(ServeCache, KeyEvictedEarlierInItsBatchIsRecomputed) {
   EXPECT_EQ(status_of(c.round_trip(request(1))), "OK");  // caches seed 1
 
   // One burst, one batch: seed 2 misses and its insert evicts seed 1.
-  ASSERT_TRUE(c.send_raw(request(2) + "\n" + request(1) + "\n"));
+  ASSERT_TRUE(c.send(request(2) + "\n" + request(1) + "\n"));
   std::string second = c.recv_line();
   std::string first_again = c.recv_line();
   EXPECT_EQ(status_of(second), "OK") << second;
@@ -326,7 +286,7 @@ TEST(ServeDrain, RejectsNewWorkFinishesQueuedAndExitsOk) {
   // observe the draining rejection deterministically.
   std::string burst;
   for (int i = 0; i < 30; ++i) burst += heavy(100 + i) + "\n";
-  ASSERT_TRUE(c.send_raw(burst));
+  ASSERT_TRUE(c.send(burst));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   ts.server().request_drain();
   // The drain flag is observed between batches; this line arrives while
@@ -335,7 +295,7 @@ TEST(ServeDrain, RejectsNewWorkFinishesQueuedAndExitsOk) {
   // response is rendered after the heavies' (the batch loop does not poll),
   // so it is read last.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  ASSERT_TRUE(c.send_raw("{\"op\":\"ping\",\"id\":\"late\"}\n"));
+  ASSERT_TRUE(c.send("{\"op\":\"ping\",\"id\":\"late\"}\n"));
 
   // All 30 queued heavies still complete OK, in order...
   int ok = 0;
@@ -363,7 +323,7 @@ TEST(ServeDrain, BudgetExpiryShedsRemainingWork) {
 
   std::string burst;
   for (int i = 0; i < 30; ++i) burst += heavy(200 + i) + "\n";
-  ASSERT_TRUE(c.send_raw(burst));
+  ASSERT_TRUE(c.send(burst));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   ts.server().request_drain();
 
@@ -421,22 +381,14 @@ TEST(ServeFleet, LifecycleMatchesOracleAndStatsTrackSessions) {
   // The served envelope must be byte-identical to the from-scratch oracle
   // over the same member set — the correctness contract of the maintained
   // merge tree, checked here through the full wire path.
-  const Trajectory ref = fleet_origin(2);
-  std::vector<std::pair<std::uint64_t, Polynomial>> members;
-  members.emplace_back(
-      5, fleet_score(
-             Trajectory({Polynomial({4.0, -1.0}), Polynomial({0.0})}), ref));
-  members.emplace_back(
-      2, fleet_score(
-             Trajectory({Polynomial({0.0, 1.0}), Polynomial({3.0})}), ref));
-  DynamicEnvelope oracle =
-      canonical_rebuild(members, 1.5, /*take_min=*/true, fleet_s_bound(1));
+  const std::map<std::uint64_t, Trajectory> members = {
+      {5, Trajectory({Polynomial({4.0, -1.0}), Polynomial({0.0})})},
+      {2, Trajectory({Polynomial({0.0, 1.0}), Polynomial({3.0})})},
+  };
   std::string query =
       c.round_trip("{\"op\":\"fleet_query\",\"fleet\":\"fleet-1\"}");
   ASSERT_EQ(status_of(query), "OK") << query;
-  EXPECT_EQ(field_of(query, "result"), oracle.result_string()) << query;
-  EXPECT_EQ(field_of(query, "key"),
-            fingerprint_hex(oracle.state_fingerprint()));
+  EXPECT_EQ(fleet_oracle_mismatch(query, members, 1.5, /*k=*/1), "") << query;
 
   std::string closed =
       c.round_trip("{\"op\":\"fleet_close\",\"fleet\":\"fleet-1\"}");
@@ -564,7 +516,7 @@ TEST(ServeFleet, PipelinedBurstKeepsArrivalOrder) {
       "\"insert\":[{\"id\":1,\"point\":[[1],[1]]}]}\n";
   burst += "{\"op\":\"fleet_query\",\"id\":4,\"fleet\":\"fleet-1\"}\n";
   burst += "{\"op\":\"fleet_close\",\"id\":5,\"fleet\":\"fleet-1\"}\n";
-  ASSERT_TRUE(c.send_raw(burst));
+  ASSERT_TRUE(c.send(burst));
   for (int i = 1; i <= 5; ++i) {
     std::string r = c.recv_line();
     EXPECT_EQ(status_of(r), "OK") << r;
@@ -589,7 +541,7 @@ TEST(ServeSlowClient, OutputBufferOverflowDisconnects) {
   for (int i = 0; i < 500; ++i) {
     burst += "{\"op\":\"ping\",\"id\":" + std::to_string(i) + "}\n";
   }
-  ASSERT_TRUE(c.send_raw(burst));
+  ASSERT_TRUE(c.send(burst));
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   int got = 0;
   while (!c.recv_line().empty()) ++got;
@@ -609,7 +561,7 @@ TEST(ServeSlowClient, StallTimeoutReapsIdleConnectionsOnly) {
   Client active(ts.port());
   // `stalled` sends half a line and goes quiet; `active` keeps making
   // progress across several stall windows and must be spared.
-  ASSERT_TRUE(stalled.send_raw("{\"op\":\"ping\","));
+  ASSERT_TRUE(stalled.send("{\"op\":\"ping\","));
   for (int i = 0; i < 6; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     EXPECT_EQ(status_of(active.round_trip("{\"op\":\"ping\"}")), "OK");

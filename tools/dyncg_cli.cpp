@@ -49,20 +49,12 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "dyncg/allpairs.hpp"
-#include "dyncg/collision.hpp"
 #include "dyncg/motion_io.hpp"
-#include "dyncg/containment.hpp"
-#include "dyncg/hull_membership.hpp"
-#include "dyncg/proximity.hpp"
 #include "envelope/parallel_envelope.hpp"
 #include "machine/faults.hpp"
-#include "machine/other_topologies.hpp"
-#include "pieces/envelope_serial.hpp"
-#include "steady/machine_geometry.hpp"
+#include "serve/engine.hpp"
 #include "support/fatal.hpp"
 #include "support/rng.hpp"
 #include "support/status.hpp"
@@ -91,7 +83,8 @@ struct Options {
 };
 
 // Fault plan attached to every machine the commands build (set from
-// --faults), and whether to print the counters afterwards.
+// --faults; the DYNCG_FAULTS plan is picked up by the Machine constructor
+// on its own), and whether to print the counters afterwards.
 const FaultPlan* g_cli_faults = nullptr;
 bool g_fault_report = false;
 // --trace-out path, visible to the fatal-flush hook.
@@ -226,23 +219,6 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
-Machine make_machine(const Options& o, std::size_t capacity) {
-  if (o.machine == "mesh") return Machine(make_mesh_for(capacity));
-  if (o.machine == "hypercube") return Machine(make_hypercube_for(capacity));
-  if (o.machine == "ccc") return Machine(make_ccc_for(capacity));
-  if (o.machine == "shuffle") {
-    return Machine(make_shuffle_exchange_for(capacity));
-  }
-  std::fprintf(stderr, "unknown machine '%s'\n", o.machine.c_str());
-  std::exit(2);
-}
-
-// Attach the --faults plan (the DYNCG_FAULTS env plan is picked up by the
-// Machine constructor on its own).
-void arm(Machine& m) {
-  if (g_cli_faults != nullptr) m.set_fault_plan(g_cli_faults);
-}
-
 // Print a library Status error and return its process exit code.
 int fail(const Status& st) {
   std::fprintf(stderr, "error: %s\n", st.to_string().c_str());
@@ -261,108 +237,38 @@ StatusOr<MotionSystem> make_system(const Options& o) {
   return random_motion_system(rng, o.n, o.d, o.k);
 }
 
-int cmd_neighbor(const Options& o) {
-  StatusOr<MotionSystem> sys = make_system(o);
-  if (!sys.is_ok()) return fail(sys.status());
-  int s = std::max(1, 2 * sys.value().motion_degree());
-  Machine m =
-      make_machine(o, lambda_upper_bound(ceil_pow2(sys.value().size()), s));
-  arm(m);
-  CostMeter meter(m.ledger());
-  StatusOr<NeighborSequence> seq =
-      try_neighbor_sequence(m, sys.value(), o.query, o.farthest);
-  if (!seq.is_ok()) return fail(seq.status());
-  std::printf("%s\n", seq.value().to_string().c_str());
-  report_cost(m, meter.elapsed());
-  return 0;
-}
-
-int cmd_pairs(const Options& o) {
-  StatusOr<MotionSystem> sys = make_system(o);
-  if (!sys.is_ok()) return fail(sys.status());
-  Machine m = o.machine == "mesh" ? allpairs_machine_mesh(sys.value())
-                                  : allpairs_machine_hypercube(sys.value());
-  arm(m);
-  CostMeter meter(m.ledger());
-  PairSequence seq = closest_pair_sequence(m, sys.value(), o.farthest);
-  std::printf("%s\n", seq.to_string().c_str());
-  report_cost(m, meter.elapsed());
-  return 0;
-}
-
-int cmd_collisions(const Options& o) {
-  StatusOr<MotionSystem> sys = make_system(o);
-  if (!sys.is_ok()) return fail(sys.status());
-  Machine m = make_machine(o, sys.value().size());
-  arm(m);
-  CostMeter meter(m.ledger());
-  StatusOr<CollisionReport> rep = try_collision_times(m, sys.value(), o.query);
-  if (!rep.is_ok()) return fail(rep.status());
-  if (rep.value().events.empty()) {
-    std::printf("no collisions for P%zu\n", o.query);
-  }
-  for (const CollisionEvent& e : rep.value().events) {
-    std::printf("t = %10.4f  P%zu <-> P%zu\n", e.time, o.query, e.other);
-  }
-  report_cost(m, meter.elapsed());
-  return 0;
-}
-
-int cmd_hullwhen(const Options& o) {
-  StatusOr<MotionSystem> sys = make_system(o);
-  if (!sys.is_ok()) return fail(sys.status());
-  Machine m = o.machine == "mesh"
-                  ? hull_membership_machine_mesh(sys.value())
-                  : hull_membership_machine_hypercube(sys.value());
-  arm(m);
-  CostMeter meter(m.ledger());
-  StatusOr<IntervalSet> hit =
-      try_hull_membership_intervals(m, sys.value(), o.query);
-  if (!hit.is_ok()) return fail(hit.status());
-  std::printf("P%zu is a hull vertex during %s\n", o.query,
-              hit.value().to_string().c_str());
-  report_cost(m, meter.elapsed());
-  return 0;
-}
-
-int cmd_contain(const Options& o) {
-  StatusOr<MotionSystem> sys = make_system(o);
-  if (!sys.is_ok()) return fail(sys.status());
-  Machine m = o.machine == "mesh"
-                  ? containment_machine_mesh(sys.value())
-                  : containment_machine_hypercube(sys.value());
-  arm(m);
-  CostMeter meter(m.ledger());
-  if (!o.box.empty()) {
-    std::vector<double> dims = o.box;
-    dims.resize(sys.value().dimension(), o.box.back());
-    StatusOr<IntervalSet> J = try_containment_intervals(m, sys.value(), dims);
-    if (!J.is_ok()) return fail(J.status());
-    std::printf("fits the box during %s\n", J.value().to_string().c_str());
+// The six query commands answer through the serving engine, so CLI stdout
+// and served results are the same text (serve/engine.hpp).
+int cmd_query(const Options& o, serve::Op op) {
+  serve::Request req;
+  req.op = op;
+  req.machine = o.machine;
+  req.query = o.query;
+  req.farthest = o.farthest;
+  if (op == serve::Op::kSteady) {
+    // The survey builds its own diverging motion; --d and --file are unused.
+    Rng rng(o.seed);
+    req.system = diverging_motion_system(rng, o.n, std::max(1, o.k));
   } else {
-    SmallestCube cube = smallest_enclosing_cube(m, sys.value());
-    std::printf("smallest enclosing cube: edge %.4f at t = %.4f\n", cube.edge,
-                cube.time);
+    StatusOr<MotionSystem> sys = make_system(o);
+    if (!sys.is_ok()) return fail(sys.status());
+    req.system = std::move(sys).value();
   }
-  report_cost(m, meter.elapsed());
-  return 0;
-}
-
-int cmd_steady(const Options& o) {
-  Rng rng(o.seed);
-  MotionSystem sys = diverging_motion_system(rng, o.n, std::max(1, o.k));
-  Machine m = make_machine(o, o.n);
-  arm(m);
-  CostMeter meter(m.ledger());
-  std::printf("steady NN of P%zu: P%zu\n", o.query,
-              machine_steady_neighbor(m, sys, o.query, o.farthest));
-  auto hull = machine_steady_hull_ids(m, sys);
-  std::printf("steady hull: ");
-  for (std::size_t id : hull) std::printf("P%zu ", id);
-  std::printf("\n");
-  auto far = machine_steady_farthest_pair(m, sys);
-  std::printf("steady farthest pair: (P%zu, P%zu)\n", far.a, far.b);
-  report_cost(m, meter.elapsed());
+  if (op == serve::Op::kContain && !o.box.empty()) {
+    req.has_box = true;
+    req.box = serve::fit_box(o.box, req.system->dimension());
+  }
+  if (g_cli_faults != nullptr) {
+    req.has_faults = true;
+    req.faults = *g_cli_faults;
+  }
+  StatusOr<Machine> m = serve::query_machine(req);
+  if (!m.is_ok()) return fail(m.status());
+  CostMeter meter(m.value().ledger());
+  StatusOr<std::string> text = serve::answer_query(m.value(), req);
+  if (!text.is_ok()) return fail(text.status());
+  std::fputs(text.value().c_str(), stdout);
+  report_cost(m.value(), meter.elapsed());
   return 0;
 }
 
@@ -375,8 +281,9 @@ int cmd_envelope(const Options& o) {
     fns.push_back(Polynomial(c));
   }
   PolyFamily fam(std::move(fns));
-  Machine m = make_machine(o, lambda_upper_bound(ceil_pow2(o.n), o.k));
-  arm(m);
+  Machine m =
+      serve::make_machine(o.machine, lambda_upper_bound(ceil_pow2(o.n), o.k));
+  if (g_cli_faults != nullptr) m.set_fault_plan(g_cli_faults);
   CostMeter meter(m.ledger());
   StatusOr<PiecewiseFn> env =
       try_parallel_envelope(m, fam, std::max(1, o.k),
@@ -390,7 +297,7 @@ int cmd_envelope(const Options& o) {
 }
 
 int cmd_topo(const Options& o) {
-  Machine m = make_machine(o, o.n);
+  Machine m = serve::make_machine(o.machine, o.n);
   const Topology& t = m.topology();
   std::printf("%s: %zu PEs, diameter %zu, unit shift %u rounds\n",
               t.name().c_str(), t.size(), t.diameter(), t.shift_rounds());
@@ -405,12 +312,10 @@ int cmd_topo(const Options& o) {
 }  // namespace
 
 int run_command(const Options& o, const char* argv0) {
-  if (o.command == "neighbor") return cmd_neighbor(o);
-  if (o.command == "pairs") return cmd_pairs(o);
-  if (o.command == "collisions") return cmd_collisions(o);
-  if (o.command == "hullwhen") return cmd_hullwhen(o);
-  if (o.command == "contain") return cmd_contain(o);
-  if (o.command == "steady") return cmd_steady(o);
+  for (serve::Op op : serve::kAllOps) {
+    if (serve::is_admin_op(op) || serve::is_fleet_op(op)) continue;
+    if (o.command == serve::op_name(op)) return cmd_query(o, op);
+  }
   if (o.command == "envelope") return cmd_envelope(o);
   if (o.command == "topo") return cmd_topo(o);
   std::fprintf(stderr, "error: unknown command '%s'\n", o.command.c_str());

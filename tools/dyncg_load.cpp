@@ -28,9 +28,9 @@
 // server actually forms multi-request batches (the determinism fixture
 // uses this to exercise parallel batch compute).
 //
-// Either mode, --oracle: every OK response's `result` is byte-compared
-// against an in-process recompute through the same serve::run_query the
-// server uses; a mismatch means the daemon served wrong bytes and exits 7.
+// Either mode, --oracle: every response must pass serve::oracle_mismatch —
+// an OK answer byte-identical (key, machine, cost, result) to the rendering
+// of an in-process serve::run_query, no OK for a rejected line — or exit 7.
 //
 // Stream mode (--stream N): opens one fleet session (d=2, k=1, --machine)
 // and drives N seeded randomized fleet_update batches — inserts (sometimes
@@ -38,10 +38,10 @@
 // advances — mirroring the member set client-side.  All coefficients are
 // small integers and advances are multiples of 1/1024, so every value
 // round-trips exactly through the JSON wire.  Every few steps (and at the
-// end) a fleet_query is byte-compared against an in-process from-scratch
-// oracle (envelope/dynamic_envelope.hpp canonical_rebuild over the mirrored
-// members): `result` and the fingerprint `key` must match exactly, or the
-// maintained merge tree diverged from the rebuild contract — exit 7.
+// end) a fleet_query is checked by serve::fleet_oracle_mismatch against a
+// from-scratch canonical_rebuild over the mirrored members: `result` and
+// the fingerprint `key` must match exactly, or the maintained merge tree
+// diverged from the rebuild contract — exit 7.
 // Update-latency percentiles (p50/p99 ms, host-noisy) print at the end.
 //
 // Options:
@@ -71,18 +71,12 @@
 // request is printed so the failure is attributable).  SIGPIPE is ignored
 // so a write into a dead socket reports code 8 instead of killing the
 // process silently.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -90,10 +84,7 @@
 #include <vector>
 
 #include "dyncg/motion.hpp"
-#include "envelope/dynamic_envelope.hpp"
-#include "envelope/scenario_key.hpp"
-#include "serve/engine.hpp"
-#include "serve/fleet.hpp"
+#include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "support/build_info.hpp"
 #include "support/json.hpp"
@@ -126,61 +117,6 @@ long parse_long(const std::string& flag, const char* tok, long min_value,
   }
   return v;
 }
-
-// Blocking line-oriented client socket.
-class Client {
- public:
-  bool connect_to(int port) {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    // The server may still be between fork and listen; retry briefly.
-    for (int attempt = 0; attempt < 50; ++attempt) {
-      if (connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
-          0) {
-        return true;
-      }
-      usleep(100 * 1000);
-    }
-    return false;
-  }
-  ~Client() {
-    if (fd_ >= 0) close(fd_);
-  }
-
-  bool send_line(const std::string& line) {
-    std::string out = line + "\n";
-    std::size_t off = 0;
-    while (off < out.size()) {
-      ssize_t n = write(fd_, out.data() + off, out.size() - off);
-      if (n <= 0) return false;
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  bool recv_line(std::string* line) {
-    for (;;) {
-      std::size_t nl = buf_.find('\n');
-      if (nl != std::string::npos) {
-        *line = buf_.substr(0, nl);
-        buf_.erase(0, nl + 1);
-        return true;
-      }
-      char chunk[65536];
-      ssize_t n = read(fd_, chunk, sizeof(chunk));
-      if (n <= 0) return false;
-      buf_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buf_;
-};
 
 struct ResponseFacts {
   bool ok = false;
@@ -233,27 +169,7 @@ int connection_lost(const std::string& request_line) {
   return 8;
 }
 
-// --oracle: recompute the request in-process and byte-compare.
-bool oracle_check(const std::string& request_line,
-                  const ResponseFacts& facts) {
-  StatusOr<serve::Request> req = serve::parse_request(request_line);
-  if (!req.is_ok()) return !facts.ok;  // both sides must reject
-  const serve::Request& r = req.value();
-  if (serve::is_admin_op(r.op)) return true;
-  StatusOr<serve::CachedResult> want = serve::run_query(r);
-  if (!want.is_ok()) return !facts.ok;
-  return facts.ok && facts.result == want.value().text;
-}
-
 // ---- stream mode helpers ----
-
-// %.17g, so every double placed on the wire parses back to the same bits
-// (the stream generator only emits integers and 1/1024 multiples anyway).
-std::string exact_num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 // A fleet member for the session's d=2, k=1 shape: two affine coordinates
 // with small integer coefficients — exact on the wire and cheap to cross.
@@ -275,37 +191,11 @@ void append_point_json(std::string* out, const Trajectory& t) {
     const Polynomial& poly = t.coordinate(c);
     for (int i = 0; i <= std::max(poly.degree(), 0); ++i) {
       if (i > 0) *out += ',';
-      *out += exact_num(poly.coefficient(i));
+      *out += serve::exact_double(poly.coefficient(i));
     }
     *out += ']';
   }
   *out += ']';
-}
-
-// Byte-compare one fleet_query response against the from-scratch oracle
-// over the mirrored member set.  A divergence here is the failure the whole
-// mode exists to catch: the server's maintained merge tree no longer equals
-// the canonical rebuild.
-bool stream_oracle_check(const std::string& response,
-                         const std::map<std::uint64_t, Trajectory>& mirror,
-                         const Trajectory& ref, double now) {
-  json::Value v;
-  if (!json::parse(response, &v)) return false;
-  const json::Value* result = v.find("result");
-  const json::Value* key = v.find("key");
-  if (result == nullptr || !result->is_string() || key == nullptr ||
-      !key->is_string()) {
-    return false;
-  }
-  std::vector<std::pair<std::uint64_t, Polynomial>> members;
-  members.reserve(mirror.size());
-  for (const auto& [id, point] : mirror) {
-    members.emplace_back(id, serve::fleet_score(point, ref));
-  }
-  DynamicEnvelope oracle = canonical_rebuild(members, now, /*take_min=*/true,
-                                             serve::fleet_s_bound(1));
-  return result->string == oracle.result_string() &&
-         key->string == fingerprint_hex(oracle.state_fingerprint());
 }
 
 double percentile(std::vector<double> sorted_ms, double p) {
@@ -325,20 +215,6 @@ std::uint64_t percentile_u64(const std::vector<std::uint64_t>& sorted,
   std::size_t idx = static_cast<std::size_t>(
       p * static_cast<double>(sorted.size() - 1) + 0.5);
   return sorted[std::min(idx, sorted.size() - 1)];
-}
-
-std::string stamp_git_rev() {
-#if defined(DYNCG_SOURCE_DIR)
-  const char* src = DYNCG_SOURCE_DIR;
-#else
-  const char* src = nullptr;
-#endif
-#if defined(DYNCG_GIT_REV)
-  const char* baked = DYNCG_GIT_REV;
-#else
-  const char* baked = nullptr;
-#endif
-  return git_revision(src, baked);
 }
 
 }  // namespace
@@ -440,25 +316,14 @@ int main(int argc, char** argv) {
   }
 
   if (port < 0 && port_file.empty()) usage();
+  port = serve::resolve_port(port, port_file);
   if (port < 0) {
-    // The server writes the file after binding; poll briefly.
-    for (int attempt = 0; attempt < 100 && port < 0; ++attempt) {
-      std::ifstream in(port_file);
-      int p = 0;
-      if (in >> p && p > 0) {
-        port = p;
-        break;
-      }
-      usleep(100 * 1000);
-    }
-    if (port < 0) {
-      std::fprintf(stderr, "error: no port in %s\n", port_file.c_str());
-      return 1;
-    }
+    std::fprintf(stderr, "error: no port in %s\n", port_file.c_str());
+    return 1;
   }
 
-  Client client;
-  if (!client.connect_to(port)) {
+  serve::Client client(port);
+  if (!client.connected()) {
     std::fprintf(stderr, "error: cannot connect to 127.0.0.1:%d\n", port);
     return 1;
   }
@@ -490,7 +355,7 @@ int main(int argc, char** argv) {
     int rc = 0;
     if (pipeline) {
       for (const std::string& l : lines) {
-        if (!client.send_line(l)) {
+        if (!client.send(l + "\n")) {
           rc = connection_lost(l);
           break;
         }
@@ -499,8 +364,8 @@ int main(int argc, char** argv) {
     for (std::size_t li = 0; li < lines.size() && rc == 0; ++li) {
       line = lines[li];
       std::string response;
-      if ((!pipeline && !client.send_line(line)) ||
-          !client.recv_line(&response)) {
+      if ((!pipeline && !client.send(line + "\n")) ||
+          (response = client.recv_line()).empty()) {
         // In pipeline mode lines[li] is the oldest request still awaiting
         // its response — exactly the one the server never answered.
         rc = connection_lost(line);
@@ -525,9 +390,10 @@ int main(int argc, char** argv) {
         std::fprintf(out, "%s\n", response.c_str());
       }
       if (oracle) {
-        if (!oracle_check(line, facts)) {
-          std::fprintf(stderr, "error: oracle mismatch for: %s\n",
-                       line.c_str());
+        std::string why = serve::oracle_mismatch(line, response);
+        if (!why.empty()) {
+          std::fprintf(stderr, "error: oracle mismatch for: %s\n  %s\n",
+                       line.c_str(), why.c_str());
           rc = 7;
           break;
         }
@@ -540,7 +406,6 @@ int main(int argc, char** argv) {
   // ---- stream mode ----
   if (stream_steps > 0) {
     Rng rng(stream_seed);
-    const Trajectory ref = serve::fleet_origin(2);
     std::map<std::uint64_t, Trajectory> mirror;  // id -> trajectory
     std::vector<std::uint64_t> live_ids;         // sampling without scans
     double now = 0.0;
@@ -551,9 +416,8 @@ int main(int argc, char** argv) {
 
     auto round_trip_ok = [&](const std::string& line,
                              std::string* response) -> bool {
-      if (!client.send_line(line) || !client.recv_line(response)) {
-        std::exit(connection_lost(line));
-      }
+      *response = client.round_trip(line);
+      if (response->empty()) std::exit(connection_lost(line));
       json::Value v;
       const json::Value* status = nullptr;
       if (!json::parse(*response, &v) ||
@@ -594,11 +458,13 @@ int main(int argc, char** argv) {
                      response.c_str());
         std::exit(5);
       }
-      if (!stream_oracle_check(response, mirror, ref, now)) {
+      std::string why =
+          serve::fleet_oracle_mismatch(response, mirror, now, /*k=*/1);
+      if (!why.empty()) {
         std::fprintf(stderr,
                      "error: fleet oracle mismatch at t=%.17g with %zu "
-                     "members: %s\n",
-                     now, mirror.size(), response.c_str());
+                     "members: %s\n  %s\n",
+                     now, mirror.size(), response.c_str(), why.c_str());
         std::exit(7);
       }
       ++checks;
@@ -656,7 +522,7 @@ int main(int argc, char** argv) {
       std::string line = "{\"op\":\"fleet_update\",\"fleet\":\"" + fleet + "\"";
       if (!ins_json.empty()) line += ",\"insert\":[" + ins_json + "]";
       if (!erase_json.empty()) line += ",\"erase\":[" + erase_json + "]";
-      if (do_advance) line += ",\"advance\":" + exact_num(now);
+      if (do_advance) line += ",\"advance\":" + serve::exact_double(now);
       line += '}';
 
       const clock::time_point a = clock::now();
@@ -755,10 +621,8 @@ int main(int argc, char** argv) {
   for (std::size_t rep = 0; rep < repeats; ++rep) {
     for (Probe& p : grid) {
       const clock::time_point a = clock::now();
-      std::string response;
-      if (!client.send_line(p.line) || !client.recv_line(&response)) {
-        return connection_lost(p.line);
-      }
+      std::string response = client.round_trip(p.line);
+      if (response.empty()) return connection_lost(p.line);
       latency_ms.push_back(
           std::chrono::duration<double, std::milli>(clock::now() - a)
               .count());
@@ -778,23 +642,23 @@ int main(int argc, char** argv) {
       }
       if (rep == 0) p.rounds = facts.rounds;
       sim_rounds.push_back(static_cast<std::uint64_t>(facts.rounds));
-      if (oracle && !oracle_check(p.line, facts)) {
-        std::fprintf(stderr, "error: oracle mismatch for: %s\n",
-                     p.line.c_str());
-        return 7;
+      if (oracle) {
+        std::string why = serve::oracle_mismatch(p.line, response);
+        if (!why.empty()) {
+          std::fprintf(stderr, "error: oracle mismatch for: %s\n  %s\n",
+                       p.line.c_str(), why.c_str());
+          return 7;
+        }
       }
     }
   }
   const double host_seconds =
       std::chrono::duration<double>(clock::now() - t0).count();
 
-  std::string stats_line;
   serve::ServeStats st;
   {
-    if (!client.send_line("{\"op\":\"stats\"}") ||
-        !client.recv_line(&stats_line)) {
-      return connection_lost("{\"op\":\"stats\"}");
-    }
+    const std::string stats_line = client.round_trip("{\"op\":\"stats\"}");
+    if (stats_line.empty()) return connection_lost("{\"op\":\"stats\"}");
     json::Value v;
     const json::Value* stats = nullptr;
     if (!json::parse(stats_line, &v) ||
@@ -822,11 +686,9 @@ int main(int argc, char** argv) {
   // embedded object is byte-stable for the bench gate's exact compare).
   std::string metrics_dump;
   {
-    std::string metrics_line;
-    if (!client.send_line("{\"op\":\"metrics\"}") ||
-        !client.recv_line(&metrics_line)) {
-      return connection_lost("{\"op\":\"metrics\"}");
-    }
+    const std::string metrics_line =
+        client.round_trip("{\"op\":\"metrics\"}");
+    if (metrics_line.empty()) return connection_lost("{\"op\":\"metrics\"}");
     json::Value v;
     const json::Value* m = nullptr;
     if (!json::parse(metrics_line, &v) || (m = v.find("metrics")) == nullptr ||
@@ -870,7 +732,7 @@ int main(int argc, char** argv) {
   w.key("name");
   w.value("serve");
   w.key("git_rev");
-  w.value(stamp_git_rev());
+  w.value(git_revision());
   w.key("config");
   w.begin_object();
   w.key("threads");

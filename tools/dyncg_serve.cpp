@@ -105,20 +105,6 @@ void on_flush_signal(int) {
   std::exit(2);
 }
 
-std::string stamp_git_rev() {
-#if defined(DYNCG_SOURCE_DIR)
-  const char* src = DYNCG_SOURCE_DIR;
-#else
-  const char* src = nullptr;
-#endif
-#if defined(DYNCG_GIT_REV)
-  const char* baked = DYNCG_GIT_REV;
-#else
-  const char* baked = nullptr;
-#endif
-  return git_revision(src, baked);
-}
-
 long parse_long(const std::string& flag, const char* tok, long min_value,
                 long max_value) {
   char* end = nullptr;
@@ -217,7 +203,7 @@ int main(int argc, char** argv) {
 
   if (!trace_out.empty()) trace::enable();
   opt.trace_out = trace_out;
-  opt.git_rev = stamp_git_rev();
+  opt.git_rev = git_revision();
   metrics::enable();  // the serving path is always observable
 
   serve::Server server(opt);

@@ -6,7 +6,10 @@
 #      same scenarios (minus the CLI's trailing cost line);
 #   2. cache counters — after 3 identical passes plus the decode pass the
 #      server must report exactly 9 misses and 27 hits (FIFO cache +
-#      ordered stream = exact counters, docs/SERVING.md#cache);
+#      ordered stream = exact counters, docs/SERVING.md#cache); then the
+#      other four mappings (pairs, hullwhen, steady, contain without a box)
+#      x 3 scenarios decode to the CLI's bytes too, so all six ops are
+#      diffed;
 #   3. error paths    — malformed JSON, unknown ops, out-of-range
 #      scenarios, and over-long lines are rejected with the documented
 #      status names, and the connection stays usable afterwards;
@@ -68,6 +71,27 @@ diff "$dir/want" "$dir/got"
 echo '{"op":"stats","id":"s"}' > "$dir/statreq"
 "$LOAD" --port-file "$dir/port" --send "$dir/statreq" > "$dir/stats"
 grep -q '"hits":27,"misses":9,"evictions":0' "$dir/stats"
+
+# The remaining CLI mappings, after the counter check so its figures stay
+# exact: 12 more requests, decoded, oracle-checked and diffed.
+: > "$dir/more"
+: > "$dir/want2"
+for seed in 1 2 3; do
+  {
+    echo '{"op":"pairs","scenario":{"seed":'$seed',"n":8,"k":1}}'
+    echo '{"op":"hullwhen","scenario":{"seed":'$seed',"n":8,"k":1},"query":2}'
+    echo '{"op":"steady","scenario":{"seed":'$seed',"n":8,"k":1},"query":3}'
+    echo '{"op":"contain","scenario":{"seed":'$seed',"n":8,"k":1}}'
+  } >> "$dir/more"
+  "$CLI" pairs --seed "$seed" --n 8 --k 1 | sed '$d' >> "$dir/want2"
+  "$CLI" hullwhen --seed "$seed" --n 8 --k 1 --query 2 | sed '$d' >> "$dir/want2"
+  "$CLI" steady --seed "$seed" --n 8 --k 1 --query 3 | sed '$d' >> "$dir/want2"
+  "$CLI" contain --seed "$seed" --n 8 --k 1 | sed '$d' >> "$dir/want2"
+done
+"$CHECK" --serve-request "$dir/more" > /dev/null
+"$LOAD" --port-file "$dir/port" --send "$dir/more" --decode --oracle \
+  --results-out "$dir/got2"
+diff "$dir/want2" "$dir/got2"
 
 # --- 3. error paths on a live connection ----------------------------------
 {

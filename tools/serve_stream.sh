@@ -4,8 +4,10 @@
 # session machines, and require every fleet_query to byte-match the
 # in-process from-scratch oracle (dyncg_load exits 7 on divergence).  Also
 # checks the fleet responses against the response-schema validator and that
-# the server survives a member-cap rejection mid-stream, then shuts the
-# daemon down with SIGTERM and requires a clean exit 0.
+# --max-fleet-members reaches the session registry, then shuts the daemon
+# down with SIGTERM and requires a clean exit 0.  A stream never reaches the
+# member cap (it erases once a session passes 256 members), so the cap's
+# rejection is tested in-process by ServeFleet.AdmissionCapsSessionsAndMembers.
 #
 #   serve_stream.sh DYNCG_SERVE DYNCG_LOAD DYNCG_JSON_CHECK
 set -e
@@ -37,6 +39,7 @@ printf '%s\n%s\n%s\n%s\n%s\n' \
   '{"op":"stats"}' > "$dir/req"
 "$LOAD" --port-file "$dir/port" --send "$dir/req" --results-out "$dir/resp"
 "$CHECK" --serve-response "$dir/resp" > /dev/null
+grep -q '"max_members":512' "$dir/resp"
 grep -q '"op":"fleet_query"' "$dir/resp"
 grep -q '"fleets":0' "$dir/resp"
 

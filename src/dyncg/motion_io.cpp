@@ -1,5 +1,7 @@
 #include "dyncg/motion_io.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -68,7 +70,15 @@ StatusOr<MotionSystem> try_motion_from_text(const std::string& text) {
           coords.push_back(Polynomial(cur));
           cur.clear();
         } else {
-          cur.push_back(std::atof(w.c_str()));
+          // The whole token must be one finite double: no partial parses
+          // ("1.5x"), no overflow ("1e999"), no "nan" or "inf".
+          double v = 0.0;
+          const char* end = w.data() + w.size();
+          std::from_chars_result r = std::from_chars(w.data(), end, v);
+          if (r.ec != std::errc() || r.ptr != end || !std::isfinite(v)) {
+            return fail("bad coefficient \"" + w + "\" in motion file point");
+          }
+          cur.push_back(v);
         }
       }
       coords.push_back(Polynomial(cur));

@@ -24,10 +24,14 @@ std::uint64_t bits_of(double v) {
   return b;
 }
 
-void append_hex(std::string& out, std::uint64_t b) {
+void to_hex(char (&buf)[16], std::uint64_t b) {
   static const char* digits = "0123456789abcdef";
-  char buf[16];
   for (int i = 15; i >= 0; --i, b >>= 4) buf[i] = digits[b & 0xf];
+}
+
+void append_hex(std::string& out, std::uint64_t b) {
+  char buf[16];
+  to_hex(buf, b);
   out.append(buf, sizeof buf);
 }
 
@@ -89,20 +93,34 @@ void append_canonical(std::string& out, const Polynomial& p) {
   }
 }
 
-void append_canonical(std::string& out, const Trajectory& t) {
-  for (std::size_t c = 0; c < t.dimension(); ++c) {
-    if (c != 0) out += 'c';
-    append_canonical(out, t.coordinate(c));
-  }
-}
-
-void append_canonical(std::string& out, const MotionSystem& system) {
-  out += 'd';
-  out += std::to_string(system.dimension());
+std::uint64_t append_scenario_key(std::string& out,
+                                  const MotionSystem& system,
+                                  std::uint64_t h) {
+  const std::string dim = 'd' + std::to_string(system.dimension());
+  out += dim;
+  h = fingerprint_bytes(h, dim.data(), dim.size());
+  char hex[16];
   for (std::size_t i = 0; i < system.size(); ++i) {
     out += 'p';
-    append_canonical(out, system.point(i));
+    h = fingerprint_bytes(h, "p", 1);
+    const Trajectory& t = system.point(i);
+    for (std::size_t c = 0; c < t.dimension(); ++c) {
+      if (c != 0) h = fingerprint_bytes(h, "c", 1);
+      const Polynomial& p = t.coordinate(c);
+      std::size_t count = static_cast<std::size_t>(p.degree() + 1);
+      for (; count >= 0x80; count >>= 7) {
+        out += static_cast<char>(0x80 | (count & 0x7f));
+      }
+      out += static_cast<char>(count);
+      for (int j = 0; j <= p.degree(); ++j) {
+        const double v = p.coefficient(j);
+        out.append(reinterpret_cast<const char*>(&v), sizeof v);
+        to_hex(hex, bits_of(v));
+        h = fingerprint_bytes(h, hex, sizeof hex);
+      }
+    }
   }
+  return h;
 }
 
 std::string trajectory_key(const Trajectory& t) {

@@ -21,11 +21,13 @@
 //     key on its bits);
 //   * cheap — O(total coefficients), no geometry.
 //
-// Two forms are provided.  `append_canonical` renders IEEE-754 bit patterns
-// as fixed-width hex into a string: the exact form, used as the cache map
-// key.  `fingerprint` folds the same bytes through 64-bit FNV-1a: the
-// compact form, surfaced in responses/telemetry (the wire `key`) to name
-// an entry without shipping the coefficients back.
+// Three forms are provided.  `append_scenario_key` writes each coefficient's
+// 8 raw IEEE-754 bytes behind its coordinate's coefficient count: the exact
+// form, used as the result-cache map key (8 bytes per coefficient).
+// `append_canonical` renders bit patterns as fixed-width hex: the text form
+// of per-trajectory keys and request boxes.  `fingerprint` folds bytes
+// through 64-bit FNV-1a: the 64-bit name surfaced in responses/telemetry
+// (the wire `key`) to name an entry without shipping the coefficients back.
 namespace dyncg {
 
 inline constexpr std::uint64_t kFingerprintSeed = 0xcbf29ce484222325ull;
@@ -52,15 +54,30 @@ std::uint64_t fingerprint(const MotionSystem& system,
 std::uint64_t fingerprint(const RationalGerm& g,
                           std::uint64_t h = kFingerprintSeed);
 
-// Exact canonical forms: fixed-width hex of each coefficient's bit pattern,
-// with structural delimiters ('c' between coordinates, 'p' between points).
+// Fixed-width hex of each coefficient's bit pattern, constant first (16
+// lowercase digits per double, no delimiters).
 void append_canonical(std::string& out, double v);
 void append_canonical(std::string& out, const Polynomial& p);
-void append_canonical(std::string& out, const Trajectory& t);
-void append_canonical(std::string& out, const MotionSystem& system);
 
-// Per-trajectory canonical key, usable standalone (the whole-scenario forms
-// above are only unambiguous inside a fixed-dimension scenario string):
+// Whole-scenario key, compact and exact.  Appends 'd', the dimension in
+// decimal, then for every point 'p' and, per coordinate, its coefficient
+// count (LEB128, one byte below 128) followed by each coefficient's 8
+// IEEE-754 bytes in host order.  The counts make the encoding
+// self-delimiting, so two systems append the same bytes iff they have the
+// same dimension, point count and degrees and bit-identical coefficients.
+// The bytes never leave the process (host order is enough).
+//
+// Returns `h` folded by FNV-1a with the scenario's hex text, without
+// building it: "d<dim>", then per point 'p' and the coordinates' hex
+// coefficients (append_canonical) joined by 'c'.  That text is the one
+// responses have always fingerprinted, so the wire `key` is unchanged.  It
+// is not self-delimiting ('c' is also a hex digit), which is why it is no
+// longer the cache key.
+std::uint64_t append_scenario_key(std::string& out,
+                                  const MotionSystem& system,
+                                  std::uint64_t h);
+
+// Per-trajectory canonical key, usable standalone, in hex text:
 // dimension prefix plus a `g<count>:` coefficient-count group before each
 // coordinate, so the key is self-delimiting and two trajectories share a
 // key iff every coefficient is bit-identical.  Fleet sessions dedupe

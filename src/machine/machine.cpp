@@ -39,16 +39,17 @@ void Machine::apply_fault_penalty(std::uint64_t r0, std::uint64_t r1) {
         // reruns only when the active fault set changes.
         const std::vector<std::size_t>& path =
             route_cache_.route(*topo_, e.a, e.b, round);
-        std::size_t extra = path.empty() ? kUnreachable : path.size() - 2;
-        if (extra == kUnreachable) {
+        if (path.empty()) {
           char buf[160];
           std::snprintf(buf, sizeof(buf),
                         "unrecoverable fault: downed link %zu-%zu partitions "
                         "the machine (pattern rounds %llu..%llu)",
                         e.a, e.b, static_cast<unsigned long long>(r0),
                         static_cast<unsigned long long>(r1));
-          DYNCG_ASSERT(false, buf);
+          unrecoverable(buf);
+          break;
         }
+        std::size_t extra = path.size() - 2;
         ledger_.add_rounds(extra);
         ++telemetry_.fault_link_down_hits;
         telemetry_.fault_detour_rounds += extra;
@@ -60,9 +61,9 @@ void Machine::apply_fault_penalty(std::uint64_t r0, std::uint64_t r1) {
         std::uint64_t round = e.from_round > r0 ? e.from_round : r0;
         std::size_t spare = remap_spare(*topo_, *faults_, e.a, round);
         if (spare == kUnreachable) {
-          DYNCG_ASSERT(false,
-                       "unrecoverable fault: every PE is down, no spare to "
-                       "remap onto");
+          unrecoverable(
+              "unrecoverable fault: every PE is down, no spare to remap onto");
+          break;
         }
         std::uint64_t dist = topo_->shortest_path(e.a, spare);
         if (!remapped_events_[i]) {
@@ -94,6 +95,11 @@ void Machine::apply_fault_penalty(std::uint64_t r0, std::uint64_t r1) {
       }
     }
   }
+}
+
+void Machine::unrecoverable(const char* what) {
+  DYNCG_ASSERT(record_unrecoverable_, what);
+  if (fault_status_.is_ok()) fault_status_ = Status::unrecoverable(what);
 }
 
 std::string Machine::fault_report() const {

@@ -62,6 +62,15 @@ class Machine {
   }
   const FaultPlan* fault_plan() const { return faults_; }
 
+  // An unrecoverable event (a downed link that partitions the machine, a
+  // downed PE with no live spare) aborts the run by default.  After
+  // record_unrecoverable_faults() the machine instead records the first
+  // such event as an UNRECOVERABLE status, charges nothing for it and runs
+  // on.  The answer is then meaningless: the caller must check
+  // fault_status() before using it, as serve::answer_query does.
+  void record_unrecoverable_faults() { record_unrecoverable_ = true; }
+  const Status& fault_status() const { return fault_status_; }
+
   // Human-readable summary of the faults this machine absorbed (one line
   // per counter; "no faults injected" without a plan).  Used by
   // dyncg_cli --fault-report.
@@ -99,6 +108,8 @@ class Machine {
   // Charge the recovery price of every fault event overlapping the pattern
   // window [r0, r1) on the ledger's round clock.  Defined in machine.cpp.
   void apply_fault_penalty(std::uint64_t r0, std::uint64_t r1);
+  // Aborts with `what`, or records it when record_unrecoverable_ is set.
+  void unrecoverable(const char* what);
 
   std::shared_ptr<const Topology> topo_;
   CostLedger ledger_;
@@ -110,6 +121,8 @@ class Machine {
   // One flag per plan event: has this machine already paid the one-time
   // state migration for that PE-down event?
   std::vector<bool> remapped_events_;
+  bool record_unrecoverable_ = false;
+  Status fault_status_;  // the first recorded unrecoverable event
 };
 
 }  // namespace dyncg

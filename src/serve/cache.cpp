@@ -49,13 +49,14 @@ void ResultCache::insert(const std::string& key, CachedResult value) {
   if (capacity_ == 0) return;
   if (map_.find(key) != map_.end()) return;
   if (map_.size() >= capacity_) {
-    map_.erase(fifo_.front());
+    // Erase through an iterator: fifo_.front() points into the node that
+    // goes away.
+    map_.erase(map_.find(*fifo_.front()));
     fifo_.pop_front();
     ++counters_.evictions;
     cache_metrics().evictions.add();
   }
-  fifo_.push_back(key);
-  map_.emplace(key, std::move(value));
+  fifo_.push_back(&map_.emplace(key, std::move(value)).first->first);
 }
 
 }  // namespace serve

@@ -9,15 +9,16 @@
 
 // Germ/trajectory-keyed result cache for the serving layer.
 //
-// Keys are the exact canonical scenario strings built by
-// serve::parse_request (envelope/scenario_key.hpp): hex IEEE-754 bit
-// patterns of every trajectory coefficient plus the op parameters and the
-// canonical fault spec.  Buckets use the standard library's string hash,
-// which reads the key a word at a time (keys run to tens of KB, and a
-// hit hashes its key twice: contains, then find); the 64-bit FNV-1a
-// fingerprint only names an entry in responses.  Equality is string
-// equality, so a hash collision can degrade lookups but can never serve
-// the wrong bytes.
+// Keys are the exact scenario keys built by serve::parse_request
+// (Request::key): the op parameters and canonical fault spec as text, then
+// every trajectory coefficient's 8 raw IEEE-754 bytes behind per-coordinate
+// counts (envelope/scenario_key.hpp).  Each key is stored once, in its map
+// node; the FIFO points at it there (node addresses survive rehashing).
+// Buckets use the standard library's string hash, which reads the key a
+// word at a time (keys run to KBs, and a hit hashes its key twice:
+// contains, then find); the 64-bit FNV-1a fingerprint only names an entry
+// in responses.  Equality is byte equality, so a hash collision can
+// degrade lookups but can never serve the wrong bytes.
 //
 // Eviction is FIFO by insertion order (not LRU): a lookup never reorders
 // the queue, so the sequence of hits/misses/evictions for a given request
@@ -62,7 +63,8 @@ class ResultCache {
  private:
   std::size_t capacity_;
   std::unordered_map<std::string, CachedResult> map_;
-  std::deque<std::string> fifo_;  // insertion order, front = oldest
+  // Insertion order, front = oldest: the keys inside map_'s nodes.
+  std::deque<const std::string*> fifo_;
   CacheCounters counters_;
 };
 

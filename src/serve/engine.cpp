@@ -115,10 +115,14 @@ StatusOr<Machine> query_machine(const Request& req) {
     }
   }();
   if (req.has_faults) m.set_fault_plan(&req.faults);
+  m.record_unrecoverable_faults();
   return m;
 }
 
-StatusOr<std::string> answer_query(Machine& m, const Request& req) {
+namespace {
+
+// answer_query without the fault check.
+StatusOr<std::string> run_op(Machine& m, const Request& req) {
   const MotionSystem& sys = *req.system;
   std::string text;
   switch (req.op) {
@@ -186,6 +190,16 @@ StatusOr<std::string> answer_query(Machine& m, const Request& req) {
     case Op::kFleetClose:
       return Status::invalid_argument("op carries no scenario to run");
   }
+  return text;
+}
+
+}  // namespace
+
+StatusOr<std::string> answer_query(Machine& m, const Request& req) {
+  StatusOr<std::string> text = run_op(m, req);
+  // The run would have aborted at the recorded event, so it outranks
+  // whatever the driver returned.
+  if (!m.fault_status().is_ok()) return m.fault_status();
   return text;
 }
 

@@ -23,15 +23,19 @@ namespace serve {
 Machine make_machine(const std::string& name, std::size_t capacity);
 
 // The machine req.op runs on, with req's fault plan attached (the machine
-// points into req, so req must outlive it).  Rejects, before any machine is
-// built, scenarios the algorithms cannot take: pairs, contain and steady need
-// at least two points, and steady's query must index one.  Requires
-// req.system (callers never pass admin or fleet ops).
+// points into req, so req must outlive it) and unrecoverable fault events
+// recorded rather than aborted on (Machine::record_unrecoverable_faults).
+// Rejects, before any machine is built, scenarios the algorithms cannot
+// take: pairs, contain and steady need at least two points, and steady's
+// query must index one.  Requires req.system (callers never pass admin or
+// fleet ops).
 StatusOr<Machine> query_machine(const Request& req);
 
 // Runs req.op on `m` and renders the answer: what dyncg_cli prints minus
 // its trailing cost line, trailing '\n' kept.  Errors are the algorithms' own
-// validation statuses, exactly what the CLI exits with.
+// validation statuses, exactly what the CLI exits with, or UNRECOVERABLE
+// when m recorded a fault event its plan cannot recover from (a partition,
+// no live spare).
 StatusOr<std::string> answer_query(Machine& m, const Request& req);
 
 // query_machine + answer_query under a `serve.query` span, recording the

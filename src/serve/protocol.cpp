@@ -276,10 +276,12 @@ void build_key(Request* r) {
     key += r->faults_spec;
   }
   key += "|s";
-  append_canonical(key, *r->system);
+  // The text so far is shared by both forms; the scenario is appended
+  // compactly while its hex form streams into the fingerprint.
+  const std::uint64_t h =
+      fingerprint_bytes(kFingerprintSeed, key.data(), key.size());
+  r->fingerprint = append_scenario_key(key, *r->system, h);
   r->key = std::move(key);
-  r->fingerprint =
-      fingerprint_bytes(kFingerprintSeed, r->key.data(), r->key.size());
 }
 
 }  // namespace

@@ -108,8 +108,13 @@ struct Request {
   // Like "id", it shapes scheduling, not the answer — excluded from `key`.
   std::uint64_t deadline_ms = 0;
   std::optional<MotionSystem> system;  // absent for ping/stats
-  // Canonical cache key (empty for ping/stats) and its 64-bit FNV-1a
-  // fingerprint — the `key` field of responses.
+  // Exact cache key (empty for admin and fleet ops): the text
+  // "op|machine|q<query>|f<0|1>[|b<hex box>][|x<faults>]|s", then the
+  // system as raw coefficient bytes behind per-coordinate counts
+  // (append_scenario_key, envelope/scenario_key.hpp), 8 bytes per
+  // coefficient.  Binary: it never leaves the process.  `fingerprint` is
+  // FNV-1a over the same text with every coefficient as 16 hex digits, the
+  // `key` field of responses (docs/SERVING.md#cache).
   std::string key;
   std::uint64_t fingerprint = 0;
   // Fleet-session fields (fleet_* ops only; serve/fleet.hpp validates the

@@ -7,9 +7,11 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 
 void* counted_malloc(std::size_t size) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size != 0 ? size : 1);
 }
 
@@ -22,6 +24,10 @@ void* counted_new(std::size_t size) {
 
 std::uint64_t dyncg::test::allocations() {
   return g_allocations.load(std::memory_order_relaxed);
+}
+
+std::uint64_t dyncg::test::allocated_bytes() {
+  return g_allocated_bytes.load(std::memory_order_relaxed);
 }
 
 // GCC pairs the replaced deletes with the library's operator new and flags

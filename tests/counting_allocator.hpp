@@ -12,12 +12,14 @@
 // a block from the sanitizer's own nothrow new freed by a replaced delete is
 // an alloc-dealloc mismatch.
 //
-// Counting is process-wide, so a test compares allocations() across a
-// region with no other allocation source (no gtest assertions inside it).
+// Counting is process-wide, so a test compares allocations() (or
+// allocated_bytes(), the sizes requested) across a region with no other
+// allocation source (no gtest assertions inside it).
 namespace dyncg {
 namespace test {
 
 std::uint64_t allocations();
+std::uint64_t allocated_bytes();
 
 }  // namespace test
 }  // namespace dyncg

@@ -689,6 +689,35 @@ TEST(TryMotionIo, ParseErrorsCarryLineNumbers) {
   EXPECT_EQ(ok.value().size(), 2u);
 }
 
+// Each coefficient token must be one whole finite double.
+TEST(TryMotionIo, GarbageCoefficientsAreParseErrors) {
+  for (const char* tok : {"zz", "1.5x", "nan", "inf", "-inf", "1e999", "+1",
+                          "0x10", "1e-400"}) {
+    StatusOr<MotionSystem> got = try_motion_from_text(
+        std::string("dyncg-motion 1\ndim 2\npoint 0 1 ; 2\npoint 3 0 ; 1 ") +
+        tok + "\n");
+    ASSERT_FALSE(got.is_ok()) << tok;
+    EXPECT_EQ(got.status().code(), StatusCode::kParseError) << tok;
+    EXPECT_NE(got.status().message().find(
+                  std::string("line 4: bad coefficient \"") + tok + "\""),
+              std::string::npos)
+        << got.status().message();
+  }
+  // Every form to_text writes still loads, bit for bit: negative zero,
+  // subnormals, 17 significant digits, large exponents.
+  const double values[] = {-0.0, 4.9406564584124654e-324, 0.1, -1e300,
+                           2.2250738585072014e-308};
+  std::vector<Trajectory> points;
+  for (double v : values) {
+    points.push_back(Trajectory(
+        {Polynomial({1.0, v}), Polynomial::constant(v)}));
+  }
+  MotionSystem sys(2, points);
+  StatusOr<MotionSystem> back = try_motion_from_text(to_text(sys));
+  ASSERT_TRUE(back.is_ok()) << back.status().to_string();
+  EXPECT_EQ(to_text(back.value()), to_text(sys));
+}
+
 TEST(TryMotionIo, MissingFilesAreIoErrors) {
   StatusOr<MotionSystem> got =
       try_load_motion_system("/nonexistent/dir/motion.txt");

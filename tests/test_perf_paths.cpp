@@ -332,5 +332,24 @@ TEST(PerfPathsServe, CacheFindAllocatesNothing) {
   EXPECT_EQ(after, before) << "cache lookups allocated";
 }
 
+// An entry holds its key once: inserting a 64 KiB key allocates the key's
+// bytes for the map node's copy and nothing of that size again for the
+// eviction order, with and without an eviction.
+TEST(PerfPathsServe, CacheInsertStoresTheKeyOnce) {
+  serve::ResultCache cache(4);
+  // Warm up: metrics registration, the bucket array, the FIFO's first block.
+  for (char c : {'a', 'b', 'c'}) cache.insert(std::string(64, c), {});
+  for (const char* fill : {"x", "y"}) {  // fills the cache, then evicts
+    const std::string key = fill + std::string(64 * 1024, 'k');
+    serve::CachedResult value{"answer", {}, "mesh", 16};
+    const std::uint64_t before = test::allocated_bytes();
+    cache.insert(key, std::move(value));
+    const std::uint64_t bytes = test::allocated_bytes() - before;
+    EXPECT_GE(bytes, key.size()) << fill;
+    EXPECT_LT(bytes, key.size() + 4096) << fill << ": key stored twice";
+  }
+  EXPECT_EQ(cache.counters().evictions, 1u);
+}
+
 }  // namespace
 }  // namespace dyncg

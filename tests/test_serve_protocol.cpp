@@ -3,7 +3,10 @@
 #include <cstdint>
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <deque>
 #include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -509,6 +512,243 @@ TEST(ScenarioKey, KeyDependsOnEveryOpParameter) {
   EXPECT_EQ(r0.fingerprint, with_id.fingerprint);
 }
 
+// The hex scenario text the wire `key` fingerprints, built here from the
+// request's fields as an independent reference: the request parameters,
+// then 'd' and the dimension, and per point 'p' and the coordinates'
+// coefficients as 16 hex digits each, joined by 'c'.
+std::string hex_key(const Request& r) {
+  auto hex = [](double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(bits));
+    return std::string(buf);
+  };
+  std::string key = std::string(op_name(r.op)) + '|' + r.machine + "|q" +
+                    std::to_string(r.query) + (r.farthest ? "|f1" : "|f0");
+  if (r.has_box) {
+    key += "|b";
+    for (double v : r.box) key += hex(v);
+  }
+  if (r.has_faults) key += "|x" + r.faults_spec;
+  key += "|sd" + std::to_string(r.system->dimension());
+  for (std::size_t i = 0; i < r.system->size(); ++i) {
+    key += 'p';
+    const Trajectory& t = r.system->point(i);
+    for (std::size_t c = 0; c < t.dimension(); ++c) {
+      if (c != 0) key += 'c';
+      const Polynomial& p = t.coordinate(c);
+      for (int j = 0; j <= p.degree(); ++j) key += hex(p.coefficient(j));
+    }
+  }
+  return key;
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) h = (h ^ c) * 0x100000001b3ull;
+  return h;
+}
+
+// {"op":...,"scenario":{"points":...,"d":D}} with every coefficient at
+// %.17g, which round-trips the double (signed zero and subnormals too).
+using Points = std::vector<std::vector<std::vector<double>>>;
+std::string inline_line(const std::string& head, const Points& points,
+                        std::size_t d, const std::string& tail = "") {
+  std::string line = "{" + head + ",\"scenario\":{\"points\":[";
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    line += i ? ",[" : "[";
+    for (std::size_t c = 0; c < points[i].size(); ++c) {
+      line += c ? ",[" : "[";
+      for (std::size_t j = 0; j < points[i][c].size(); ++j) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%s%.17g", j ? "," : "",
+                      points[i][c][j]);
+        line += buf;
+      }
+      line += ']';
+    }
+    line += ']';
+  }
+  return line + "],\"d\":" + std::to_string(d) + "}" + tail + "}";
+}
+
+// The compact key keeps the request text, and the fingerprint streamed
+// while it is built is FNV-1a of the hex reference: the wire `key` did not
+// move.
+void expect_key_forms(const std::string& line) {
+  StatusOr<Request> r = parse(line);
+  ASSERT_TRUE(r.is_ok()) << line << ": " << r.status().to_string();
+  const std::string hex = hex_key(r.value());
+  const std::string text = hex.substr(0, hex.find("|sd") + 2);
+  EXPECT_EQ(r.value().key.compare(0, text.size(), text), 0) << line;
+  EXPECT_EQ(r.value().fingerprint, fnv1a(hex)) << line;
+  // After the text: "d<dim>", then per point 'p', per coordinate a one-byte
+  // count, and 8 bytes per coefficient.
+  const MotionSystem& sys = *r.value().system;
+  std::size_t size = text.size() + 1 + std::to_string(sys.dimension()).size();
+  for (std::size_t i = 0; i < sys.size(); ++i) {
+    size += 1 + sys.dimension();
+    for (std::size_t c = 0; c < sys.dimension(); ++c) {
+      size += 8 * static_cast<std::size_t>(
+                      sys.point(i).coordinate(c).degree() + 1);
+    }
+  }
+  EXPECT_EQ(r.value().key.size(), size) << line;
+}
+
+TEST(ScenarioKey, StreamedFingerprintMatchesHexReference) {
+  const double sub = 4.9406564584124654e-324;  // smallest subnormal
+  const char* neighbor = "\"op\":\"neighbor\"";
+  expect_key_forms(inline_line(neighbor, {{{0.0}, {-0.0, 1}}, {{1}, {2}}}, 2));
+  expect_key_forms(inline_line(
+      neighbor, {{{sub, -sub}, {1e300}}, {{-1e-300}, {2.2250738585072014e-308}}},
+      2));
+  // Trailing zeros trim away (both signs): [1,0,-0] keys as [1].
+  expect_key_forms(inline_line(neighbor, {{{1, 0, -0.0}, {0}}, {{1}, {2}}}, 2));
+  // Dimension 16, degree 16 in every coordinate.
+  std::vector<std::vector<double>> wide(16, std::vector<double>(17));
+  for (std::size_t c = 0; c < 16; ++c) {
+    for (std::size_t j = 0; j < 17; ++j) wide[c][j] = 1.0 + c * 17.0 + j;
+  }
+  expect_key_forms(inline_line(neighbor, {wide, wide}, 16));
+  expect_key_forms(inline_line("\"op\":\"contain\"",
+                               {{{0, 1}, {1}}, {{2}, {0, -1}}}, 2,
+                               ",\"box\":[8.5,-0.0]"));
+  expect_key_forms(inline_line("\"op\":\"collisions\",\"machine\":\"ccc\","
+                               "\"query\":1,\"faults\":\"pe:3@2..9,drop:0-1@4\"",
+                               {{{0, 1}, {1}}, {{2}, {0, -1}}}, 2));
+  expect_key_forms(
+      "{\"op\":\"neighbor\",\"farthest\":true,\"scenario\":{\"seed\":5,"
+      "\"n\":9,\"d\":3,\"k\":2},\"faults\":\"link:0-1@0..\"}");
+  expect_key_forms("{\"op\":\"steady\",\"scenario\":{\"n\":6,\"k\":2}}");
+
+  // Generator and inline forms of one scenario: one key, one fingerprint.
+  Request gen = parse("{\"op\":\"hullwhen\",\"scenario\":{\"seed\":3,\"n\":5,"
+                      "\"d\":3,\"k\":2},\"query\":2}")
+                    .value();
+  Points pts;
+  for (std::size_t i = 0; i < gen.system->size(); ++i) {
+    pts.emplace_back();
+    for (std::size_t c = 0; c < 3; ++c) {
+      const Polynomial& p = gen.system->point(i).coordinate(c);
+      pts.back().emplace_back();
+      for (int j = 0; j <= p.degree(); ++j) {
+        pts.back().back().push_back(p.coefficient(j));
+      }
+    }
+  }
+  Request inl =
+      parse(inline_line("\"op\":\"hullwhen\"", pts, 3, ",\"query\":2")).value();
+  EXPECT_EQ(inl.key, gen.key);
+  EXPECT_EQ(inl.fingerprint, gen.fingerprint);
+  EXPECT_EQ(gen.fingerprint, fnv1a(hex_key(gen)));
+}
+
+// Random scenario over a small value pool, so equal pairs are common:
+// 1-3 points, d 1-3, up to 3 coefficients per coordinate.
+Points random_points(std::mt19937_64& rng, std::size_t d) {
+  static const double pool[] = {0.0, -0.0, 1.0, -1.0, 0.5,
+                                4.9406564584124654e-324, 1e300};
+  Points pts(1 + rng() % 3);
+  for (auto& pt : pts) {
+    pt.resize(d);
+    for (auto& coord : pt) {
+      coord.resize(1 + rng() % 3);
+      for (double& v : coord) v = pool[rng() % 7];
+    }
+  }
+  return pts;
+}
+
+// One small edit: a coefficient value, a coefficient moved to another
+// coordinate, a degree change, or an extra point.
+void mutate(std::mt19937_64& rng, Points* pts) {
+  auto& pt = (*pts)[rng() % pts->size()];
+  auto& coord = pt[rng() % pt.size()];
+  switch (rng() % 4) {
+    case 0:
+      coord[rng() % coord.size()] = (rng() % 2) ? -0.0 : 1.0;
+      break;
+    case 1: {
+      auto& other = pt[rng() % pt.size()];
+      if (&other != &coord && coord.size() > 1) {
+        other.push_back(coord.back());
+        coord.pop_back();
+      }
+      break;
+    }
+    case 2:
+      if (rng() % 2 && coord.size() > 1) {
+        coord.pop_back();
+      } else {
+        coord.push_back(0.5);
+      }
+      break;
+    default:
+      pts->push_back(pts->front());
+      break;
+  }
+}
+
+TEST(ScenarioKey, CompactKeysDifferExactlyWhenHexKeysDiffer) {
+  std::mt19937_64 rng(20);
+  std::size_t equal = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const std::size_t d = 1 + rng() % 3;
+    Points a = random_points(rng, d);
+    Points b = (rng() % 2) ? a : random_points(rng, d);
+    for (int m = static_cast<int>(rng() % 3); m > 0; --m) mutate(rng, &b);
+    Request ra = parse(inline_line("\"op\":\"neighbor\"", a, d)).value();
+    Request rb = parse(inline_line("\"op\":\"neighbor\"", b, d)).value();
+    ASSERT_EQ(ra.key == rb.key, hex_key(ra) == hex_key(rb))
+        << inline_line("\"op\":\"neighbor\"", a, d) << " vs "
+        << inline_line("\"op\":\"neighbor\"", b, d);
+    ASSERT_EQ(ra.fingerprint, fnv1a(hex_key(ra)));
+    equal += ra.key == rb.key;
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(equal, 1000u);
+  EXPECT_LT(equal, 9000u);
+
+  // Targeted near-collisions, each a different scenario under both forms.
+  auto key_of = [](const Points& p) {
+    return parse(inline_line("\"op\":\"neighbor\"", p, 2)).value().key;
+  };
+  const Points base = {{{1, 2}, {3}}, {{4}, {5}}};
+  const Points near[] = {
+      {{{1}, {2, 3}}, {{4}, {5}}},          // coefficient moved over
+      {{{1, 2, 0.5}, {3}}, {{4}, {5}}},     // degree raised
+      {{{1}, {3}}, {{4}, {5}}},             // degree lowered
+      {{{1, 2}, {3}}, {{4}, {5}}, {{4}, {5}}},  // extra point
+      {{{1, 2}, {3}}, {{4}, {5, -0.5}}},    // another coordinate's degree
+  };
+  for (const Points& p : near) EXPECT_NE(key_of(p), key_of(base));
+  EXPECT_NE(key_of({{{-0.0, 1}, {3}}, {{4}, {5}}}),
+            key_of({{{0.0, 1}, {3}}, {{4}, {5}}}));
+  EXPECT_EQ(key_of({{{1, 2, 0}, {3, -0.0}}, {{4}, {5}}}), key_of(base));
+}
+
+// The hex text is not self-delimiting, because the coordinate separator
+// 'c' is also a hex digit: x = [A], y = [B, C] and x = [A, B'], y = [C]
+// read alike when B's bits are 0x000000000000000c and B' = -2.0
+// (0xc000000000000000).  The compact key, with its coefficient counts,
+// tells them apart, so the cache never serves one for the other; only
+// their 64-bit response names coincide.
+TEST(ScenarioKey, CompactKeyTellsApartWhatHexTextConflates) {
+  double b;
+  const std::uint64_t bits = 0xc;
+  std::memcpy(&b, &bits, sizeof b);
+  const Points one = {{{1.5}, {b, 3}}, {{4}, {5}}};
+  const Points two = {{{1.5, -2.0}, {3}}, {{4}, {5}}};
+  Request r1 = parse(inline_line("\"op\":\"neighbor\"", one, 2)).value();
+  Request r2 = parse(inline_line("\"op\":\"neighbor\"", two, 2)).value();
+  EXPECT_EQ(hex_key(r1), hex_key(r2));
+  EXPECT_EQ(r1.fingerprint, r2.fingerprint);
+  EXPECT_NE(r1.key, r2.key);
+}
+
 // --- cache semantics ---------------------------------------------------------
 
 CachedResult result_named(const std::string& text) {
@@ -552,6 +792,87 @@ TEST(ResultCacheTest, ZeroCapacityDisables) {
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.find("k"), nullptr);
   EXPECT_EQ(cache.counters().misses, 1u);
+}
+
+// The cache against the obvious model, a map plus a FIFO of key copies, on
+// random insert/find/contains streams over binary keys (embedded NULs,
+// lengths 1-64).  Hits, misses, evictions and contents agree after every
+// step, so keeping one copy of each key changed nothing observable.
+TEST(ResultCacheTest, MatchesACopyingFifoModel) {
+  struct Model {
+    std::size_t capacity;
+    std::map<std::string, std::string> map;
+    std::deque<std::string> fifo;
+    CacheCounters counters;
+    const std::string* find(const std::string& key) {
+      auto it = map.find(key);
+      if (it == map.end()) {
+        ++counters.misses;
+        return nullptr;
+      }
+      ++counters.hits;
+      return &it->second;
+    }
+    void insert(const std::string& key, const std::string& text) {
+      if (capacity == 0 || map.count(key) != 0) return;
+      if (map.size() >= capacity) {
+        map.erase(fifo.front());
+        fifo.pop_front();
+        ++counters.evictions;
+      }
+      fifo.push_back(key);
+      map.emplace(key, text);
+    }
+  };
+  for (std::size_t capacity : {0, 1, 7, 4096}) {
+    std::mt19937_64 rng(capacity);
+    const std::size_t universe = capacity + capacity / 2 + 3;
+    std::vector<std::string> keys;
+    for (std::size_t i = 0; i < universe; ++i) {
+      std::string k(reinterpret_cast<const char*>(&i), sizeof i);
+      k.resize(1 + rng() % 64, '\0');
+      if (keys.size() > 0 && rng() % 4 == 0) k = keys.back() + '\0';
+      keys.push_back(k);
+    }
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    ResultCache cache(capacity);
+    Model model{capacity, {}, {}, {}};
+    const std::size_t steps = 8 * universe + 64;
+    for (std::size_t step = 0; step < steps; ++step) {
+      const std::string& key = keys[rng() % keys.size()];
+      switch (rng() % 3) {
+        case 0: {
+          const std::string text = "v" + std::to_string(step);
+          cache.insert(key, result_named(text));
+          model.insert(key, text);
+          break;
+        }
+        case 1: {
+          const CachedResult* got = cache.find(key);
+          const std::string* want = model.find(key);
+          ASSERT_EQ(got == nullptr, want == nullptr) << capacity << "@" << step;
+          if (got != nullptr) {
+            ASSERT_EQ(got->text, *want);
+          }
+          break;
+        }
+        default:
+          ASSERT_EQ(cache.contains(key), model.map.count(key) != 0);
+          break;
+      }
+      ASSERT_EQ(cache.counters().hits, model.counters.hits);
+      ASSERT_EQ(cache.counters().misses, model.counters.misses);
+      ASSERT_EQ(cache.counters().evictions, model.counters.evictions);
+      ASSERT_EQ(cache.size(), model.map.size());
+    }
+    for (const std::string& key : keys) {
+      ASSERT_EQ(cache.contains(key), model.map.count(key) != 0);
+    }
+    if (capacity >= 7) {
+      EXPECT_GT(model.counters.evictions, 0u) << capacity;
+    }
+  }
 }
 
 // --- engine determinism ------------------------------------------------------

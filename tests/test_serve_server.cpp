@@ -187,6 +187,30 @@ TEST(ServeErrors, DegenerateScenariosAreInvalidArguments) {
   EXPECT_EQ(stat_counter(c, "errors"), 4u);
 }
 
+// A fault plan whose downed link partitions the machine the op is sized
+// onto: the run cannot recover, so the line answers UNRECOVERABLE and the
+// server carries on.  Errors are never cached, so the repeat fails too.
+TEST(ServeErrors, PartitioningFaultPlanIsUnrecoverable) {
+  ServerOptions opt;
+  TestServer ts(opt);
+  Client c(ts.port());
+  const std::string partition =
+      "{\"op\":\"collisions\",\"machine\":\"hypercube\",\"scenario\":"
+      "{\"n\":2,\"k\":1},\"faults\":\"link:0-1@0..\"}";
+  ASSERT_TRUE(c.send(partition + "\n" + partition + "\n{\"op\":\"ping\"}\n"));
+  for (int i = 0; i < 2; ++i) {
+    std::string r = c.recv_line();
+    EXPECT_EQ(status_of(r), "UNRECOVERABLE") << r;
+    EXPECT_NE(r.find("downed link 0-1 partitions the machine"),
+              std::string::npos)
+        << r;
+  }
+  std::string pong = c.recv_line();
+  EXPECT_EQ(status_of(pong), "OK") << pong;
+  EXPECT_EQ(stat_counter(c, "errors"), 2u);
+  EXPECT_EQ(stat_counter(c, "entries"), 0u);
+}
+
 // --- deadlines ---------------------------------------------------------------
 
 TEST(ServeDeadline, ExpiredAtDequeueWithoutTouchingCache) {
@@ -271,6 +295,29 @@ TEST(ServeCache, KeyEvictedEarlierInItsBatchIsRecomputed) {
   EXPECT_EQ(stat_counter(c, "errors"), 0u);
   EXPECT_EQ(stat_counter(c, "misses"), 3u);
   EXPECT_EQ(stat_counter(c, "evictions"), 2u);
+}
+
+// Two scenarios whose hex texts coincide (P0 = (1.5, b + 3t) with b's bits
+// 0x...0c, and P0 = (1.5 - 2t, 3): the coordinate separator 'c' is also a
+// hex digit) are two cache entries.  They share the 64-bit response name,
+// but the second is computed, not served from the first's answer.
+TEST(ServeCache, ScenariosWithOneHexTextAreDistinctEntries) {
+  ServerOptions opt;
+  TestServer ts(opt);
+  Client c(ts.port());
+  const std::string rest = "[[4],[5]],[[-10],[3]]],\"d\":2}}";
+  std::string up = c.round_trip(
+      "{\"op\":\"neighbor\",\"scenario\":{\"points\":[[[1.5],[6e-323,3]]," +
+      rest);
+  std::string left = c.round_trip(
+      "{\"op\":\"neighbor\",\"scenario\":{\"points\":[[[1.5,-2],[3]]," + rest);
+  EXPECT_NE(up.find("\"result\":\"nearest of P0: P1 on [0, inf); \\n\""),
+            std::string::npos)
+      << up;
+  EXPECT_NE(left.find("\"cache\":\"miss\""), std::string::npos) << left;
+  EXPECT_NE(left.find("P2 on [2.17857, inf)"), std::string::npos) << left;
+  EXPECT_EQ(up.substr(up.find("\"key\""), 26),
+            left.substr(left.find("\"key\""), 26));
 }
 
 // --- graceful drain ----------------------------------------------------------

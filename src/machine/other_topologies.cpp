@@ -68,7 +68,7 @@ std::vector<std::size_t> CubeConnectedCycles::neighbors(std::size_t v) const {
   out.push_back(static_cast<std::size_t>((p + 1) % dims_) * base + w);
   out.push_back(static_cast<std::size_t>((p + dims_ - 1) % dims_) * base + w);
   out.push_back(static_cast<std::size_t>(p) * base + (w ^ (std::size_t{1} << p)));
-  if (dims_ == 2 && out[0] == out[1]) out.pop_back();  // 2-cycles coincide
+  if (dims_ == 2) out.erase(out.begin() + 1);  // 2-cycles coincide
   return out;
 }
 

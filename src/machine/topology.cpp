@@ -2,13 +2,52 @@
 
 #include <bit>
 #include <cmath>
+#include <mutex>
+#include <unordered_map>
 
 #include "support/ackermann.hpp"
 #include "support/assert.hpp"
 
 namespace dyncg {
 
+namespace {
+
+struct PatternCosts {
+  std::vector<unsigned> exchange;  // per rank bit
+  unsigned shift = 1;
+};
+
+// Process-wide costs by Topology::name().  Pool threads build machines
+// concurrently, so lookups and inserts take the lock.  Every geometry has a
+// power-of-two size, so there are a few hundred names at most (the
+// factories use a few dozen) and the table needs no bound.
+struct PatternCostMemo {
+  std::mutex mu;
+  std::unordered_map<std::string, PatternCosts> by_name;
+};
+
+PatternCostMemo& pattern_cost_memo() {
+  // Leaked: pool threads may still build machines during static teardown.
+  static PatternCostMemo* m = new PatternCostMemo;
+  return *m;
+}
+
+}  // namespace
+
 void Topology::compute_pattern_costs() {
+  PatternCostMemo& memo = pattern_cost_memo();
+  std::string key = name();
+  {
+    std::lock_guard<std::mutex> lk(memo.mu);
+    auto it = memo.by_name.find(key);
+    if (it != memo.by_name.end()) {
+      exchange_cost_ = it->second.exchange;
+      shift_cost_ = it->second.shift;
+      return;
+    }
+  }
+  // A miss measures outside the lock; threads racing on one geometry
+  // measure the same costs, and the first insert wins.
   std::size_t n = size();
   int bits = floor_log2(n);
   exchange_cost_.assign(static_cast<std::size_t>(bits), 0);
@@ -28,6 +67,9 @@ void Topology::compute_pattern_costs() {
         worst_shift, shortest_path(node_of_rank(r), node_of_rank(r + 1)));
   }
   shift_cost_ = static_cast<unsigned>(std::max<std::size_t>(1, worst_shift));
+  std::lock_guard<std::mutex> lk(memo.mu);
+  memo.by_name.emplace(std::move(key),
+                       PatternCosts{exchange_cost_, shift_cost_});
 }
 
 unsigned Topology::exchange_rounds(unsigned k) const {

@@ -26,11 +26,14 @@
 //                               partner pairs, Theta(2^(k/2)) by Hilbert
 //                               locality
 //
-// The costs are not formulas but *measured* at construction: the maximum
-// shortest-path distance over all partner pairs of the pattern.  That keeps
-// the ledger honest for every ordering, including deliberately bad ones used
-// by the ablation benches (e.g. row-major rank shifts that cross a row
-// boundary).
+// The costs are not formulas but *measured*: the maximum shortest-path
+// distance over all partner pairs of the pattern.  That keeps the ledger
+// honest for every ordering, including deliberately bad ones used by the
+// ablation benches (e.g. row-major rank shifts that cross a row boundary).
+// They depend only on the graph, its size and its PE order, which name()
+// encodes, so they are measured once per process per geometry: the first
+// construction measures, later ones copy the result (topology.cpp).  A
+// subclass's name() must therefore tell its geometries apart.
 namespace dyncg {
 
 class Topology {
@@ -56,7 +59,8 @@ class Topology {
   unsigned shift_rounds() const;
 
  protected:
-  // Called by subclasses after geometry is fixed.
+  // Called by subclasses after geometry is fixed; measures on the first
+  // construction of name() in the process, copies afterwards.
   void compute_pattern_costs();
 
  private:

@@ -171,12 +171,13 @@ StatusOr<std::string> run_op(Machine& m, const Request& req) {
     case Op::kSteady: {
       appendf(&text, "steady NN of P%zu: P%zu\n", req.query,
               machine_steady_neighbor(m, sys, req.query, req.farthest));
+      // One hull serves both rows.
+      const std::vector<Point2<RationalGerm>> hull =
+          machine_steady_hull(m, sys);
       text += "steady hull: ";
-      for (std::size_t id : machine_steady_hull_ids(m, sys)) {
-        appendf(&text, "P%zu ", id);
-      }
+      for (const Point2<RationalGerm>& p : hull) appendf(&text, "P%zu ", p.id);
       text += "\n";
-      auto far = machine_steady_farthest_pair(m, sys);
+      auto far = machine_steady_farthest_pair(m, sys, hull);
       appendf(&text, "steady farthest pair: (P%zu, P%zu)\n", far.a, far.b);
       break;
     }

@@ -155,7 +155,7 @@ struct CachedResult {
 // rendered field order is pinned in docs/SERVING.md#the-stats-op.
 struct ServeStats {
   std::uint64_t schema_version = kServeSchemaVersion;
-  std::string git_rev = "unknown";   // resolved at server startup
+  std::string git_rev = "unknown";   // resolved on the first `stats` op
   double uptime_seconds = 0.0;       // host-noisy
   std::uint64_t connections = 0;  // accepted
   std::uint64_t requests = 0;     // lines parsed (including errors)

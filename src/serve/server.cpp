@@ -164,7 +164,7 @@ Server::~Server() {
 
 ServeStats Server::stats() const {
   ServeStats s;
-  s.git_rev = opt_.git_rev;
+  if (!git_rev_.empty()) s.git_rev = git_rev_;
   s.uptime_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
           .count();
@@ -563,6 +563,7 @@ void Server::process_batch() {
       continue;
     }
     if (r.op == Op::kStats) {
+      if (git_rev_.empty() && opt_.git_rev) git_rev_ = opt_.git_rev();
       respond(item.conn, render_stats(r.id_json, stats()));
       sm().responses_ok->add();
       continue;

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -67,8 +68,10 @@ struct ServerOptions {
   // registry JSON, anything else Prometheus text.  Empty disables.
   std::string metrics_out;
   unsigned metrics_interval_s = 5;
-  // Reported in the `stats` response; resolved by the tool at startup.
-  std::string git_rev = "unknown";
+  // Resolves the revision the `stats` response reports.  The server calls
+  // it once, on the first `stats` request, so start-up runs no subprocess;
+  // unset reports "unknown".
+  std::function<std::string()> git_rev;
   // Default per-request deadline budget in milliseconds, measured from the
   // line's arrival; 0 disables.  A request's own "deadline_ms" overrides.
   std::uint64_t deadline_ms = 0;
@@ -117,6 +120,7 @@ class Server {
   }
 
   // Live counters (also served by the `stats` op and printed at shutdown).
+  // git_rev reads "unknown" until the first `stats` request resolves it.
   ServeStats stats() const;
 
   // Resolved listening port; readable from other threads once nonzero
@@ -176,6 +180,7 @@ class Server {
   std::uint64_t shed_ = 0;
   std::uint64_t deadline_exceeded_ = 0;
   std::uint64_t batches_ = 0;
+  std::string git_rev_;  // options.git_rev's answer; empty until resolved
 };
 
 }  // namespace serve

@@ -206,24 +206,30 @@ ClosestPairResult<AsymptoticPoly> machine_steady_closest_pair(
   return machine_closest_pair(m, germ_points(system));
 }
 
-std::vector<std::size_t> machine_steady_hull_ids(Machine& m,
-                                                 const MotionSystem& system) {
+std::vector<Point2<RationalGerm>> machine_steady_hull(
+    Machine& m, const MotionSystem& system) {
   TRACE_SPAN_COST("steady.hull", m.ledger());
   // The dual-envelope hull over the rational-germ field: Theta(sort)-grade
   // rounds, matching the Table 3 hull row (see steady/dual_hull.hpp).
-  std::vector<Point2<RationalGerm>> hull =
-      machine_hull_dual(m, germ_field_points(system));
+  return machine_hull_dual(m, germ_field_points(system));
+}
+
+std::vector<std::size_t> machine_steady_hull_ids(Machine& m,
+                                                 const MotionSystem& system) {
+  std::vector<Point2<RationalGerm>> hull = machine_steady_hull(m, system);
   std::vector<std::size_t> ids;
   ids.reserve(hull.size());
   for (const auto& p : hull) ids.push_back(p.id);
   return ids;
 }
 
-ClosestPairResult<AsymptoticPoly> machine_steady_farthest_pair(
-    Machine& m, const MotionSystem& system) {
-  TRACE_SPAN_COST("steady.farthest_pair", m.ledger());
-  std::vector<Point2<RationalGerm>> hull =
-      machine_hull_dual(m, germ_field_points(system));
+namespace {
+
+// Proposition 5.6 on a built steady hull: antipodal pairs plus one max
+// reduction.  Untraced; both public forms open the span.
+ClosestPairResult<AsymptoticPoly> steady_farthest_pair_on_hull(
+    Machine& m, const MotionSystem& system,
+    const std::vector<Point2<RationalGerm>>& hull) {
   if (hull.size() == 2) {
     return ClosestPairResult<AsymptoticPoly>{
         hull[0].id, hull[1].id,
@@ -247,6 +253,22 @@ ClosestPairResult<AsymptoticPoly> machine_steady_farthest_pair(
       best.first, best.second,
       AsymptoticPoly(
           system.point(best.first).distance_squared(system.point(best.second)))};
+}
+
+}  // namespace
+
+ClosestPairResult<AsymptoticPoly> machine_steady_farthest_pair(
+    Machine& m, const MotionSystem& system) {
+  TRACE_SPAN_COST("steady.farthest_pair", m.ledger());
+  return steady_farthest_pair_on_hull(
+      m, system, machine_hull_dual(m, germ_field_points(system)));
+}
+
+ClosestPairResult<AsymptoticPoly> machine_steady_farthest_pair(
+    Machine& m, const MotionSystem& system,
+    const std::vector<Point2<RationalGerm>>& hull) {
+  TRACE_SPAN_COST("steady.farthest_pair", m.ledger());
+  return steady_farthest_pair_on_hull(m, system, hull);
 }
 
 SteadyRectangle machine_steady_min_rectangle(Machine& m,

@@ -459,10 +459,24 @@ bool machine_steady_is_hull_vertex(Machine& m, const MotionSystem& system,
 
 ClosestPairResult<AsymptoticPoly> machine_steady_closest_pair(
     Machine& m, const MotionSystem& system);
+
+// The steady hull (Proposition 5.4) as ccw germ points, under the
+// "steady.hull" span.  Build it once and pass it to the three-argument
+// machine_steady_farthest_pair to answer both rows for one hull's rounds.
+std::vector<Point2<RationalGerm>> machine_steady_hull(
+    Machine& m, const MotionSystem& system);
+// The ids of machine_steady_hull, same span and ledger.
 std::vector<std::size_t> machine_steady_hull_ids(Machine& m,
                                                  const MotionSystem& system);
+// Farthest pair (Proposition 5.6) from the system alone: builds its own
+// hull inside the "steady.farthest_pair" span.
 ClosestPairResult<AsymptoticPoly> machine_steady_farthest_pair(
     Machine& m, const MotionSystem& system);
+// The same answer from a hull machine_steady_hull built on `m` for
+// `system`: only the antipodal pairs and the reduction are charged.
+ClosestPairResult<AsymptoticPoly> machine_steady_farthest_pair(
+    Machine& m, const MotionSystem& system,
+    const std::vector<Point2<RationalGerm>>& hull);
 SteadyRectangle machine_steady_min_rectangle(Machine& m,
                                              const MotionSystem& system);
 

@@ -17,6 +17,7 @@
 #include "serve/engine.hpp"
 #include "serve/fleet.hpp"
 #include "serve/protocol.hpp"
+#include "steady/machine_geometry.hpp"
 #include "support/status.hpp"
 
 // Protocol tests for the serving layer (docs/SERVING.md): parse/validate
@@ -930,6 +931,82 @@ TEST(ServeEngine, LongResultLinesAreNotCut) {
   const std::string tail = " at t = 0.0000\n";
   ASSERT_GE(text.size(), tail.size());
   EXPECT_EQ(text.substr(text.size() - tail.size()), tail);
+}
+
+// steady builds the germ hull once and reads the farthest pair off it, so
+// its cost is the single-hull sequence and strictly below the two-hull one
+// of the two-argument wrappers (which build a hull each).
+TEST(ServeEngine, SteadyChargesOneHull) {
+  const char* lines[] = {
+      R"({"op":"steady","scenario":{"n":16,"k":2}})",
+      R"({"op":"steady","machine":"hypercube","scenario":{"n":16,"k":2}})",
+      R"({"op":"steady","scenario":{"seed":4,"n":9,"k":1},"query":3})",
+      R"({"op":"steady","machine":"ccc","scenario":{"seed":2,"n":30}})",
+  };
+  for (const char* line : lines) {
+    SCOPED_TRACE(line);
+    Request r = parse(line).value();
+    const MotionSystem& sys = *r.system;
+    StatusOr<CachedResult> served = run_query(r);
+    ASSERT_TRUE(served.is_ok()) << served.status().to_string();
+
+    Machine one = query_machine(r).value();
+    machine_steady_neighbor(one, sys, r.query);
+    const std::vector<Point2<RationalGerm>> hull =
+        machine_steady_hull(one, sys);
+    machine_steady_farthest_pair(one, sys, hull);
+    const CostSnapshot single = one.ledger().snapshot();
+    EXPECT_EQ(served.value().cost.rounds, single.rounds);
+    EXPECT_EQ(served.value().cost.messages, single.messages);
+    EXPECT_EQ(served.value().cost.local_ops, single.local_ops);
+
+    Machine two = query_machine(r).value();
+    machine_steady_neighbor(two, sys, r.query);
+    machine_steady_hull_ids(two, sys);
+    machine_steady_farthest_pair(two, sys);
+    const CostSnapshot twice = two.ledger().snapshot();
+    EXPECT_LT(single.rounds, twice.rounds);
+    EXPECT_LT(single.messages, twice.messages);
+    EXPECT_LT(single.local_ops, twice.local_ops);
+  }
+}
+
+// The answers do not move with the cost: texts recorded before the hull was
+// shared.
+TEST(ServeEngine, SteadyResultsPinned) {
+  struct Case {
+    const char* line;
+    const char* text;
+  };
+  const Case cases[] = {
+      {R"({"op":"steady","scenario":{"seed":1,"n":16,"k":2}})",
+       "steady NN of P0: P15\n"
+       "steady hull: P8 P10 P12 P15 P1 P2 P4 P5 \n"
+       "steady farthest pair: (P12, P2)\n"},
+      {R"({"op":"steady","machine":"hypercube",)"
+       R"("scenario":{"seed":2,"n":16,"k":2}})",
+       "steady NN of P0: P1\n"
+       "steady hull: P10 P11 P14 P0 P1 P2 P5 P8 \n"
+       "steady farthest pair: (P14, P5)\n"},
+      {R"({"op":"steady","scenario":{"seed":3,"n":16,"k":2},"query":5})",
+       "steady NN of P5: P4\n"
+       "steady hull: P8 P10 P11 P12 P15 P2 P5 P6 \n"
+       "steady farthest pair: (P15, P6)\n"},
+      {R"({"op":"steady","machine":"hypercube",)"
+       R"("scenario":{"seed":4,"n":9,"k":1},"query":3})",
+       "steady NN of P3: P4\n"
+       "steady hull: P3 P5 P6 P7 P8 P0 P2 \n"
+       "steady farthest pair: (P3, P8)\n"},
+      {R"({"op":"steady","scenario":{"seed":5,"n":33,"k":3}})",
+       "steady NN of P0: P32\n"
+       "steady hull: P13 P17 P22 P24 P31 P2 P7 P10 \n"
+       "steady farthest pair: (P13, P31)\n"},
+  };
+  for (const Case& c : cases) {
+    StatusOr<CachedResult> res = run_query(parse(c.line).value());
+    ASSERT_TRUE(res.is_ok()) << c.line;
+    EXPECT_EQ(res.value().text, c.text) << c.line;
+  }
 }
 
 // --- oracles -----------------------------------------------------------------

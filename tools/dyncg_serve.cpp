@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
 
   if (!trace_out.empty()) trace::enable();
   opt.trace_out = trace_out;
-  opt.git_rev = git_revision();
+  opt.git_rev = git_revision;  // resolved on the first `stats` request
   metrics::enable();  // the serving path is always observable
 
   serve::Server server(opt);

@@ -93,29 +93,104 @@ void append_canonical(std::string& out, const Polynomial& p) {
   }
 }
 
-std::uint64_t append_scenario_key(std::string& out,
-                                  const MotionSystem& system,
-                                  std::uint64_t h) {
-  const std::string dim = 'd' + std::to_string(system.dimension());
-  out += dim;
-  h = fingerprint_bytes(h, dim.data(), dim.size());
-  char hex[16];
+void append_key_dimension(std::string& out, std::size_t dimension) {
+  out += 'd';
+  out += std::to_string(dimension);
+}
+
+void append_key_point(std::string& out) { out += 'p'; }
+
+void append_key_coordinate(std::string& out, const double* coeffs,
+                           std::size_t count) {
+  std::size_t n = count;
+  for (; n >= 0x80; n >>= 7) out += static_cast<char>(0x80 | (n & 0x7f));
+  out += static_cast<char>(n);
+  out.append(reinterpret_cast<const char*>(coeffs), count * sizeof(double));
+}
+
+void append_scenario_key(std::string& out, const MotionSystem& system) {
+  append_key_dimension(out, system.dimension());
   for (std::size_t i = 0; i < system.size(); ++i) {
-    out += 'p';
-    h = fingerprint_bytes(h, "p", 1);
+    append_key_point(out);
     const Trajectory& t = system.point(i);
     for (std::size_t c = 0; c < t.dimension(); ++c) {
+      const std::vector<double>& coeffs = t.coordinate(c).coefficients();
+      append_key_coordinate(out, coeffs.data(), coeffs.size());
+    }
+  }
+}
+
+namespace {
+
+// Walks a scenario key: the dimension, then each point's coordinates as
+// (coefficient bytes, count) spans, in order.
+class KeyWalk {
+ public:
+  explicit KeyWalk(std::string_view bytes)
+      : p_(bytes.data() + 1), end_(bytes.data() + bytes.size()) {  // past 'd'
+    while (p_ < end_ && *p_ != 'p') {
+      dim_ = dim_ * 10 + static_cast<std::size_t>(*p_++ - '0');
+    }
+  }
+  std::size_t dimension() const { return dim_; }
+  // Steps past the next point marker; false after the last point.
+  bool point() { return p_ < end_ && *p_++ == 'p'; }
+  // The next coordinate's coefficients.
+  std::string_view coordinate(std::size_t* count) {
+    std::size_t n = 0;
+    for (int shift = 0;; shift += 7) {
+      const auto byte = static_cast<unsigned char>(*p_++);
+      n |= static_cast<std::size_t>(byte & 0x7f) << shift;
+      if (byte < 0x80) break;
+    }
+    *count = n;
+    const std::string_view coeffs(p_, n * sizeof(double));
+    p_ += coeffs.size();
+    return coeffs;
+  }
+
+ private:
+  const char* p_;
+  const char* end_;
+  std::size_t dim_ = 0;
+};
+
+}  // namespace
+
+MotionSystem scenario_from_key(std::string_view bytes) {
+  KeyWalk walk(bytes);
+  std::vector<Trajectory> points;
+  while (walk.point()) {
+    std::vector<Polynomial> coords;
+    coords.reserve(walk.dimension());
+    for (std::size_t c = 0; c < walk.dimension(); ++c) {
+      std::size_t count = 0;
+      const std::string_view raw = walk.coordinate(&count);
+      std::vector<double> coeffs(count);
+      if (count != 0) std::memcpy(coeffs.data(), raw.data(), raw.size());
+      coords.emplace_back(std::move(coeffs));
+    }
+    points.emplace_back(std::move(coords));
+  }
+  return MotionSystem(walk.dimension(), std::move(points));
+}
+
+std::uint64_t fingerprint_scenario_key(std::uint64_t h,
+                                       std::string_view bytes) {
+  KeyWalk walk(bytes);
+  const std::string dim = 'd' + std::to_string(walk.dimension());
+  h = fingerprint_bytes(h, dim.data(), dim.size());
+  char hex[16];
+  while (walk.point()) {
+    h = fingerprint_bytes(h, "p", 1);
+    for (std::size_t c = 0; c < walk.dimension(); ++c) {
       if (c != 0) h = fingerprint_bytes(h, "c", 1);
-      const Polynomial& p = t.coordinate(c);
-      std::size_t count = static_cast<std::size_t>(p.degree() + 1);
-      for (; count >= 0x80; count >>= 7) {
-        out += static_cast<char>(0x80 | (count & 0x7f));
-      }
-      out += static_cast<char>(count);
-      for (int j = 0; j <= p.degree(); ++j) {
-        const double v = p.coefficient(j);
-        out.append(reinterpret_cast<const char*>(&v), sizeof v);
-        to_hex(hex, bits_of(v));
+      std::size_t count = 0;
+      const std::string_view raw = walk.coordinate(&count);
+      for (std::size_t j = 0; j < count; ++j) {
+        std::uint64_t b;
+        std::memcpy(&b, raw.data() + j * sizeof b, sizeof b);
+        to_hex(hex, b);
         h = fingerprint_bytes(h, hex, sizeof hex);
       }
     }

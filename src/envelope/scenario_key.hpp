@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "dyncg/motion.hpp"
 #include "poly/rational_germ.hpp"
@@ -66,16 +67,29 @@ void append_canonical(std::string& out, const Polynomial& p);
 // self-delimiting, so two systems append the same bytes iff they have the
 // same dimension, point count and degrees and bit-identical coefficients.
 // The bytes never leave the process (host order is enough).
-//
-// Returns `h` folded by FNV-1a with the scenario's hex text, without
-// building it: "d<dim>", then per point 'p' and the coordinates' hex
-// coefficients (append_canonical) joined by 'c'.  That text is the one
-// responses have always fingerprinted, so the wire `key` is unchanged.  It
-// is not self-delimiting ('c' is also a hex digit), which is why it is no
-// longer the cache key.
-std::uint64_t append_scenario_key(std::string& out,
-                                  const MotionSystem& system,
-                                  std::uint64_t h);
+void append_scenario_key(std::string& out, const MotionSystem& system);
+// The pieces of that encoding, in order, for a reader that writes a
+// scenario's key without building the system (serve::read_request): the
+// dimension header once, then per point its marker and each coordinate's
+// count and the coefficients the Polynomial holds (trimmed).
+void append_key_dimension(std::string& out, std::size_t dimension);
+void append_key_point(std::string& out);
+void append_key_coordinate(std::string& out, const double* coeffs,
+                           std::size_t count);
+
+// The system whose scenario key is `bytes` (exactly what
+// append_scenario_key appended): the inverse, for callers that keep the key
+// and build the system only when they need it.
+MotionSystem scenario_from_key(std::string_view bytes);
+
+// `h` folded by FNV-1a with the scenario's hex text, read from its key
+// bytes without building it: "d<dim>", then per point 'p' and the
+// coordinates' hex coefficients (append_canonical) joined by 'c'.  That
+// text is the one responses have always fingerprinted, so the wire `key`
+// is unchanged.  It is not self-delimiting ('c' is also a hex digit), which
+// is why it is not the cache key.
+std::uint64_t fingerprint_scenario_key(std::uint64_t h,
+                                       std::string_view bytes);
 
 // Per-trajectory canonical key, usable standalone, in hex text:
 // dimension prefix plus a `g<count>:` coefficient-count group before each

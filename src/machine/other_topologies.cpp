@@ -115,7 +115,7 @@ std::size_t CubeConnectedCycles::rank_of_node(std::size_t v) const {
 // --- Shuffle-exchange ----------------------------------------------------------
 
 ShuffleExchange::ShuffleExchange(std::uint32_t dims) : dims_(dims) {
-  DYNCG_ASSERT(dims >= 1 && dims <= 12,
+  DYNCG_ASSERT(dims >= 1 && (std::size_t{1} << dims) <= kMaxShuffleExchangePes,
                "shuffle-exchange too large to simulate (all-pairs BFS)");
   build_distances();
   compute_pattern_costs();
@@ -171,13 +171,11 @@ std::size_t ShuffleExchange::rank_of_node(std::size_t v) const { return v; }
 // --- factories -------------------------------------------------------------------
 
 std::shared_ptr<const Topology> make_ccc_for(std::size_t n) {
-  for (std::uint32_t d : {2u, 4u, 8u}) {
-    if ((static_cast<std::size_t>(d) << d) >= n) {
-      return std::make_shared<CubeConnectedCycles>(d);
-    }
-  }
-  DYNCG_ASSERT(false, "no simulable CCC of the requested size (max 2048)");
-  return nullptr;
+  DYNCG_ASSERT(n <= kMaxCccPes,
+               "no simulable CCC of the requested size (max 2048)");
+  std::uint32_t d = 2;
+  while ((static_cast<std::size_t>(d) << d) < n) d *= 2;
+  return std::make_shared<CubeConnectedCycles>(d);
 }
 
 std::shared_ptr<const Topology> make_shuffle_exchange_for(std::size_t n) {

@@ -94,7 +94,12 @@ class ShuffleExchange final : public Topology {
   std::size_t diameter_ = 0;
 };
 
-// Factories mirroring make_mesh_for / make_hypercube_for.
+// Factories mirroring make_mesh_for / make_hypercube_for.  Each builds the
+// smallest machine with at least n PEs, up to the simulable limits below
+// (the all-pairs BFS tables grow with the square of the PE count); a
+// larger n is a caller bug and aborts.
+inline constexpr std::size_t kMaxCccPes = 2048;  // CCC(8): 8 * 2^8
+inline constexpr std::size_t kMaxShuffleExchangePes = std::size_t{1} << 12;
 std::shared_ptr<const Topology> make_ccc_for(std::size_t n);
 std::shared_ptr<const Topology> make_shuffle_exchange_for(std::size_t n);
 

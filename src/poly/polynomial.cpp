@@ -37,16 +37,16 @@ Polynomial Polynomial::from_roots(const std::vector<double>& roots) {
   return p;
 }
 
-void Polynomial::trim() {
+std::size_t Polynomial::trimmed_size(const double* c, std::size_t n) {
   double maxmag = 0.0;
-  for (double c : coeffs_) maxmag = std::max(maxmag, std::fabs(c));
-  if (maxmag == 0.0) {
-    coeffs_.clear();
-    return;
-  }
-  while (!coeffs_.empty() && std::fabs(coeffs_.back()) <= kTrimRel * maxmag) {
-    coeffs_.pop_back();
-  }
+  for (std::size_t i = 0; i < n; ++i) maxmag = std::max(maxmag, std::fabs(c[i]));
+  if (maxmag == 0.0) return 0;
+  while (n > 0 && std::fabs(c[n - 1]) <= kTrimRel * maxmag) --n;
+  return n;
+}
+
+void Polynomial::trim() {
+  coeffs_.resize(trimmed_size(coeffs_.data(), coeffs_.size()));
 }
 
 Polynomial Polynomial::derivative() const {

@@ -109,6 +109,11 @@ class Polynomial {
   // Human-readable form, e.g. "3 - t + 2 t^2".
   std::string to_string() const;
 
+  // How many of the ascending coefficients c[0..n) the constructor keeps:
+  // trailing terms at most 1e-12 of the largest magnitude are dropped, and
+  // an all-zero list keeps none (the zero polynomial).
+  static std::size_t trimmed_size(const double* c, std::size_t n);
+
  private:
   void trim();
 

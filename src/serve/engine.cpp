@@ -94,13 +94,27 @@ StatusOr<Machine> query_machine(const Request& req) {
         "query index " + std::to_string(req.query) + " out of range [0, " +
         std::to_string(sys.size()) + ")");
   }
+  // neighbor sizes its machine to the envelope's piece bound, collisions
+  // and steady to one PE per point; the other ops run on mesh or hypercube
+  // only (the protocol and dyncg_cli see to that).
+  const std::size_t capacity =
+      req.op == Op::kNeighbor
+          ? lambda_upper_bound(ceil_pow2(sys.size()),
+                               std::max(1, 2 * sys.motion_degree()))
+          : sys.size();
+  const std::size_t limit = req.machine == "ccc"       ? kMaxCccPes
+                            : req.machine == "shuffle" ? kMaxShuffleExchangePes
+                                                       : capacity;
+  if (capacity > limit) {
+    return Status::invalid_argument(
+        std::string("op \"") + op_name(req.op) + "\" needs " +
+        std::to_string(capacity) + " PEs, but machine \"" + req.machine +
+        "\" simulates at most " + std::to_string(limit));
+  }
   Machine m = [&] {
     switch (req.op) {
-      case Op::kNeighbor: {
-        int s = std::max(1, 2 * sys.motion_degree());
-        return make_machine(req.machine,
-                            lambda_upper_bound(ceil_pow2(sys.size()), s));
-      }
+      case Op::kNeighbor:
+        return make_machine(req.machine, capacity);
       case Op::kPairs:
         return req.machine == "mesh" ? allpairs_machine_mesh(sys)
                                      : allpairs_machine_hypercube(sys);
@@ -111,7 +125,7 @@ StatusOr<Machine> query_machine(const Request& req) {
         return req.machine == "mesh" ? containment_machine_mesh(sys)
                                      : containment_machine_hypercube(sys);
       default:  // kCollisions, kSteady: one PE per point
-        return make_machine(req.machine, sys.size());
+        return make_machine(req.machine, capacity);
     }
   }();
   if (req.has_faults) m.set_fault_plan(&req.faults);
@@ -229,6 +243,7 @@ StatusOr<CachedResult> run_query(const Request& req) {
   out.cost = meter.elapsed();
   out.topology = m.topology().name();
   out.pes = m.size();
+  out.fingerprint = req.fingerprint;
   QueryMetrics& qm = query_metrics();
   qm.rounds.observe(out.cost.rounds);
   qm.messages.observe(out.cost.messages);

@@ -1,7 +1,10 @@
 #include "serve/protocol.hpp"
 
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "envelope/scenario_key.hpp"
@@ -22,69 +25,169 @@ constexpr int kDefaultK = 2;
 
 Status bad(const std::string& msg) { return Status::invalid_argument(msg); }
 
-// The JSON layer preserves duplicate members (json::Value::object is an
-// ordered vector); last-wins coercion would make a request mean something
-// its author may not have written, so duplicates are rejected outright.
-// O(n^2) over a request's handful of fields.
-Status check_duplicate_members(const json::Value& obj, const char* what) {
-  for (std::size_t i = 0; i < obj.object.size(); ++i) {
-    for (std::size_t j = i + 1; j < obj.object.size(); ++j) {
-      if (obj.object[i].first == obj.object[j].first) {
-        return bad(std::string("duplicate ") + what + " field '" +
-                   obj.object[i].first + "'");
+using Kind = json::Reader::Kind;
+
+// Every reader below takes the value whose start `in` just read and leaves
+// it fully read, even after a field error: bytes further on can still hold
+// an error that outranks the one found (see read_request).
+
+// The duplicate rule of one object: the error names the first member whose
+// name occurs again.  Names the object knows are tracked by position, names
+// it does not know (an error already) in a map.
+template <std::size_t N>
+class Members {
+ public:
+  explicit Members(const char* const (&names)[N]) : names_(names) {
+    first_.fill(kNone);
+  }
+
+  // The index of `name` among the known names, or -1.
+  int see(const std::string& name) {
+    const std::size_t at = seen_++;
+    for (std::size_t f = 0; f < N; ++f) {
+      if (name != names_[f]) continue;
+      if (first_[f] == kNone) {
+        first_[f] = at;
+      } else {
+        note(first_[f], name);
       }
+      return static_cast<int>(f);
+    }
+    const auto [it, fresh] = unknown_.emplace(name, at);
+    if (!fresh) note(it->second, name);
+    return -1;
+  }
+
+  Status duplicate(const char* what) const {
+    if (dup_at_ == kNone) return Status::ok();
+    return bad(std::string("duplicate ") + what + " field '" + dup_name_ +
+               "'");
+  }
+
+ private:
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  void note(std::size_t first, const std::string& name) {
+    if (first < dup_at_) {
+      dup_at_ = first;
+      dup_name_ = name;
     }
   }
-  return Status::ok();
-}
+
+  const char* const (&names_)[N];
+  std::array<std::size_t, N> first_;
+  std::unordered_map<std::string, std::size_t> unknown_;
+  std::size_t seen_ = 0;
+  std::size_t dup_at_ = kNone;
+  std::string dup_name_;
+};
 
 // JSON numbers arrive as doubles; integer fields must hold exactly.
-bool to_index(const json::Value& v, std::uint64_t max, std::uint64_t* out) {
-  if (!v.is_number() || v.number < 0 ||
-      v.number != std::floor(v.number) ||
-      v.number > static_cast<double>(max)) {
+bool read_index(json::Reader& in, Kind kind, std::uint64_t max,
+                std::uint64_t* out) {
+  in.skip(kind);
+  const double v = in.number();
+  if (kind != Kind::kNumber || v < 0 || v != std::floor(v) ||
+      v > static_cast<double>(max)) {
     return false;
   }
-  *out = static_cast<std::uint64_t>(v.number);
+  *out = static_cast<std::uint64_t>(v);
   return true;
 }
 
+// A string field: the payload, or false for any other value.
+bool read_string(json::Reader& in, Kind kind, std::string* out) {
+  in.skip(kind);
+  if (kind != Kind::kString) return false;
+  *out = std::move(in.string());
+  return true;
+}
+
+// An array of 1..max elements, each read by `element(kind, index)`, which
+// returns its error.  The array's size error (`shape`) outranks its
+// elements' errors: the array is checked whole before its elements.
+template <class Shape, class ReadElement>
+Status read_array(json::Reader& in, Kind kind, std::size_t max, Shape&& shape,
+                  ReadElement&& element) {
+  if (kind != Kind::kArray) {
+    in.skip(kind);
+    return shape();
+  }
+  Status first;
+  std::size_t size = 0;
+  while (in.element()) {
+    const Kind v = in.value();
+    if (first.is_ok() && size < max) {
+      first = element(v, size);
+    } else {
+      in.skip(v);
+    }
+    ++size;
+  }
+  if (size == 0 || size > max) return shape();
+  return first;
+}
+
+// A finite number; strtod turns "1e999" into infinity, and a non-finite
+// value would poison every downstream comparison.
+bool read_finite(json::Reader& in, Kind kind, double* out) {
+  in.skip(kind);
+  if (kind != Kind::kNumber || !std::isfinite(in.number())) return false;
+  *out = in.number();
+  return true;
+}
+
+// One trajectory as read: up to kMaxDimension coordinate polynomials of up
+// to kMaxDegree+1 coefficients each, as the wire spelled them (untrimmed).
+struct PointBuffer {
+  std::size_t dim = 0;
+  std::size_t count[kMaxDimension] = {};
+  double coeff[kMaxDimension][kMaxDegree + 1] = {};
+};
+
 // One trajectory in wire form: an array of 1..kMaxDimension coordinate
 // polynomials, each a non-empty array of at most kMaxDegree+1 finite
-// coefficients (constant term first).  The one parser for scenario
+// coefficients (constant term first).  The one reader for scenario
 // 'points' entries, fleet 'ref' and fleet 'insert' points.
-Status parse_point(const json::Value& pt, const char* what,
-                   std::optional<Trajectory>* out) {
-  if (!pt.is_array() || pt.array.empty() ||
-      pt.array.size() > kMaxDimension) {
-    return bad(std::string(what) + " must be an array of 1.." +
-               std::to_string(kMaxDimension) +
-               " coordinate polynomials (arrays of coefficients)");
-  }
+Status read_point(json::Reader& in, Kind kind, const char* what,
+                  PointBuffer* out) {
+  out->dim = 0;
+  return read_array(
+      in, kind, kMaxDimension,
+      [what] {
+        return bad(std::string(what) + " must be an array of 1.." +
+                   std::to_string(kMaxDimension) +
+                   " coordinate polynomials (arrays of coefficients)");
+      },
+      [&](Kind poly, std::size_t c) {
+        out->dim = c + 1;
+        out->count[c] = 0;
+        return read_array(
+            in, poly, kMaxDegree + 1,
+            [what] {
+              return bad(std::string(what) +
+                         " coordinates must be non-empty arrays of at most " +
+                         std::to_string(kMaxDegree + 1) +
+                         " coefficients (constant term first)");
+            },
+            [&](Kind coeff, std::size_t i) {
+              if (!read_finite(in, coeff, &out->coeff[c][i])) {
+                return bad("polynomial coefficients must be finite numbers");
+              }
+              out->count[c] = i + 1;
+              return Status::ok();
+            });
+      });
+}
+
+Trajectory to_trajectory(const PointBuffer& pt) {
   std::vector<Polynomial> coords;
-  coords.reserve(pt.array.size());
-  for (const json::Value& poly : pt.array) {
-    if (!poly.is_array() || poly.array.empty() ||
-        poly.array.size() > static_cast<std::size_t>(kMaxDegree) + 1) {
-      return bad(std::string(what) +
-                 " coordinates must be non-empty arrays of at most " +
-                 std::to_string(kMaxDegree + 1) +
-                 " coefficients (constant term first)");
-    }
-    std::vector<double> c(poly.array.size());
-    for (std::size_t i = 0; i < c.size(); ++i) {
-      // strtod turns "1e999" into infinity; a non-finite coefficient
-      // would poison every downstream comparison, so reject it here.
-      const json::Value& coeff = poly.array[i];
-      if (!coeff.is_number() || !std::isfinite(coeff.number)) {
-        return bad("polynomial coefficients must be finite numbers");
-      }
-      c[i] = coeff.number;
-    }
-    coords.emplace_back(std::move(c));
+  coords.reserve(pt.dim);
+  for (std::size_t c = 0; c < pt.dim; ++c) {
+    coords.emplace_back(
+        std::vector<double>(pt.coeff[c], pt.coeff[c] + pt.count[c]));
   }
-  out->emplace(std::move(coords));
-  return Status::ok();
+  return Trajectory(std::move(coords));
 }
 
 struct Scenario {
@@ -94,71 +197,163 @@ struct Scenario {
   std::size_t d = kDefaultDim;
   bool has_d = false;
   int k = kDefaultK;
-  std::vector<Trajectory> points;
+  // Inline points in their scenario-key form (the append_key_* pieces of
+  // append_scenario_key, without the dimension header), each coordinate
+  // trimmed as Polynomial trims it.
+  std::string* points = nullptr;
+  std::size_t size = 0;  // inline points read
+  // MotionSystem::try_create's dimension check, kept without the points:
+  // the first point's dimension and the first point that differs from it.
+  std::size_t dim0 = 0;
+  std::size_t odd = 0;  // index; 0 = none
+  std::size_t odd_dim = 0;
 };
 
-Status parse_scenario(const json::Value& v, Scenario* out) {
-  if (!v.is_object()) return bad("'scenario' must be an object");
-  if (Status st = check_duplicate_members(v, "scenario"); !st.is_ok()) {
-    return st;
-  }
-  for (const auto& [name, member] : v.object) {
-    if (name == "seed") {
-      std::uint64_t x;
-      if (!to_index(member, 1ull << 40, &x)) {
-        return bad("scenario 'seed' must be an integer in [0, 2^40]");
-      }
-      out->seed = x;
-    } else if (name == "n") {
-      std::uint64_t x;
-      if (!to_index(member, kMaxPoints, &x) || x == 0) {
-        return bad("scenario 'n' must be an integer in [1, " +
-                   std::to_string(kMaxPoints) + "]");
-      }
-      out->n = static_cast<std::size_t>(x);
-    } else if (name == "d") {
-      std::uint64_t x;
-      if (!to_index(member, kMaxDimension, &x) || x == 0) {
-        return bad("scenario 'd' must be an integer in [1, " +
-                   std::to_string(kMaxDimension) + "]");
-      }
-      out->d = static_cast<std::size_t>(x);
-      out->has_d = true;
-    } else if (name == "k") {
-      std::uint64_t x;
-      if (!to_index(member, static_cast<std::uint64_t>(kMaxDegree), &x)) {
-        return bad("scenario 'k' must be an integer in [0, " +
-                   std::to_string(kMaxDegree) + "]");
-      }
-      out->k = static_cast<int>(x);
-    } else if (name == "points") {
-      if (!member.is_array() || member.array.empty() ||
-          member.array.size() > kMaxPoints) {
+Status read_points(json::Reader& in, Kind kind, Scenario* sc) {
+  PointBuffer pt;
+  std::size_t size = 0;
+  Status st = read_array(
+      in, kind, kMaxPoints,
+      [] {
         return bad("scenario 'points' must be a non-empty array of at most " +
                    std::to_string(kMaxPoints) + " points");
-      }
-      out->inline_points = true;
-      out->points.reserve(member.array.size());
-      for (const json::Value& pt : member.array) {
-        std::optional<Trajectory> point;
-        if (Status st = parse_point(pt, "scenario point", &point);
-            !st.is_ok()) {
-          return st;
+      },
+      [&](Kind point, std::size_t i) {
+        if (Status ps = read_point(in, point, "scenario point", &pt);
+            !ps.is_ok()) {
+          return ps;
         }
-        out->points.push_back(std::move(*point));
-      }
-    } else {
-      return bad("unknown scenario field '" + name + "'");
+        append_key_point(*sc->points);
+        for (std::size_t c = 0; c < pt.dim; ++c) {
+          append_key_coordinate(
+              *sc->points, pt.coeff[c],
+              Polynomial::trimmed_size(pt.coeff[c], pt.count[c]));
+        }
+        if (i == 0) {
+          sc->dim0 = pt.dim;
+        } else if (pt.dim != sc->dim0 && sc->odd == 0) {
+          sc->odd = i;
+          sc->odd_dim = pt.dim;
+        }
+        size = i + 1;
+        return Status::ok();
+      });
+  if (!st.is_ok()) return st;
+  sc->inline_points = true;
+  sc->size = size;
+  return Status::ok();
+}
+
+enum ScenarioField { kSeed, kN, kDim, kDegree, kPoints };
+constexpr const char* kScenarioFields[] = {"seed", "n", "d", "k", "points"};
+
+Status read_scenario(json::Reader& in, Kind kind, Scenario* out) {
+  if (kind != Kind::kObject) {
+    in.skip(kind);
+    return bad("'scenario' must be an object");
+  }
+  Members names(kScenarioFields);
+  Status first;
+  std::string name;
+  while (in.member(&name)) {
+    const int field = names.see(name);
+    const Kind v = in.value();
+    if (!first.is_ok()) {
+      in.skip(v);
+      continue;
+    }
+    std::uint64_t x = 0;
+    switch (field) {
+      case kSeed:
+        if (!read_index(in, v, 1ull << 40, &x)) {
+          first = bad("scenario 'seed' must be an integer in [0, 2^40]");
+          break;
+        }
+        out->seed = x;
+        break;
+      case kN:
+        if (!read_index(in, v, kMaxPoints, &x) || x == 0) {
+          first = bad("scenario 'n' must be an integer in [1, " +
+                      std::to_string(kMaxPoints) + "]");
+          break;
+        }
+        out->n = static_cast<std::size_t>(x);
+        break;
+      case kDim:
+        if (!read_index(in, v, kMaxDimension, &x) || x == 0) {
+          first = bad("scenario 'd' must be an integer in [1, " +
+                      std::to_string(kMaxDimension) + "]");
+          break;
+        }
+        out->d = static_cast<std::size_t>(x);
+        out->has_d = true;
+        break;
+      case kDegree:
+        if (!read_index(in, v, static_cast<std::uint64_t>(kMaxDegree), &x)) {
+          first = bad("scenario 'k' must be an integer in [0, " +
+                      std::to_string(kMaxDegree) + "]");
+          break;
+        }
+        out->k = static_cast<int>(x);
+        break;
+      case kPoints:
+        first = read_points(in, v, out);
+        break;
+      default:
+        in.skip(v);
+        first = bad("unknown scenario field '" + name + "'");
     }
   }
+  if (Status st = names.duplicate("scenario"); !st.is_ok()) return st;
+  if (!first.is_ok()) return first;
   if (out->inline_points) {
     if (out->seed != kDefaultSeed || out->n != kDefaultN || out->k != kDefaultK) {
       // A request that sets both forms is ambiguous about what it queries.
       return bad("scenario mixes inline 'points' with generator fields "
                  "('seed'/'n'/'k')");
     }
-    if (!out->has_d) out->d = out->points.front().dimension();
+    if (!out->has_d) out->d = out->dim0;
   }
+  return Status::ok();
+}
+
+enum InsertField { kInsertId, kInsertPoint };
+constexpr const char* kInsertFields[] = {"id", "point"};
+
+Status read_insert_entry(json::Reader& in, Kind kind, Request* r) {
+  if (kind != Kind::kObject) {
+    in.skip(kind);
+    return bad("'insert' entries must be {\"id\", \"point\"} objects");
+  }
+  Members names(kInsertFields);
+  Status first;
+  std::uint64_t id = 0;
+  bool has_id = false;
+  bool has_point = false;
+  PointBuffer pt;
+  std::string name;
+  while (in.member(&name)) {
+    const int field = names.see(name);
+    const Kind v = in.value();
+    if (!first.is_ok()) {
+      in.skip(v);
+    } else if (field == kInsertId) {
+      has_id = read_index(in, v, std::uint64_t{1} << 53, &id);
+      if (!has_id) first = bad("insert 'id' must be an integer in [0, 2^53]");
+    } else if (field == kInsertPoint) {
+      first = read_point(in, v, "insert 'point'", &pt);
+      has_point = true;
+    } else {
+      in.skip(v);
+      first = bad("unknown insert entry field '" + name + "'");
+    }
+  }
+  if (Status st = names.duplicate("insert entry"); !st.is_ok()) return st;
+  if (!first.is_ok()) return first;
+  if (!has_id || !has_point) {
+    return bad("'insert' entries need both \"id\" and \"point\"");
+  }
+  r->fleet_insert.emplace_back(id, to_trajectory(pt));
   return Status::ok();
 }
 
@@ -260,29 +455,46 @@ Status check_fields(const Request& r, bool has_scenario, bool has_query,
   return Status::ok();
 }
 
-void build_key(Request* r) {
-  std::string key = op_name(r->op);
-  key += '|';
-  key += r->machine;
-  key += "|q";
-  key += std::to_string(r->query);
-  key += r->farthest ? "|f1" : "|f0";
-  if (r->has_box) {
-    key += "|b";
-    for (double v : r->box) append_canonical(key, v);
+// The text part of the key, shared by both scenario forms.
+void append_key_prefix(const Request& r, std::string* key) {
+  *key += op_name(r.op);
+  *key += '|';
+  *key += r.machine;
+  *key += "|q";
+  *key += std::to_string(r.query);
+  *key += r.farthest ? "|f1" : "|f0";
+  if (r.has_box) {
+    *key += "|b";
+    for (double v : r.box) append_canonical(*key, v);
   }
-  if (r->has_faults) {
-    key += "|x";
-    key += r->faults_spec;
+  if (r.has_faults) {
+    *key += "|x";
+    *key += r.faults_spec;
   }
-  key += "|s";
-  // The text so far is shared by both forms; the scenario is appended
-  // compactly while its hex form streams into the fingerprint.
-  const std::uint64_t h =
-      fingerprint_bytes(kFingerprintSeed, key.data(), key.size());
-  r->fingerprint = append_scenario_key(key, *r->system, h);
-  r->key = std::move(key);
+  *key += "|s";
 }
+
+// Inline points are read into this buffer and copied once into the key,
+// sized exactly.  It keeps its capacity from request to request on a
+// thread, so a read allocates the same at any scenario size; an outsized
+// line's buffer is given back.
+constexpr std::size_t kKeepScratch = std::size_t{1} << 20;
+
+std::string& points_scratch() {
+  thread_local std::string scratch;
+  if (scratch.capacity() > kKeepScratch) std::string().swap(scratch);
+  scratch.clear();
+  return scratch;
+}
+
+enum RootField {
+  kOp, kId, kScenario, kMachine, kQuery, kFarthest, kBox, kDeadlineMs,
+  kFaults, kFleet, kFleetD, kFleetK, kRef, kInsert, kErase, kAdvance,
+};
+constexpr const char* kRootFields[] = {
+    "op",     "id",          "scenario", "machine", "query", "farthest",
+    "box",    "deadline_ms", "faults",   "fleet",   "d",     "k",
+    "ref",    "insert",      "erase",    "advance"};
 
 }  // namespace
 
@@ -326,17 +538,16 @@ std::vector<double> fit_box(std::vector<double> box, std::size_t dimension) {
   return box;
 }
 
-StatusOr<Request> parse_request(const std::string& line) {
-  json::Value root;
-  std::string err;
-  if (!json::parse(line, &root, &err)) {
-    return Status::parse_error("request is not valid JSON: " + err);
-  }
-  if (!root.is_object()) return bad("request must be a JSON object");
-  if (Status st = check_duplicate_members(root, "request"); !st.is_ok()) {
-    return st;
-  }
-
+// Error precedence (docs/SERVING.md#request-stages, pinned by the golden
+// table in tests/data): a JSON syntax error anywhere in the line outranks
+// every field error; an object's duplicate member outranks the errors
+// inside that object, and an array's size error the errors inside that
+// array; otherwise the first field error in member order wins, then the
+// checks that need the whole request (a missing op, field admissibility,
+// inline dimensions, the query range).  One pass keeps that order by
+// reading on after a field error.
+StatusOr<Request> read_request(const std::string& line) {
+  json::Reader in(line);
   Request r;
   bool has_op = false;
   bool has_scenario = false;
@@ -344,172 +555,212 @@ StatusOr<Request> parse_request(const std::string& line) {
   bool has_machine = false;
   FleetFields ff;
   Scenario sc;
-  for (const auto& [name, member] : root.object) {
-    if (name == "op") {
-      if (!member.is_string()) return bad("'op' must be a string");
-      has_op = true;
-      const std::string& op = member.string;
-      bool known = false;
-      for (Op candidate : kAllOps) {
-        if (op == op_name(candidate)) {
-          r.op = candidate;
-          known = true;
+  sc.points = &points_scratch();
+  Members names(kRootFields);
+  Status first;
+  const Kind root = in.value();
+  if (root != Kind::kObject) in.skip(root);
+  std::string name;
+  while (root == Kind::kObject && in.member(&name)) {
+    const int field = names.see(name);
+    const Kind v = in.value();
+    if (!first.is_ok()) {
+      in.skip(v);
+      continue;
+    }
+    std::uint64_t x = 0;
+    std::string text;
+    switch (field) {
+      case kOp: {
+        if (!read_string(in, v, &text)) {
+          first = bad("'op' must be a string");
           break;
         }
-      }
-      if (!known) return bad("unknown op '" + op + "'");
-    } else if (name == "id") {
-      if (!member.is_string() && !member.is_number()) {
-        return bad("'id' must be a string or a number");
-      }
-      r.id_json = json::dump(member);
-    } else if (name == "scenario") {
-      has_scenario = true;
-      if (Status st = parse_scenario(member, &sc); !st.is_ok()) return st;
-    } else if (name == "machine") {
-      if (!member.is_string() ||
-          (member.string != "mesh" && member.string != "hypercube" &&
-           member.string != "ccc" && member.string != "shuffle")) {
-        return bad("'machine' must be \"mesh\", \"hypercube\", \"ccc\", or "
-                   "\"shuffle\"");
-      }
-      r.machine = member.string;
-      has_machine = true;
-    } else if (name == "query") {
-      std::uint64_t x;
-      if (!to_index(member, kMaxPoints - 1, &x)) {
-        return bad("'query' must be an integer in [0, " +
-                   std::to_string(kMaxPoints - 1) + "]");
-      }
-      r.query = static_cast<std::size_t>(x);
-      has_query = true;
-    } else if (name == "farthest") {
-      if (member.type != json::Value::Type::kBool) {
-        return bad("'farthest' must be a boolean");
-      }
-      r.farthest = member.boolean;
-    } else if (name == "box") {
-      if (!member.is_array() || member.array.empty() ||
-          member.array.size() > kMaxDimension) {
-        return bad("'box' must be a non-empty array of at most " +
-                   std::to_string(kMaxDimension) + " numbers");
-      }
-      for (const json::Value& dim : member.array) {
-        if (!dim.is_number() || !std::isfinite(dim.number)) {
-          return bad("'box' entries must be finite numbers");
-        }
-        r.box.push_back(dim.number);
-      }
-      r.has_box = true;
-    } else if (name == "deadline_ms") {
-      std::uint64_t x;
-      if (!to_index(member, kMaxDeadlineMs, &x) || x == 0) {
-        return bad("'deadline_ms' must be an integer in [1, " +
-                   std::to_string(kMaxDeadlineMs) + "]");
-      }
-      r.deadline_ms = x;
-    } else if (name == "faults") {
-      if (!member.is_string() || member.string.empty()) {
-        return bad("'faults' must be a non-empty fault-spec string");
-      }
-      StatusOr<FaultPlan> plan = FaultPlan::parse(member.string);
-      if (!plan.is_ok()) return plan.status();
-      r.faults = std::move(plan).value();
-      r.faults_spec = r.faults.to_string();
-      r.has_faults = true;
-    } else if (name == "fleet") {
-      if (!member.is_string() || member.string.empty()) {
-        return bad("'fleet' must be a non-empty session name string");
-      }
-      r.fleet = member.string;
-      ff.fleet = true;
-    } else if (name == "d") {
-      std::uint64_t x;
-      if (!to_index(member, kMaxDimension, &x) || x == 0) {
-        return bad("'d' must be an integer in [1, " +
-                   std::to_string(kMaxDimension) + "]");
-      }
-      r.fleet_d = static_cast<std::size_t>(x);
-      ff.d = true;
-    } else if (name == "k") {
-      std::uint64_t x;
-      if (!to_index(member, static_cast<std::uint64_t>(kMaxDegree), &x)) {
-        return bad("'k' must be an integer in [0, " +
-                   std::to_string(kMaxDegree) + "]");
-      }
-      r.fleet_k = static_cast<int>(x);
-      ff.k = true;
-    } else if (name == "ref") {
-      if (Status st = parse_point(member, "'ref'", &r.fleet_ref);
-          !st.is_ok()) {
-        return st;
-      }
-      ff.ref = true;
-    } else if (name == "insert") {
-      if (!member.is_array() || member.array.empty() ||
-          member.array.size() > kMaxPoints) {
-        return bad("'insert' must be a non-empty array of at most " +
-                   std::to_string(kMaxPoints) +
-                   " {\"id\", \"point\"} entries");
-      }
-      for (const json::Value& entry : member.array) {
-        if (!entry.is_object()) {
-          return bad("'insert' entries must be {\"id\", \"point\"} objects");
-        }
-        if (Status st = check_duplicate_members(entry, "insert entry");
-            !st.is_ok()) {
-          return st;
-        }
-        std::uint64_t id = 0;
-        bool has_id = false;
-        std::optional<Trajectory> point;
-        for (const auto& [ename, evalue] : entry.object) {
-          if (ename == "id") {
-            if (!to_index(evalue, std::uint64_t{1} << 53, &id)) {
-              return bad("insert 'id' must be an integer in [0, 2^53]");
-            }
-            has_id = true;
-          } else if (ename == "point") {
-            if (Status st = parse_point(evalue, "insert 'point'", &point);
-                !st.is_ok()) {
-              return st;
-            }
-          } else {
-            return bad("unknown insert entry field '" + ename + "'");
+        has_op = true;
+        bool known = false;
+        for (Op candidate : kAllOps) {
+          if (text == op_name(candidate)) {
+            r.op = candidate;
+            known = true;
+            break;
           }
         }
-        if (!has_id || !point.has_value()) {
-          return bad("'insert' entries need both \"id\" and \"point\"");
+        if (!known) first = bad("unknown op '" + text + "'");
+        break;
+      }
+      case kId: {
+        in.skip(v);
+        json::Value id;
+        if (v == Kind::kString) {
+          id.type = json::Value::Type::kString;
+          id.string = std::move(in.string());
+        } else if (v == Kind::kNumber) {
+          id.type = json::Value::Type::kNumber;
+          id.number = in.number();
+        } else {
+          first = bad("'id' must be a string or a number");
+          break;
         }
-        r.fleet_insert.emplace_back(id, std::move(*point));
+        r.id_json = json::dump(id);
+        break;
       }
-      ff.insert = true;
-    } else if (name == "erase") {
-      if (!member.is_array() || member.array.empty() ||
-          member.array.size() > kMaxPoints) {
-        return bad("'erase' must be a non-empty array of at most " +
-                   std::to_string(kMaxPoints) + " member ids");
-      }
-      for (const json::Value& idv : member.array) {
-        std::uint64_t id = 0;
-        if (!to_index(idv, std::uint64_t{1} << 53, &id)) {
-          return bad("'erase' ids must be integers in [0, 2^53]");
+      case kScenario:
+        has_scenario = true;
+        first = read_scenario(in, v, &sc);
+        break;
+      case kMachine:
+        if (!read_string(in, v, &text) ||
+            (text != "mesh" && text != "hypercube" && text != "ccc" &&
+             text != "shuffle")) {
+          first = bad("'machine' must be \"mesh\", \"hypercube\", \"ccc\", "
+                      "or \"shuffle\"");
+          break;
         }
-        r.fleet_erase.push_back(id);
+        r.machine = std::move(text);
+        has_machine = true;
+        break;
+      case kQuery:
+        if (!read_index(in, v, kMaxPoints - 1, &x)) {
+          first = bad("'query' must be an integer in [0, " +
+                      std::to_string(kMaxPoints - 1) + "]");
+          break;
+        }
+        r.query = static_cast<std::size_t>(x);
+        has_query = true;
+        break;
+      case kFarthest:
+        in.skip(v);
+        if (v != Kind::kBool) {
+          first = bad("'farthest' must be a boolean");
+          break;
+        }
+        r.farthest = in.boolean();
+        break;
+      case kBox: {
+        r.box.resize(kMaxDimension);
+        std::size_t size = 0;
+        first = read_array(
+            in, v, kMaxDimension,
+            [] {
+              return bad("'box' must be a non-empty array of at most " +
+                         std::to_string(kMaxDimension) + " numbers");
+            },
+            [&](Kind dim, std::size_t i) {
+              if (!read_finite(in, dim, &r.box[i])) {
+                return bad("'box' entries must be finite numbers");
+              }
+              size = i + 1;
+              return Status::ok();
+            });
+        r.box.resize(size);
+        r.has_box = true;
+        break;
       }
-      ff.erase = true;
-    } else if (name == "advance") {
-      if (!member.is_number() || !std::isfinite(member.number) ||
-          member.number < 0) {
-        return bad("'advance' must be a finite number >= 0");
+      case kDeadlineMs:
+        if (!read_index(in, v, kMaxDeadlineMs, &x) || x == 0) {
+          first = bad("'deadline_ms' must be an integer in [1, " +
+                      std::to_string(kMaxDeadlineMs) + "]");
+          break;
+        }
+        r.deadline_ms = x;
+        break;
+      case kFaults: {
+        if (!read_string(in, v, &text) || text.empty()) {
+          first = bad("'faults' must be a non-empty fault-spec string");
+          break;
+        }
+        StatusOr<FaultPlan> plan = FaultPlan::parse(text);
+        if (!plan.is_ok()) {
+          first = plan.status();
+          break;
+        }
+        r.faults = std::move(plan).value();
+        r.faults_spec = r.faults.to_string();
+        r.has_faults = true;
+        break;
       }
-      r.fleet_advance = member.number;
-      r.fleet_has_advance = true;
-      ff.advance = true;
-    } else {
-      return bad("unknown request field '" + name + "'");
+      case kFleet:
+        if (!read_string(in, v, &r.fleet) || r.fleet.empty()) {
+          first = bad("'fleet' must be a non-empty session name string");
+        }
+        ff.fleet = true;
+        break;
+      case kFleetD:
+        if (!read_index(in, v, kMaxDimension, &x) || x == 0) {
+          first = bad("'d' must be an integer in [1, " +
+                      std::to_string(kMaxDimension) + "]");
+          break;
+        }
+        r.fleet_d = static_cast<std::size_t>(x);
+        ff.d = true;
+        break;
+      case kFleetK:
+        if (!read_index(in, v, static_cast<std::uint64_t>(kMaxDegree), &x)) {
+          first = bad("'k' must be an integer in [0, " +
+                      std::to_string(kMaxDegree) + "]");
+          break;
+        }
+        r.fleet_k = static_cast<int>(x);
+        ff.k = true;
+        break;
+      case kRef: {
+        PointBuffer pt;
+        first = read_point(in, v, "'ref'", &pt);
+        if (first.is_ok()) r.fleet_ref = to_trajectory(pt);
+        ff.ref = true;
+        break;
+      }
+      case kInsert:
+        first = read_array(
+            in, v, kMaxPoints,
+            [] {
+              return bad("'insert' must be a non-empty array of at most " +
+                         std::to_string(kMaxPoints) +
+                         " {\"id\", \"point\"} entries");
+            },
+            [&](Kind entry, std::size_t) {
+              return read_insert_entry(in, entry, &r);
+            });
+        ff.insert = true;
+        break;
+      case kErase:
+        first = read_array(
+            in, v, kMaxPoints,
+            [] {
+              return bad("'erase' must be a non-empty array of at most " +
+                         std::to_string(kMaxPoints) + " member ids");
+            },
+            [&](Kind id, std::size_t) {
+              if (!read_index(in, id, std::uint64_t{1} << 53, &x)) {
+                return bad("'erase' ids must be integers in [0, 2^53]");
+              }
+              r.fleet_erase.push_back(x);
+              return Status::ok();
+            });
+        ff.erase = true;
+        break;
+      case kAdvance:
+        in.skip(v);
+        if (v != Kind::kNumber || !std::isfinite(in.number()) ||
+            in.number() < 0) {
+          first = bad("'advance' must be a finite number >= 0");
+          break;
+        }
+        r.fleet_advance = in.number();
+        r.fleet_has_advance = true;
+        ff.advance = true;
+        break;
+      default:
+        in.skip(v);
+        first = bad("unknown request field '" + name + "'");
     }
   }
+  if (!in.end()) {
+    return Status::parse_error("request is not valid JSON: " + in.error());
+  }
+  if (root != Kind::kObject) return bad("request must be a JSON object");
+  if (Status st = names.duplicate("request"); !st.is_ok()) return st;
+  if (!first.is_ok()) return first;
   if (!has_op) return bad("request has no 'op' field");
   if (Status st = check_fields(r, has_scenario, has_query, has_machine, ff);
       !st.is_ok()) {
@@ -519,7 +770,10 @@ StatusOr<Request> parse_request(const std::string& line) {
   // session registry validates everything that needs session state.
   if (is_admin_op(r.op) || is_fleet_op(r.op)) return r;
 
-  // Materialize the scenario (absent scenario = CLI defaults).
+  // Generator scenarios are expanded here, since their key is the system's
+  // bits; inline ones are checked as MotionSystem::try_create would and
+  // stay in key form until finish_request (absent scenario = CLI defaults).
+  std::size_t size = sc.size;
   if (r.op == Op::kSteady) {
     if (sc.inline_points || sc.has_d) {
       return bad("op \"steady\" takes generator scenarios only "
@@ -529,21 +783,54 @@ StatusOr<Request> parse_request(const std::string& line) {
     Rng rng(sc.seed);
     r.system = diverging_motion_system(rng, sc.n, std::max(1, sc.k));
   } else if (sc.inline_points) {
-    StatusOr<MotionSystem> sys =
-        MotionSystem::try_create(sc.d, std::move(sc.points));
-    if (!sys.is_ok()) return sys.status();
-    r.system = std::move(sys).value();
+    if (sc.dim0 != sc.d || sc.odd != 0) {
+      const bool first_differs = sc.dim0 != sc.d;
+      return bad("trajectory " + std::to_string(first_differs ? 0 : sc.odd) +
+                 " has dimension " +
+                 std::to_string(first_differs ? sc.dim0 : sc.odd_dim) +
+                 ", expected " + std::to_string(sc.d));
+    }
   } else {
     Rng rng(sc.seed);
     r.system = random_motion_system(rng, sc.n, sc.d, sc.k);
   }
-  if (r.op != Op::kPairs && r.op != Op::kContain &&
-      r.query >= r.system->size()) {
-    return bad("query index " + std::to_string(r.query) +
-               " out of range [0, " + std::to_string(r.system->size()) + ")");
+  if (r.system) {
+    size = r.system->size();
+    sc.d = r.system->dimension();
   }
-  if (r.has_box) r.box = fit_box(std::move(r.box), r.system->dimension());
-  build_key(&r);
+  if (r.op != Op::kPairs && r.op != Op::kContain && r.query >= size) {
+    return bad("query index " + std::to_string(r.query) +
+               " out of range [0, " + std::to_string(size) + ")");
+  }
+  if (r.has_box) r.box = fit_box(std::move(r.box), sc.d);
+  // Room for the text part (op, machine, query, flags, 'd' header) plus
+  // what varies: the box, the fault spec and the inline points.
+  r.key.reserve(64 + 16 * r.box.size() + r.faults_spec.size() +
+                sc.points->size());
+  append_key_prefix(r, &r.key);
+  r.scenario_at = r.key.size();
+  if (r.system) {
+    append_scenario_key(r.key, *r.system);
+  } else {
+    append_key_dimension(r.key, sc.d);
+    r.key += *sc.points;
+  }
+  return r;
+}
+
+void finish_request(Request* r) {
+  if (r->key.empty()) return;  // admin and fleet ops
+  const std::string_view scenario =
+      std::string_view(r->key).substr(r->scenario_at);
+  if (!r->system) r->system = scenario_from_key(scenario);
+  r->fingerprint = fingerprint_scenario_key(
+      fingerprint_bytes(kFingerprintSeed, r->key.data(), r->scenario_at),
+      scenario);
+}
+
+StatusOr<Request> parse_request(const std::string& line) {
+  StatusOr<Request> r = read_request(line);
+  if (r.is_ok()) finish_request(&r.value());
   return r;
 }
 

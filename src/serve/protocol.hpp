@@ -22,8 +22,8 @@
 //
 // Parsing is strict: unknown fields, wrong types, out-of-range values, and
 // mixed scenario forms are errors, not warnings.  A rejected request costs
-// the server one parse — no machine is ever built for it (admission
-// control, docs/SERVING.md#admission).
+// the server one read of its line — no machine is ever built for it
+// (admission control, docs/SERVING.md#admission).
 namespace dyncg {
 namespace serve {
 
@@ -86,10 +86,14 @@ inline constexpr int kMaxDegree = 16;
 // the upper bound of the server's --deadline-ms flag.
 inline constexpr std::uint64_t kMaxDeadlineMs = 3'600'000;
 
-// A parsed, validated, materialized request.  `system` is already built
-// (generator scenarios are expanded; inline scenarios are range-checked by
-// MotionSystem::try_create), so everything downstream — cache key, engine —
-// works from bits, never from the request's surface form.
+// A validated request, in two stages (docs/SERVING.md#request-stages).
+// read_request validates everything and builds `key`; generator scenarios
+// are expanded into `system` on the way, because their key is the system's
+// bits, but inline scenarios exist only as key bytes.  finish_request then
+// builds `system` from those bytes and computes `fingerprint`.  The server
+// finishes only the requests its cache cannot answer; everything else
+// (parse_request, the CLI, the oracles) gets finished requests.  Either way
+// the engine works from bits, never from the request's surface form.
 struct Request {
   Op op = Op::kPing;
   // The "id" member rendered back by json::dump ("\"a\"" or "7"); empty =
@@ -107,15 +111,19 @@ struct Request {
   // arrival at the server; 0 = inherit the server's --deadline-ms default.
   // Like "id", it shapes scheduling, not the answer — excluded from `key`.
   std::uint64_t deadline_ms = 0;
-  std::optional<MotionSystem> system;  // absent for ping/stats
+  // Absent for admin and fleet ops, and for inline scenarios until
+  // finish_request.
+  std::optional<MotionSystem> system;
   // Exact cache key (empty for admin and fleet ops): the text
-  // "op|machine|q<query>|f<0|1>[|b<hex box>][|x<faults>]|s", then the
-  // system as raw coefficient bytes behind per-coordinate counts
-  // (append_scenario_key, envelope/scenario_key.hpp), 8 bytes per
-  // coefficient.  Binary: it never leaves the process.  `fingerprint` is
-  // FNV-1a over the same text with every coefficient as 16 hex digits, the
-  // `key` field of responses (docs/SERVING.md#cache).
+  // "op|machine|q<query>|f<0|1>[|b<hex box>][|x<faults>]|s", then, from
+  // byte `scenario_at` on, the system as raw coefficient bytes behind
+  // per-coordinate counts (append_scenario_key, envelope/scenario_key.hpp),
+  // 8 bytes per coefficient.  Binary: it never leaves the process.
+  // `fingerprint` (set by finish_request) is FNV-1a over the same text with
+  // every coefficient as 16 hex digits, the `key` field of responses
+  // (docs/SERVING.md#cache).
   std::string key;
+  std::size_t scenario_at = 0;
   std::uint64_t fingerprint = 0;
   // Fleet-session fields (fleet_* ops only; serve/fleet.hpp validates the
   // parts that need session state, e.g. point arity vs the session's
@@ -136,19 +144,29 @@ struct Request {
 // are dropped.  `box` must be non-empty.
 std::vector<double> fit_box(std::vector<double> box, std::size_t dimension);
 
-// Parse and validate one request line.  Error statuses map onto the repo's
-// pinned codes: kParseError for malformed JSON or fault specs,
-// kInvalidArgument for unknown/ill-typed/out-of-range fields.
+// Read and validate one request line in one pass: every check, and `key`.
+// Error statuses map onto the repo's pinned codes: kParseError for
+// malformed JSON or fault specs, kInvalidArgument for unknown, ill-typed or
+// out-of-range fields.  When a line has several errors, the one reported
+// follows the precedence in docs/SERVING.md#request-stages.
+StatusOr<Request> read_request(const std::string& line);
+// Completes an accepted request: builds an inline scenario's `system` from
+// its key and computes `fingerprint`.  Nothing to do for admin and fleet
+// ops; idempotent.
+void finish_request(Request* r);
+// read_request then finish_request.
 StatusOr<Request> parse_request(const std::string& line);
 
 // One computed answer, exactly what the cache stores: the CLI's stdout for
 // the same scenario minus its trailing cost line (trailing '\n' kept), plus
-// the simulated ledger figures and the machine it ran on.
+// the simulated ledger figures, the machine it ran on, and the request's
+// fingerprint, so a hit renders its `key` without computing it.
 struct CachedResult {
   std::string text;
   CostSnapshot cost;
   std::string topology;
   std::size_t pes = 0;
+  std::uint64_t fingerprint = 0;
 };
 
 // Counters the `stats` op reports and the shutdown summary prints.  The

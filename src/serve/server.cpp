@@ -451,13 +451,14 @@ void Server::process_batch() {
   std::vector<Item> items;
   items.reserve(take);
 
-  // Pass 1: parse, check deadlines at dequeue, and collect the distinct
+  // Pass 1: read every line (read_request: validation and the cache key,
+  // nothing more), check deadlines at dequeue, and collect the distinct
   // keys the cache cannot answer.  An expired request is marked here and
   // never reaches the compute pass — the engine does no work for it.
   auto dequeue_now = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < take; ++i) {
     ++requests_;
-    items.push_back(Item{pending_[i].conn, parse_request(pending_[i].line),
+    items.push_back(Item{pending_[i].conn, read_request(pending_[i].line),
                          {}, false, false});
     Item& item = items.back();
     if (!item.req.is_ok()) {
@@ -474,10 +475,10 @@ void Server::process_batch() {
       if (dequeue_now >= item.deadline) item.expired = true;
     }
   }
-  std::vector<const Request*> to_compute;  // into items; reserve() keeps
-  for (const Item& item : items) {         // the addresses stable
+  std::vector<Request*> to_compute;  // into items; reserve() keeps the
+  for (Item& item : items) {         // addresses stable
     if (!item.req.is_ok() || item.expired) continue;
-    const Request& r = item.req.value();
+    Request& r = item.req.value();
     // Fleet ops mutate session state: handled sequentially in the replay
     // pass, never fanned out, never cached.
     if (is_admin_op(r.op) || is_fleet_op(r.op)) continue;
@@ -487,14 +488,17 @@ void Server::process_batch() {
     if (!queued) to_compute.push_back(&r);
   }
 
-  // Pass 2: compute the missing keys concurrently.  run_query is pure per
-  // request; results land in per-index slots, so this is a textbook
-  // independent-iteration loop (docs/PARALLELISM.md).
+  // Pass 2: finish and compute the missing keys concurrently.
+  // finish_request and run_query are pure per request; results land in
+  // per-index slots, so this is a textbook independent-iteration loop
+  // (docs/PARALLELISM.md).  Only misses are ever finished: a hit needs
+  // nothing but its key.
   struct Computed {
     Status status = Status::ok();
     CachedResult result;
   };
-  auto compute = [](const Request& r) {
+  auto compute = [](Request& r) {
+    finish_request(&r);
     Computed c;
     StatusOr<CachedResult> res = run_query(r);
     if (res.is_ok()) {
@@ -528,7 +532,7 @@ void Server::process_batch() {
       sm().responses_error->add();
       continue;
     }
-    const Request& r = item.req.value();
+    Request& r = item.req.value();
     if (item.has_deadline && !item.expired && replay_now >= item.deadline) {
       item.expired = true;
     }
@@ -598,16 +602,17 @@ void Server::process_batch() {
       }
       continue;
     }
+    // A hit's `key` comes from its entry: the request was never finished.
     if (const CachedResult* hit = cache_.find(r.key)) {
       respond(item.conn,
-              render_result(r.id_json, r.op, *hit, true, r.fingerprint));
+              render_result(r.id_json, r.op, *hit, true, hit->fingerprint));
       sm().responses_ok->add();
       continue;
     }
     // Counted miss: fetch this key's computed slot.  A key pass 1 found
     // cached has none when an earlier miss in this batch evicted it (FIFO,
     // cache full); a sequential server would miss and compute it too, so
-    // it is computed here.
+    // it is finished and computed here.
     Computed late;
     const Computed* slot = nullptr;
     for (std::size_t i = 0; i < to_compute.size(); ++i) {
@@ -629,7 +634,7 @@ void Server::process_batch() {
     cache_.insert(r.key, slot->result);
     respond(item.conn,
             render_result(r.id_json, r.op, slot->result, false,
-                          r.fingerprint));
+                          slot->result.fingerprint));
     sm().responses_ok->add();
   }
   pending_.erase(pending_.begin(),

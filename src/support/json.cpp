@@ -132,228 +132,282 @@ const Value* Value::find(const std::string& key) const {
   return nullptr;
 }
 
+bool Reader::fail(std::string_view what) {
+  if (error_.empty()) {
+    error_ = what;
+    error_ += " at offset ";
+    error_ += std::to_string(p_ - begin_);
+  }
+  return false;
+}
+
+void Reader::skip_ws() {
+  while (p_ < end_ &&
+         (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r')) {
+    ++p_;
+  }
+}
+
+bool Reader::literal(std::string_view lit) {
+  if (static_cast<std::size_t>(end_ - p_) < lit.size() ||
+      std::memcmp(p_, lit.data(), lit.size()) != 0) {
+    return fail("expected '" + std::string(lit) + "'");
+  }
+  p_ += lit.size();
+  return true;
+}
+
 namespace {
 
-struct Parser {
-  const char* p;
-  const char* end;
-  std::string err;
+// Appends the UTF-8 encoding of a code point.
+void append_utf8(std::string& s, unsigned cp) {
+  if (cp < 0x80) {
+    s += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    s += static_cast<char>(0xC0 | (cp >> 6));
+    s += static_cast<char>(0x80 | (cp & 0x3F));
+  } else {
+    s += static_cast<char>(0xE0 | (cp >> 12));
+    s += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    s += static_cast<char>(0x80 | (cp & 0x3F));
+  }
+}
 
-  bool fail(const std::string& what) {
-    if (err.empty()) {
-      err = what + " at offset " + std::to_string(p - begin);
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+}  // namespace
+
+bool Reader::read_string(std::string* out) {
+  if (p_ >= end_ || *p_ != '"') return fail("expected string");
+  ++p_;
+  while (p_ < end_ && *p_ != '"') {
+    if (*p_ == '\\') {
+      ++p_;
+      if (p_ >= end_) return fail("truncated escape");
+      char c = 0;
+      switch (*p_) {
+        case '"': c = '"'; break;
+        case '\\': c = '\\'; break;
+        case '/': c = '/'; break;
+        case 'b': c = '\b'; break;
+        case 'f': c = '\f'; break;
+        case 'n': c = '\n'; break;
+        case 'r': c = '\r'; break;
+        case 't': c = '\t'; break;
+        case 'u': {
+          if (end_ - p_ < 5) return fail("truncated \\u escape");
+          unsigned cp = 0;
+          for (int i = 1; i <= 4; ++i) {
+            const char h = p_[i];
+            cp <<= 4;
+            if (h >= '0' && h <= '9') cp |= static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f') cp |= static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F') cp |= static_cast<unsigned>(h - 'A' + 10);
+            else return fail("bad \\u escape");
+          }
+          // Surrogate halves decode to U+FFFD (see header contract).
+          if (cp >= 0xD800 && cp <= 0xDFFF) cp = 0xFFFD;
+          if (out != nullptr) append_utf8(*out, cp);
+          p_ += 5;
+          continue;
+        }
+        default: return fail("bad escape");
+      }
+      if (out != nullptr) *out += c;
+      ++p_;
+    } else if (static_cast<unsigned char>(*p_) < 0x20) {
+      return fail("raw control character in string");
+    } else {
+      // A run of plain characters is appended at once.
+      const char* run = p_;
+      while (p_ < end_ && *p_ != '"' && *p_ != '\\' &&
+             static_cast<unsigned char>(*p_) >= 0x20) {
+        ++p_;
+      }
+      if (out != nullptr) out->append(run, static_cast<std::size_t>(p_ - run));
     }
+  }
+  if (p_ >= end_) return fail("unterminated string");
+  ++p_;  // closing quote
+  return true;
+}
+
+bool Reader::read_number() {
+  const char* start = p_;
+  auto skip_digits = [this] {
+    while (p_ < end_ && is_digit(*p_)) ++p_;
+  };
+  if (p_ < end_ && *p_ == '-') ++p_;
+  if (p_ >= end_ || !is_digit(*p_)) return fail("bad number");
+  if (*p_ == '0') {
+    ++p_;  // RFC 8259: no leading zeros ("01" is two tokens, i.e. invalid)
+  } else {
+    skip_digits();
+  }
+  if (p_ < end_ && *p_ == '.') {
+    ++p_;
+    if (p_ >= end_ || !is_digit(*p_)) return fail("bad number fraction");
+    skip_digits();
+  }
+  if (p_ < end_ && (*p_ == 'e' || *p_ == 'E')) {
+    ++p_;
+    if (p_ < end_ && (*p_ == '+' || *p_ == '-')) ++p_;
+    if (p_ >= end_ || !is_digit(*p_)) return fail("bad number exponent");
+    skip_digits();
+  }
+  // Both conversions round correctly, so they agree bit for bit wherever
+  // from_chars succeeds.  On overflow and underflow it reports an error
+  // and stores nothing; strtod then supplies +-inf or the flushed value.
+  const std::from_chars_result r = std::from_chars(start, p_, number_);
+  if (r.ec != std::errc() || r.ptr != p_) {
+    number_ = std::strtod(std::string(start, p_).c_str(), nullptr);
+  }
+  return true;
+}
+
+Reader::Kind Reader::value() {
+  if (!ok()) return Kind::kError;
+  if (depth_ > 256) {
+    fail("nesting too deep");
+    return Kind::kError;
+  }
+  skip_ws();
+  if (p_ >= end_) {
+    fail("unexpected end of input");
+    return Kind::kError;
+  }
+  switch (*p_) {
+    case '{':
+    case '[': {
+      const bool object = *p_ == '{';
+      ++p_;
+      ++depth_;
+      fresh_ = true;
+      return object ? Kind::kObject : Kind::kArray;
+    }
+    case '"':
+      string_.clear();
+      return read_string(&string_) ? Kind::kString : Kind::kError;
+    case 't':
+      boolean_ = true;
+      return literal("true") ? Kind::kBool : Kind::kError;
+    case 'f':
+      boolean_ = false;
+      return literal("false") ? Kind::kBool : Kind::kError;
+    case 'n':
+      return literal("null") ? Kind::kNull : Kind::kError;
+    default:
+      return read_number() ? Kind::kNumber : Kind::kError;
+  }
+}
+
+bool Reader::member(std::string* key) {
+  if (!ok()) return false;
+  skip_ws();
+  const bool first = fresh_;
+  fresh_ = false;
+  if (p_ < end_ && *p_ == '}') {
+    ++p_;
+    --depth_;
     return false;
   }
-
-  const char* begin;
-
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
-      ++p;
-    }
-  }
-
-  bool literal(const char* lit) {
-    std::size_t len = std::strlen(lit);
-    if (static_cast<std::size_t>(end - p) < len ||
-        std::memcmp(p, lit, len) != 0) {
-      return fail(std::string("expected '") + lit + "'");
-    }
-    p += len;
-    return true;
-  }
-
-  // Appends the UTF-8 encoding of a code point.
-  static void append_utf8(std::string& s, unsigned cp) {
-    if (cp < 0x80) {
-      s += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      s += static_cast<char>(0xC0 | (cp >> 6));
-      s += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
-      s += static_cast<char>(0xE0 | (cp >> 12));
-      s += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      s += static_cast<char>(0x80 | (cp & 0x3F));
-    }
-  }
-
-  bool parse_string(std::string& out) {
-    if (p >= end || *p != '"') return fail("expected string");
-    ++p;
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        ++p;
-        if (p >= end) return fail("truncated escape");
-        switch (*p) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (end - p < 5) return fail("truncated \\u escape");
-            unsigned cp = 0;
-            for (int i = 1; i <= 4; ++i) {
-              char c = p[i];
-              cp <<= 4;
-              if (c >= '0' && c <= '9') cp |= static_cast<unsigned>(c - '0');
-              else if (c >= 'a' && c <= 'f') cp |= static_cast<unsigned>(c - 'a' + 10);
-              else if (c >= 'A' && c <= 'F') cp |= static_cast<unsigned>(c - 'A' + 10);
-              else return fail("bad \\u escape");
-            }
-            // Surrogate halves decode to U+FFFD (see header contract).
-            if (cp >= 0xD800 && cp <= 0xDFFF) cp = 0xFFFD;
-            append_utf8(out, cp);
-            p += 4;
-            break;
-          }
-          default: return fail("bad escape");
-        }
-        ++p;
-      } else if (static_cast<unsigned char>(*p) < 0x20) {
-        return fail("raw control character in string");
-      } else {
-        out += *p++;
-      }
-    }
-    if (p >= end) return fail("unterminated string");
-    ++p;  // closing quote
-    return true;
-  }
-
-  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
-
-  void skip_digits() {
-    while (p < end && is_digit(*p)) ++p;
-  }
-
-  bool parse_number(Value& v) {
-    const char* start = p;
-    if (p < end && *p == '-') ++p;
-    if (p >= end || !is_digit(*p)) return fail("bad number");
-    if (*p == '0') {
-      ++p;  // RFC 8259: no leading zeros ("01" is two tokens, i.e. invalid)
-    } else {
-      skip_digits();
-    }
-    if (p < end && *p == '.') {
-      ++p;
-      if (p >= end || !is_digit(*p)) return fail("bad number fraction");
-      skip_digits();
-    }
-    if (p < end && (*p == 'e' || *p == 'E')) {
-      ++p;
-      if (p < end && (*p == '+' || *p == '-')) ++p;
-      if (p >= end || !is_digit(*p)) return fail("bad number exponent");
-      skip_digits();
-    }
-    v.type = Value::Type::kNumber;
-    // Both conversions round correctly, so they agree bit for bit wherever
-    // from_chars succeeds.  On overflow and underflow it reports an error
-    // and stores nothing; strtod then supplies +-inf or the flushed value.
-    std::from_chars_result r = std::from_chars(start, p, v.number);
-    if (r.ec != std::errc() || r.ptr != p) {
-      v.number = std::strtod(std::string(start, p).c_str(), nullptr);
-    }
-    return true;
-  }
-
-  bool parse_value(Value& v, int depth) {
-    if (depth > 256) return fail("nesting too deep");
+  if (!first) {
+    if (p_ >= end_ || *p_ != ',') return fail("expected ',' or '}'");
+    ++p_;
     skip_ws();
-    if (p >= end) return fail("unexpected end of input");
-    switch (*p) {
-      case '{': {
-        ++p;
-        v.type = Value::Type::kObject;
-        skip_ws();
-        if (p < end && *p == '}') {
-          ++p;
-          return true;
-        }
-        // Members and elements are parsed in place: the recursion only
-        // touches the node just appended, never its parent's vector.
-        for (;;) {
-          skip_ws();
-          auto& member = v.object.emplace_back();
-          if (!parse_string(member.first)) return false;
-          skip_ws();
-          if (p >= end || *p != ':') return fail("expected ':'");
-          ++p;
-          if (!parse_value(member.second, depth + 1)) return false;
-          skip_ws();
-          if (p < end && *p == ',') {
-            ++p;
-            continue;
-          }
-          if (p < end && *p == '}') {
-            ++p;
-            return true;
-          }
-          return fail("expected ',' or '}'");
-        }
+  }
+  if (key != nullptr) key->clear();
+  if (!read_string(key)) return false;
+  skip_ws();
+  if (p_ >= end_ || *p_ != ':') return fail("expected ':'");
+  ++p_;
+  return true;
+}
+
+bool Reader::element() {
+  if (!ok()) return false;
+  skip_ws();
+  const bool first = fresh_;
+  fresh_ = false;
+  if (p_ < end_ && *p_ == ']') {
+    ++p_;
+    --depth_;
+    return false;
+  }
+  if (first) return true;
+  if (p_ >= end_ || *p_ != ',') return fail("expected ',' or ']'");
+  ++p_;
+  return true;
+}
+
+void Reader::skip(Kind kind) {
+  if (kind == Kind::kObject) {
+    while (member(nullptr)) skip(value());
+  } else if (kind == Kind::kArray) {
+    while (element()) skip(value());
+  }
+}
+
+bool Reader::end() {
+  if (!ok()) return false;
+  skip_ws();
+  if (p_ != end_) {
+    error_ = "trailing garbage after document";
+    return false;
+  }
+  return true;
+}
+
+namespace {
+
+// Builds the node whose start `in` just read; the recursion only touches
+// the node just appended, never its parent's vector.
+bool build(Reader& in, Reader::Kind kind, Value& v) {
+  switch (kind) {
+    case Reader::Kind::kError:
+      return false;
+    case Reader::Kind::kNull:
+      v.type = Value::Type::kNull;
+      return true;
+    case Reader::Kind::kBool:
+      v.type = Value::Type::kBool;
+      v.boolean = in.boolean();
+      return true;
+    case Reader::Kind::kNumber:
+      v.type = Value::Type::kNumber;
+      v.number = in.number();
+      return true;
+    case Reader::Kind::kString:
+      v.type = Value::Type::kString;
+      v.string = std::move(in.string());
+      return true;
+    case Reader::Kind::kArray:
+      v.type = Value::Type::kArray;
+      while (in.element()) {
+        Value& element = v.array.emplace_back();
+        if (!build(in, in.value(), element)) return false;
       }
-      case '[': {
-        ++p;
-        v.type = Value::Type::kArray;
-        skip_ws();
-        if (p < end && *p == ']') {
-          ++p;
-          return true;
-        }
-        for (;;) {
-          if (!parse_value(v.array.emplace_back(), depth + 1)) return false;
-          skip_ws();
-          if (p < end && *p == ',') {
-            ++p;
-            continue;
-          }
-          if (p < end && *p == ']') {
-            ++p;
-            return true;
-          }
-          return fail("expected ',' or ']'");
-        }
+      return in.ok();
+    case Reader::Kind::kObject: {
+      v.type = Value::Type::kObject;
+      std::string key;
+      while (in.member(&key)) {
+        Value& member = v.object.emplace_back(std::move(key), Value()).second;
+        if (!build(in, in.value(), member)) return false;
       }
-      case '"':
-        v.type = Value::Type::kString;
-        return parse_string(v.string);
-      case 't':
-        v.type = Value::Type::kBool;
-        v.boolean = true;
-        return literal("true");
-      case 'f':
-        v.type = Value::Type::kBool;
-        v.boolean = false;
-        return literal("false");
-      case 'n':
-        v.type = Value::Type::kNull;
-        return literal("null");
-      default:
-        return parse_number(v);
+      return in.ok();
     }
   }
-};
+  return false;
+}
 
 }  // namespace
 
 bool parse(const std::string& text, Value* out, std::string* error) {
-  Parser ps;
-  ps.p = text.data();
-  ps.begin = text.data();
-  ps.end = text.data() + text.size();
+  Reader in(text);
   Value v;
-  if (!ps.parse_value(v, 0)) {
-    if (error != nullptr) *error = ps.err;
-    return false;
-  }
-  ps.skip_ws();
-  if (ps.p != ps.end) {
-    if (error != nullptr) *error = "trailing garbage after document";
+  if (!build(in, in.value(), v) || !in.end()) {
+    if (error != nullptr) *error = in.error();
     return false;
   }
   *out = std::move(v);

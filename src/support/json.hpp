@@ -2,16 +2,18 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 // Minimal JSON support: a streaming writer used by the trace/telemetry/bench
-// exporters and the serving responses, and a small DOM parser used by the
-// serving protocol, the schema checker tool and the tests.  No external
-// dependency.  The parser is on the serving hot path: every request line
-// (up to 1 MiB; inline scenarios carry hundreds of coefficients) is parsed
-// once, so it converts numbers in place and builds each node where it
-// lives.  The writer's documents are small and it is not tuned.
+// exporters and the serving responses, a pull reader that is the one
+// implementation of the grammar, and a small DOM parser built on it for the
+// schema checker tool, the clients and the tests.  No external dependency.
+// The reader is on the serving hot path: every request line (up to 1 MiB;
+// inline scenarios carry hundreds of coefficients) is read once, straight
+// into the request (serve::read_request), with numbers converted in place.
+// The writer's documents are small and it is not tuned.
 namespace dyncg {
 namespace json {
 
@@ -74,16 +76,87 @@ struct Value {
   const Value* find(const std::string& key) const;
 };
 
-// Parse `text` into `*out`.  Returns false and fills `*error` (if non-null)
-// with a position-annotated message on malformed input.  Accepts exactly the
-// JSON grammar (RFC 8259) minus \u surrogate pairs, which decode to U+FFFD.
+// Pull reader over one JSON text (RFC 8259 minus \u surrogate pairs, which
+// decode to U+FFFD).  The caller walks the document in order:
 //
-// Numbers: each number is the correctly rounded double of its literal, bit
-// for bit what strtod returns for the same characters — including
-// subnormals, -0, overflow to +-inf ("1e999") and underflow to +-0
-// ("1e-400").  std::from_chars converts straight from `text`; strtod is
-// the fallback only where from_chars reports out of range.  Callers that
-// need finite values (the serving protocol) reject infinities themselves.
+//   Reader in(text);
+//   if (in.value() == Reader::Kind::kObject) {
+//     std::string key;
+//     while (in.member(&key)) {
+//       Reader::Kind k = in.value();   // the member's value
+//       ... read it: a scalar is whole, a container continues through
+//           member()/element(); or in.skip(k) ...
+//     }
+//   }
+//   if (!in.end()) ... in.error() ...
+//
+// Errors are sticky: the first malformed byte, or nesting deeper than 256,
+// records "<what> at offset <n>" and every later call returns kError or
+// false.  end() fails with "trailing garbage after document" when more than
+// whitespace follows the document.  The reader views `text`, which must
+// outlive it.  It allocates only for string payloads and keys, the error
+// message, and the strtod fallback of a number that overflows or
+// underflows.
+class Reader {
+ public:
+  enum class Kind { kError, kNull, kBool, kNumber, kString, kArray, kObject };
+
+  explicit Reader(std::string_view text)
+      : begin_(text.data()), p_(text.data()), end_(text.data() + text.size()) {}
+
+  // Reads the start of the next value.  A scalar is read whole (its payload
+  // is then boolean(), number() or string()); an array or object only up to
+  // its opening bracket, and its contents follow through element() or
+  // member().
+  Kind value();
+  // The next member of the innermost open object: true with its key in
+  // *key when one follows (read its value next), false at the closing brace
+  // or on malformed input.  A null `key` validates the key and drops it.
+  bool member(std::string* key);
+  // The next element of the innermost open array: true when one follows
+  // (read it next), false at the closing bracket or on malformed input.
+  bool element();
+  // Reads and drops the rest of a value whose start value() returned.
+  void skip(Kind kind);
+  // After the document: true when only whitespace is left.
+  bool end();
+
+  bool ok() const { return error_.empty(); }
+  const std::string& error() const { return error_; }
+
+  bool boolean() const { return boolean_; }
+  double number() const { return number_; }
+  // The last string value; the caller may move it out.
+  std::string& string() { return string_; }
+
+ private:
+  bool fail(std::string_view what);
+  void skip_ws();
+  bool literal(std::string_view lit);
+  bool read_string(std::string* out);
+  bool read_number();
+
+  const char* begin_;
+  const char* p_;
+  const char* end_;
+  int depth_ = 0;       // containers open
+  bool fresh_ = false;  // the innermost one was just opened
+  bool boolean_ = false;
+  double number_ = 0.0;
+  std::string string_;
+  std::string error_;
+};
+
+// Parse `text` into `*out`: a DOM builder over Reader.  Returns false and
+// fills `*error` (if non-null) with Reader's message on malformed input.
+//
+// Numbers (Reader::number() and the DOM alike): each number is the
+// correctly rounded double of its literal, bit for bit what strtod returns
+// for the same characters — including subnormals, -0, overflow to +-inf
+// ("1e999") and underflow to +-0 ("1e-400").  std::from_chars converts
+// straight from `text`; strtod is the fallback only where from_chars
+// reports out of range.  Callers that need finite values (the serving
+// protocol) reject infinities themselves.
 bool parse(const std::string& text, Value* out, std::string* error = nullptr);
 
 // Serialize a parsed Value back to compact JSON text.  Deterministic and

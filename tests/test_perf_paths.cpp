@@ -21,6 +21,8 @@
 #include "pieces/piecewise.hpp"
 #include "poly/roots.hpp"
 #include "serve/cache.hpp"
+#include "serve/protocol.hpp"
+#include "support/status.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 
@@ -310,6 +312,53 @@ TEST(PerfPathsServe, JsonNumbersAllocateNothing) {
   const std::string zeros = inline_scenario_line(nullptr);
   EXPECT_EQ(allocations_to_parse(digits), allocations_to_parse(zeros));
   EXPECT_GT(allocations_to_parse(zeros), 0u);  // arrays do allocate
+}
+
+// A request line shaped like servebench's hot_repeat pool: `points` 2-D
+// points with quadratic coordinates, every coefficient a
+// 17-significant-digit literal, on the hypercube with a query index.
+std::string inline_request_line(std::size_t points, Rng* rng) {
+  std::string line = "{\"op\":\"neighbor\",\"scenario\":{\"points\":[";
+  char buf[40];
+  for (std::size_t p = 0; p < points; ++p) {
+    line += p == 0 ? "[" : ",[";
+    for (int c = 0; c < 2; ++c) {
+      line += c == 0 ? "[" : ",[";
+      for (int i = 0; i < 3; ++i) {
+        std::snprintf(buf, sizeof buf, "%s%.16e", i == 0 ? "" : ",",
+                      rng->uniform(-2.0, 2.0));
+        line += buf;
+      }
+      line += ']';
+    }
+    line += ']';
+  }
+  line += "],\"d\":2},\"machine\":\"hypercube\",\"query\":3}";
+  return line;
+}
+
+std::uint64_t allocations_to_read(const std::string& line) {
+  const std::uint64_t before = test::allocations();
+  const StatusOr<serve::Request> r = serve::read_request(line);
+  const std::uint64_t after = test::allocations();
+  if (!r.is_ok()) std::abort();
+  return after - before;
+}
+
+// What a cache hit costs to read: its points go straight from the line
+// into the key, with no DOM node or Trajectory per point, so a read
+// allocates the same for 8 points as for 200 (the key, once).
+TEST(PerfPathsServe, ReadRequestAllocatesTheSameAtAnySize) {
+  Rng rng(11);
+  const std::string small = inline_request_line(8, &rng);
+  const std::string large = inline_request_line(200, &rng);
+  // Warm up: the thread's buffer for inline points grows to the large
+  // line's size once.
+  if (!serve::read_request(large).is_ok()) std::abort();
+  const std::uint64_t reads_small = allocations_to_read(small);
+  const std::uint64_t reads_large = allocations_to_read(large);
+  EXPECT_EQ(reads_small, reads_large);
+  EXPECT_LE(reads_large, 2u);
 }
 
 // A lookup, hit or miss, hashes and compares the key in place.

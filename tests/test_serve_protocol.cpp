@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <fstream>
 #include <map>
 #include <random>
 #include <string>
@@ -18,6 +19,8 @@
 #include "serve/fleet.hpp"
 #include "serve/protocol.hpp"
 #include "steady/machine_geometry.hpp"
+#include "support/json.hpp"
+#include "support/rng.hpp"
 #include "support/status.hpp"
 
 // Protocol tests for the serving layer (docs/SERVING.md): parse/validate
@@ -29,6 +32,135 @@ namespace serve {
 namespace {
 
 StatusOr<Request> parse(const std::string& line) { return parse_request(line); }
+
+// --- the golden table --------------------------------------------------------
+
+std::string hex_bytes(const std::string& s) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : s) {
+    out += digits[c >> 4];
+    out += digits[c & 15];
+  }
+  return out;
+}
+
+// One parse outcome as one line of text: the status code and message of a
+// rejection, or the fields an accepted request carries (the exact cache key
+// as hex, its fingerprint, and the fleet fields).
+std::string parse_outcome(const StatusOr<Request>& parsed) {
+  if (!parsed.is_ok()) {
+    return std::string(status_code_name(parsed.status().code())) + " " +
+           parsed.status().message();
+  }
+  const Request& r = parsed.value();
+  std::string s = std::string("OK op=") + op_name(r.op) + " id=" + r.id_json +
+                  " deadline=" + std::to_string(r.deadline_ms);
+  if (!r.key.empty()) {
+    s += " key=" + hex_bytes(r.key) + " fp=" + fingerprint_hex(r.fingerprint);
+  }
+  if (is_fleet_op(r.op)) {
+    s += " machine=" + r.machine + " fleet=" + r.fleet +
+         " d=" + std::to_string(r.fleet_d) + " k=" + std::to_string(r.fleet_k) +
+         " ref=" + (r.fleet_ref ? trajectory_key(*r.fleet_ref) : "-") +
+         " insert=";
+    for (const auto& [id, point] : r.fleet_insert) {
+      s += std::to_string(id) + ":" + trajectory_key(point) + ";";
+    }
+    s += " erase=";
+    for (std::uint64_t id : r.fleet_erase) s += std::to_string(id) + ";";
+    s += " advance=" +
+         (r.fleet_has_advance ? exact_double(r.fleet_advance) : "-");
+  }
+  return s;
+}
+
+// tests/data/parse_request_golden.jsonl holds 468 request lines, each with
+// the outcome (parse_outcome) that the parser built on a JSON DOM gave it:
+// syntax errors at every structural position and the depth limit,
+// duplicate members mixed with field errors before and after them, every
+// field's wrong types and out-of-range values, mixed and misapplied
+// scenario forms, fleet forms, id echoes, deadlines and fault specs, and
+// accepted lines of every op.  The single-pass reader must reproduce every
+// row byte for byte, through parse_request and through read_request
+// followed by finish_request.
+TEST(ServeParse, GoldenTableOutcomesAreByteIdentical) {
+  std::ifstream in(DYNCG_TEST_DATA_DIR "/parse_request_golden.jsonl");
+  ASSERT_TRUE(in.good());
+  std::string row;
+  std::size_t rows = 0;
+  while (std::getline(in, row)) {
+    json::Value v;
+    ASSERT_TRUE(json::parse(row, &v)) << row;
+    const json::Value* line = v.find("line");
+    const json::Value* want = v.find("outcome");
+    ASSERT_TRUE(line != nullptr && want != nullptr) << row;
+    EXPECT_EQ(parse_outcome(parse_request(line->string)), want->string)
+        << "row " << rows << ": " << line->string;
+    StatusOr<Request> read = read_request(line->string);
+    if (read.is_ok()) finish_request(&read.value());
+    EXPECT_EQ(parse_outcome(read), want->string)
+        << "row " << rows << ": " << line->string;
+    ++rows;
+  }
+  EXPECT_EQ(rows, 468u);
+}
+
+// read_request does every check and builds the key; what it leaves to
+// finish_request is an inline scenario's system and the fingerprint.
+TEST(ServeParse, ReadLeavesInlineSystemAndFingerprintToFinish) {
+  const std::string line =
+      "{\"op\":\"neighbor\",\"scenario\":{\"points\":"
+      "[[[1,0,0],[2,1]],[[0,1],[1,1e-13]],[[5],[-0.0]]]},\"query\":2}";
+  StatusOr<Request> read = read_request(line);
+  ASSERT_TRUE(read.is_ok()) << read.status().to_string();
+  Request r = read.value();
+  EXPECT_FALSE(r.system.has_value());
+  EXPECT_EQ(r.fingerprint, 0u);
+  const Request parsed = parse_request(line).value();
+  EXPECT_EQ(r.key, parsed.key);
+  finish_request(&r);
+  ASSERT_TRUE(r.system.has_value());
+  EXPECT_EQ(r.fingerprint, parsed.fingerprint);
+  std::string a, b;
+  append_scenario_key(a, *r.system);
+  append_scenario_key(b, *parsed.system);
+  EXPECT_EQ(a, b);
+  // The trailing 0 and the 1e-13 are trimmed as Polynomial trims them.
+  EXPECT_EQ(r.system->point(0).coordinate(0).degree(), 0);
+  EXPECT_EQ(r.system->point(1).coordinate(1).degree(), 0);
+  EXPECT_EQ(r.system->point(2).coordinate(1).degree(), -1);
+  // Finishing twice changes nothing.
+  finish_request(&r);
+  EXPECT_EQ(r.fingerprint, parsed.fingerprint);
+  // Generator scenarios are built by the read, since their key is the
+  // system's bits.
+  StatusOr<Request> gen = read_request("{\"op\":\"steady\",\"scenario\":{\"n\":5}}");
+  ASSERT_TRUE(gen.is_ok());
+  EXPECT_TRUE(gen.value().system.has_value());
+  EXPECT_EQ(gen.value().fingerprint, 0u);
+}
+
+// The scenario key decodes back into the system it encodes, and its
+// fingerprint is the one append_scenario_key's system always had.
+TEST(ScenarioKey, DecodesBackIntoItsSystem) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const std::size_t dim = 1 + seed % 4;
+    const MotionSystem sys = random_motion_system(
+        rng, 2 + seed % 9, dim, static_cast<int>(seed % 5));
+    std::string key;
+    append_scenario_key(key, sys);
+    const MotionSystem back = scenario_from_key(key);
+    std::string again;
+    append_scenario_key(again, back);
+    EXPECT_EQ(again, key) << seed;
+    EXPECT_EQ(back.dimension(), sys.dimension());
+    EXPECT_EQ(back.size(), sys.size());
+    EXPECT_EQ(fingerprint_scenario_key(kFingerprintSeed, key),
+              fingerprint_scenario_key(kFingerprintSeed, again));
+  }
+}
 
 // --- parse round-trips -------------------------------------------------------
 

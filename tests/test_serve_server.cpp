@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
@@ -159,10 +160,11 @@ TEST(ServeAdmission, ConnLimitBoundary) {
 // --- degenerate scenarios ----------------------------------------------------
 
 // Well-formed lines whose scenario the algorithms cannot take: one point for
-// the ops that need two, and a query point sharing its trajectory with
-// another (the distinct-trajectory assumption of the paper's Section 2.4).
-// Each is one INVALID_ARGUMENT answer; the server and the connection carry
-// on.
+// the ops that need two, a query point sharing its trajectory with another
+// (the distinct-trajectory assumption of the paper's Section 2.4), and
+// machines larger than the simulable CCC (2,048 PEs) or shuffle-exchange
+// (4,096 PEs) although the scenario is within the protocol caps.  Each is
+// one INVALID_ARGUMENT answer; the server and the connection carry on.
 TEST(ServeErrors, DegenerateScenariosAreInvalidArguments) {
   ServerOptions opt;
   TestServer ts(opt);
@@ -173,6 +175,10 @@ TEST(ServeErrors, DegenerateScenariosAreInvalidArguments) {
       "{\"op\":\"steady\",\"scenario\":{\"n\":1}}",
       "{\"op\":\"collisions\",\"scenario\":"
       "{\"points\":[[[0],[0]],[[0],[0]]],\"d\":2}}",
+      "{\"op\":\"neighbor\",\"machine\":\"ccc\",\"scenario\":{\"n\":256}}",
+      "{\"op\":\"neighbor\",\"machine\":\"shuffle\",\"scenario\":{\"n\":300}}",
+      "{\"op\":\"collisions\",\"machine\":\"ccc\",\"scenario\":{\"n\":3000}}",
+      "{\"op\":\"steady\",\"machine\":\"ccc\",\"scenario\":{\"n\":3000}}",
   };
   std::string burst;
   for (const std::string& line : lines) burst += line + "\n";
@@ -184,7 +190,7 @@ TEST(ServeErrors, DegenerateScenariosAreInvalidArguments) {
   }
   std::string pong = c.recv_line();
   EXPECT_EQ(status_of(pong), "OK") << pong;
-  EXPECT_EQ(stat_counter(c, "errors"), 4u);
+  EXPECT_EQ(stat_counter(c, "errors"), std::size(lines));
 }
 
 // A fault plan whose downed link partitions the machine the op is sized
@@ -292,6 +298,39 @@ TEST(ServeCache, KeyEvictedEarlierInItsBatchIsRecomputed) {
   EXPECT_EQ(status_of(first_again), "OK") << first_again;
   EXPECT_NE(first_again.find("\"cache\":\"miss\""), std::string::npos)
       << first_again;
+  EXPECT_EQ(stat_counter(c, "errors"), 0u);
+  EXPECT_EQ(stat_counter(c, "misses"), 3u);
+  EXPECT_EQ(stat_counter(c, "evictions"), 2u);
+}
+
+// The same with inline scenarios, which the first pass only reads: the
+// evicted hit must be finished (system built, fingerprint computed) before
+// it is computed, and it answers with the first miss's bytes and key.
+TEST(ServeCache, InlineKeyEvictedEarlierInItsBatchIsFinishedAndRecomputed) {
+  ServerOptions opt;
+  opt.cache_cap = 1;
+  TestServer ts(opt);
+  Client c(ts.port());
+  auto request = [](int shift) {
+    return "{\"op\":\"neighbor\",\"scenario\":{\"points\":[[[" +
+           std::to_string(shift) +
+           ",1],[2]],[[3],[4,-1]],[[1.5,0.25],[7]]]},\"query\":1}";
+  };
+  const std::string first = c.round_trip(request(0));  // caches shift 0
+  EXPECT_EQ(status_of(first), "OK") << first;
+
+  ASSERT_TRUE(c.send(request(5) + "\n" + request(0) + "\n"));
+  std::string second = c.recv_line();
+  std::string first_again = c.recv_line();
+  EXPECT_EQ(status_of(second), "OK") << second;
+  // Both answers to shift 0 were misses, so they are the same bytes.
+  EXPECT_EQ(first_again, first);
+  // A hit renders its key from the entry: only "cache" differs.
+  std::string hit = c.round_trip(request(0));
+  const std::size_t at = first.find("\"cache\":\"miss\"");
+  ASSERT_NE(at, std::string::npos) << first;
+  EXPECT_EQ(hit, first.substr(0, at) + "\"cache\":\"hit\"" +
+                     first.substr(at + 14));
   EXPECT_EQ(stat_counter(c, "errors"), 0u);
   EXPECT_EQ(stat_counter(c, "misses"), 3u);
   EXPECT_EQ(stat_counter(c, "evictions"), 2u);

@@ -122,9 +122,12 @@ void ThreadPool::worker_main(unsigned w) {
 
 void ThreadPool::run(std::size_t n, const ChunkFn& chunk) {
   if (n == 0) return;
-  if (workers_ == 1) {
+  if (workers_ == 1 || n == 1) {
+    // A single iteration belongs to the last worker ([0, 1) is its slice)
+    // but runs here: handing it over would only add that worker's wake-up
+    // before it and this thread's after it.
     RegionGuard guard;
-    chunk(0, n, 0);
+    chunk(0, n, workers_ - 1);
     return;
   }
   {

@@ -49,7 +49,9 @@ class ThreadPool {
 
   // Execute chunk(begin, end, w) for each worker's slice of [0, n); blocks
   // until all slices finish.  Exceptions are rethrown on the caller, lowest
-  // worker index first (deterministic).
+  // worker index first (deterministic).  A run of one iteration executes on
+  // the calling thread, still as its owner w = W-1 and still inside the
+  // parallel region, so nothing but the thread it runs on changes.
   void run(std::size_t n, const ChunkFn& chunk);
 
  private:

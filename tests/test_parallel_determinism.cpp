@@ -167,6 +167,30 @@ TEST(ParallelDeterminism, ParallelForCoversEveryIndexOnce) {
   set_host_threads(1);
 }
 
+// One iteration stays on the calling thread (the server's lone cache miss
+// must not wait on a worker's wake-up), keeps its owner's index and still
+// counts as a parallel region, so loops nested in it run serially as they
+// would on a worker.
+TEST(ParallelDeterminism, SingleIterationRunsOnTheCaller) {
+  ThreadPool pool(3);
+  std::thread::id ran_on;
+  unsigned owner = 0;
+  bool nested = false;
+  pool.run(1, [&](std::size_t lo, std::size_t hi, unsigned w) {
+    EXPECT_EQ(lo, 0u);
+    EXPECT_EQ(hi, 1u);
+    ran_on = std::this_thread::get_id();
+    owner = w;
+    nested = detail::in_parallel_region();
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(owner, 2u);
+  EXPECT_EQ(chunk_range(1, 3, owner),
+            (std::pair<std::size_t, std::size_t>{0, 1}));
+  EXPECT_TRUE(nested);
+  EXPECT_FALSE(detail::in_parallel_region());
+}
+
 TEST(ParallelDeterminism, ParallelReduceMatchesSerialFold) {
   const std::size_t n = 4099;
   auto body = [](std::uint64_t& acc, std::size_t i) {

@@ -134,7 +134,7 @@ void print_envelope_ablation() {
     Machine cube = envelope_machine_hypercube(n, 2);
     CostMeter m2(cube.ledger());
     parallel_envelope(cube, fam, 2);
-    SerialEnvelopeResult ser = serial_envelope_baseline(fam);
+    PramEnvelopeResult ser = pram_envelope(fam);
     std::printf("%8zu %16llu %16llu %18llu\n", n,
                 static_cast<unsigned long long>(m1.elapsed().rounds),
                 static_cast<unsigned long long>(m2.elapsed().rounds),

@@ -23,7 +23,7 @@ void print_figure4() {
                   Polynomial({0.0, 1.0}),    // g: smallest first
                   Polynomial({2.0})});       // h: smallest in between
   const char* names[] = {"f", "g", "h"};
-  PiecewiseFn env = lower_envelope_serial(fam);
+  PiecewiseFn env = envelope_serial(fam);
   for (const Piece& p : env.pieces) {
     std::printf("  (%s(t), %s)\n", names[p.id], p.iv.to_string().c_str());
   }
@@ -48,7 +48,7 @@ void print_piece_count_sweep() {
       std::vector<Trial> res(trials);
       parallel_for(static_cast<std::size_t>(trials), [&](std::size_t t) {
         PolyFamily fam = random_poly_family(n * 100 + t, n, s);
-        PiecewiseFn env = lower_envelope_serial(fam);
+        PiecewiseFn env = envelope_serial(fam);
         res[t] = Trial{env.piece_count(),
                        is_davenport_schinzel(env.origin_sequence(),
                                              static_cast<int>(n), s)};

@@ -85,7 +85,7 @@ void print_comparison() {
   std::printf("\nserial [Atallah 1985]-style baseline piece operations:\n");
   for (std::size_t n : {16u, 64u, 256u, 1024u}) {
     PolyFamily fam = random_poly_family(n, n, 1);
-    SerialEnvelopeResult res = serial_envelope_baseline(fam);
+    PramEnvelopeResult res = pram_envelope(fam);
     std::printf("  n = %5zu: %8llu piece ops, %zu envelope pieces\n", n,
                 static_cast<unsigned long long>(res.piece_ops),
                 res.envelope.piece_count());

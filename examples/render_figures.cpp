@@ -36,7 +36,7 @@ bool render_figure4(const std::string& dir) {
     svg.text(10.7, fam.value(i, 10.7) + 0.25, names[i], 15, "#555");
   }
   // The envelope, thick, with piece boundaries marked.
-  PiecewiseFn env = lower_envelope_serial(fam);
+  PiecewiseFn env = envelope_serial(fam);
   std::vector<std::pair<double, double>> epts;
   for (double t = 0; t <= 12; t += 0.05) {
     epts.push_back({t, fam.value(env.id_at(t), t)});

@@ -34,8 +34,9 @@ std::vector<double> pair_collision_times(const Trajectory& a,
   DYNCG_ASSERT(pivot < a.dimension(),
                "identical trajectories: the initial-position assumption of "
                "Section 2.4 is violated");
-  RootFindResult rr =
-      real_roots_from(a.coordinate(pivot) - b.coordinate(pivot), 0.0);
+  RootFindResult rr;
+  real_roots_from_into(a.coordinate(pivot) - b.coordinate(pivot), 0.0,
+                       thread_root_scratch(), rr);
   std::vector<double> out;
   for (double t : rr.roots) {
     bool all_zero = true;

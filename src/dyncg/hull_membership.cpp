@@ -24,22 +24,22 @@ RelativeMotion RelativeMotion::around(const MotionSystem& system,
   return rel;
 }
 
-std::vector<double> RelativeMotion::parallel_times(int a, int b,
-                                                   const Interval& iv,
-                                                   bool same_direction) const {
+void RelativeMotion::parallel_times(int a, int b, const Interval& iv,
+                                    bool same_direction,
+                                    std::vector<double>& out) const {
   const auto ia = static_cast<std::size_t>(a);
   const auto ib = static_cast<std::size_t>(b);
   Polynomial cross = dx[ia] * dy[ib] - dy[ia] * dx[ib];
   Polynomial dot = dx[ia] * dx[ib] + dy[ia] * dy[ib];
-  RootFindResult rr = real_roots_from(cross, iv.lo);
-  std::vector<double> out;
-  if (rr.identically_zero) return out;  // handled by identical()
+  thread_local RootFindResult rr;
+  real_roots_from_into(cross, iv.lo, thread_root_scratch(), rr);
+  out.clear();
+  if (rr.identically_zero) return;  // handled by identical()
   for (double t : rr.roots) {
     if (t <= iv.lo || t >= iv.hi) continue;
     int s = robust_sign(dot, t);
     if (same_direction ? s > 0 : s < 0) out.push_back(t);
   }
-  return out;
 }
 
 double AngleFamily::value(int id, double t) const {
@@ -62,9 +62,9 @@ bool AngleFamily::identical(int a, int b) const {
   return false;
 }
 
-std::vector<double> AngleFamily::crossings(int a, int b,
-                                           const Interval& iv) const {
-  return rel_->parallel_times(a, b, iv, /*same_direction=*/true);
+void AngleFamily::crossings_into(int a, int b, const Interval& iv,
+                                 std::vector<double>& out) const {
+  rel_->parallel_times(a, b, iv, /*same_direction=*/true, out);
 }
 
 std::vector<Interval> AngleFamily::defined_intervals(int id) const {
@@ -75,7 +75,8 @@ std::vector<Interval> AngleFamily::defined_intervals(int id) const {
     if (positive_) return {Interval{0.0, kInfinity}};
     return {};
   }
-  RootFindResult rr = real_roots_from(dy, 0.0);
+  RootFindResult rr;
+  real_roots_from_into(dy, 0.0, thread_root_scratch(), rr);
   std::vector<double> knots;
   knots.push_back(0.0);
   for (double r : rr.roots) {
@@ -116,10 +117,13 @@ IntervalSet gap_indicator(Machine& m, const RelativeMotion& rel,
                           Pred pred) {
   std::vector<Interval> hits;
   m.charge_local(4);  // per-PE: O(1) cells, O(k) roots each
-  for (const Cell& cell : overlay(genv, benv)) {
+  PiecePool& pool = thread_piece_pool();
+  overlay_into(genv, benv, pool);
+  std::vector<double>& cuts = pool.cuts;
+  for (const Cell& cell : pool.cells) {
     if (cell.a < 0 || cell.b < 0) continue;
-    std::vector<double> cuts =
-        rel.parallel_times(cell.a, cell.b, cell.iv, /*same_direction=*/false);
+    rel.parallel_times(cell.a, cell.b, cell.iv, /*same_direction=*/false,
+                       cuts);
     double lo = cell.iv.lo;
     for (std::size_t c = 0; c <= cuts.size(); ++c) {
       double hi = c < cuts.size() ? cuts[c] : cell.iv.hi;

@@ -35,9 +35,10 @@ struct RelativeMotion {
 
   // Times in the open interior of iv where rays a and b are parallel with
   // the given orientation (same_direction = T_a == T_b crossings,
-  // !same_direction = T_a - T_b == +-pi boundaries).
-  std::vector<double> parallel_times(int a, int b, const Interval& iv,
-                                     bool same_direction) const;
+  // !same_direction = T_a - T_b == +-pi boundaries), ascending, into `out`
+  // (cleared first).
+  void parallel_times(int a, int b, const Interval& iv, bool same_direction,
+                      std::vector<double>& out) const;
 };
 
 // Model of the Family concept for the partial angle functions G (positive =
@@ -50,7 +51,8 @@ class AngleFamily {
   std::size_t size() const { return rel_->dx.size(); }
   double value(int id, double t) const;
   bool identical(int a, int b) const;
-  std::vector<double> crossings(int a, int b, const Interval& iv) const;
+  void crossings_into(int a, int b, const Interval& iv,
+                      std::vector<double>& out) const;
   std::vector<Interval> defined_intervals(int id) const;
 
  private:

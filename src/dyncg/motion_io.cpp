@@ -5,8 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "support/assert.hpp"
-
 namespace dyncg {
 
 std::string to_text(const MotionSystem& system) {
@@ -97,10 +95,6 @@ StatusOr<MotionSystem> try_motion_from_text(const std::string& text) {
   return MotionSystem::try_create(dim, std::move(points));
 }
 
-MotionSystem motion_from_text(const std::string& text) {
-  return try_motion_from_text(text).value();
-}
-
 Status try_save_motion_system(const MotionSystem& system,
                               const std::string& path) {
   std::ofstream out(path);
@@ -113,21 +107,12 @@ Status try_save_motion_system(const MotionSystem& system,
   return Status::ok();
 }
 
-void save_motion_system(const MotionSystem& system, const std::string& path) {
-  Status st = try_save_motion_system(system, path);
-  DYNCG_ASSERT(st.is_ok(), st.to_string().c_str());
-}
-
 StatusOr<MotionSystem> try_load_motion_system(const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::io_error("cannot open motion file: " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
   return try_motion_from_text(buf.str());
-}
-
-MotionSystem load_motion_system(const std::string& path) {
-  return try_load_motion_system(path).value();
 }
 
 }  // namespace dyncg

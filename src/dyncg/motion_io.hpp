@@ -21,15 +21,9 @@
 namespace dyncg {
 
 std::string to_text(const MotionSystem& system);
-MotionSystem motion_from_text(const std::string& text);
 
-// File helpers; save aborts on I/O failure, load on parse failure.
-void save_motion_system(const MotionSystem& system, const std::string& path);
-MotionSystem load_motion_system(const std::string& path);
-
-// Recoverable-error variants (the plain ones above forward here and abort
-// on error): malformed text is a parse error carrying the line number, a
-// missing or unwritable file an I/O error.
+// Parsing and the file helpers: malformed text is a parse error carrying
+// the line number, a missing or unwritable file an I/O error.
 StatusOr<MotionSystem> try_motion_from_text(const std::string& text);
 Status try_save_motion_system(const MotionSystem& system,
                               const std::string& path);

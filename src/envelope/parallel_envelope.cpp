@@ -55,10 +55,4 @@ Machine envelope_machine_hypercube(std::size_t n, int s_bound,
   return Machine(make_hypercube_for(lambda_upper_bound(n2, s_bound), order));
 }
 
-PiecewiseFn parallel_envelope_poly(Machine& m, const PolyFamily& fam,
-                                   int s_bound, bool take_min,
-                                   EnvelopeRunStats* stats) {
-  return parallel_envelope(m, fam, s_bound, take_min, stats);
-}
-
 }  // namespace dyncg

@@ -175,11 +175,6 @@ Machine envelope_machine_mesh(std::size_t n, int s_bound,
 Machine envelope_machine_hypercube(std::size_t n, int s_bound,
                                    CubeOrder order = CubeOrder::kGray);
 
-// Convenience: Theorem 3.2 end to end for a polynomial family.
-PiecewiseFn parallel_envelope_poly(Machine& m, const PolyFamily& fam,
-                                   int s_bound, bool take_min = true,
-                                   EnvelopeRunStats* stats = nullptr);
-
 // Input validation shared by every envelope-backed try_ entry point: the
 // family must be non-empty and the machine must hold ceil_pow2(n) strings.
 // (The one-piece-per-PE invariant inside the recursion stays DYNCG_ASSERT —

@@ -211,11 +211,6 @@ std::string trajectory_key(const Trajectory& t) {
   return out;
 }
 
-std::uint64_t trajectory_fingerprint(const Trajectory& t) {
-  const std::string key = trajectory_key(t);
-  return fingerprint_bytes(kFingerprintSeed, key.data(), key.size());
-}
-
 std::string fingerprint_hex(std::uint64_t h) {
   std::string out;
   append_hex(out, h);

@@ -98,8 +98,6 @@ std::uint64_t fingerprint_scenario_key(std::uint64_t h,
 // identical trajectory inserts on this key, and incremental-query cache
 // entries fold it into their fingerprints.
 std::string trajectory_key(const Trajectory& t);
-// The same identity as a compact 64-bit name (FNV-1a over the key bytes).
-std::uint64_t trajectory_fingerprint(const Trajectory& t);
 
 // "a1b2c3d4e5f60718" — the fingerprint as 16 lowercase hex digits, the form
 // responses and telemetry use to name a cache entry.

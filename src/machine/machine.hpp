@@ -39,7 +39,6 @@ class Machine {
 
   std::size_t size() const { return topo_->size(); }
   const Topology& topology() const { return *topo_; }
-  std::shared_ptr<const Topology> topology_ptr() const { return topo_; }
 
   CostLedger& ledger() { return ledger_; }
   const CostLedger& ledger() const { return ledger_; }

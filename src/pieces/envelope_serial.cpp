@@ -4,14 +4,6 @@
 
 namespace dyncg {
 
-PiecewiseFn lower_envelope_serial(const PolyFamily& fam) {
-  return envelope_serial_all(fam, /*take_min=*/true);
-}
-
-PiecewiseFn upper_envelope_serial(const PolyFamily& fam) {
-  return envelope_serial_all(fam, /*take_min=*/false);
-}
-
 int extremum_member_at(const PolyFamily& fam, double t, bool take_min) {
   DYNCG_ASSERT(fam.size() > 0, "extremum over an empty family");
   // One slab sweep evaluates every member (kernels::horner_slab); the values

@@ -13,19 +13,18 @@
 // benches.
 namespace dyncg {
 
-// Lower envelope of the given member ids.  Pass take_min = false for the
-// upper envelope (maximum function).
+// Lower envelope of the whole family.  Pass take_min = false for the upper
+// envelope (maximum function).
 //
-// The halving recursion is run as an explicit post-order walk over index
-// ranges of `ids` — the merge tree (and therefore the output, bit for bit)
-// is the classic divide-and-conquer of [Atallah 1985], but no per-level
+// The halving recursion is run as an explicit post-order walk over ranges
+// of member ids — the merge tree (and therefore the output, bit for bit) is
+// the classic divide-and-conquer of [Atallah 1985], but no per-level
 // id-vector copies are made and every intermediate envelope's piece buffer
 // is recycled through the calling thread's PiecePool, so a steady-state
 // envelope build allocates only for high-water-mark growth.
 template <class Family>
-PiecewiseFn envelope_serial(const Family& fam, const std::vector<int>& ids,
-                            bool take_min = true) {
-  if (ids.empty()) return PiecewiseFn{};
+PiecewiseFn envelope_serial(const Family& fam, bool take_min = true) {
+  if (fam.size() == 0) return PiecewiseFn{};
   PiecePool& pool = thread_piece_pool();
   // Work stack of [lo, hi) ranges; `merge` frames pop the top two results.
   struct Frame {
@@ -34,7 +33,7 @@ PiecewiseFn envelope_serial(const Family& fam, const std::vector<int>& ids,
   };
   std::vector<Frame> work;
   std::vector<PiecewiseFn> results;
-  work.push_back(Frame{0, ids.size(), false});
+  work.push_back(Frame{0, fam.size(), false});
   while (!work.empty()) {
     Frame f = work.back();
     work.pop_back();
@@ -52,7 +51,7 @@ PiecewiseFn envelope_serial(const Family& fam, const std::vector<int>& ids,
     }
     if (f.hi - f.lo == 1) {
       PiecewiseFn leaf{pool.acquire_pieces()};
-      singleton_into(fam, ids[f.lo], leaf);
+      singleton_into(fam, static_cast<int>(f.lo), leaf);
       results.push_back(std::move(leaf));
       continue;
     }
@@ -64,18 +63,6 @@ PiecewiseFn envelope_serial(const Family& fam, const std::vector<int>& ids,
   }
   return std::move(results.back());
 }
-
-// Envelope over the entire family.
-template <class Family>
-PiecewiseFn envelope_serial_all(const Family& fam, bool take_min = true) {
-  std::vector<int> ids(fam.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int>(i);
-  return envelope_serial(fam, ids, take_min);
-}
-
-// Convenience wrappers for polynomial families.
-PiecewiseFn lower_envelope_serial(const PolyFamily& fam);
-PiecewiseFn upper_envelope_serial(const PolyFamily& fam);
 
 // Brute-force evaluation of the envelope at a time point, for tests: the
 // index of the minimal (or maximal) member at t, with ties broken toward the

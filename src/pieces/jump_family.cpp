@@ -1,6 +1,6 @@
 #include "pieces/jump_family.hpp"
 
-#include "poly/roots.hpp"
+#include "pieces/piecewise.hpp"
 
 namespace dyncg {
 
@@ -12,15 +12,9 @@ bool JumpFamily::identical(int a, int b) const {
   return branch(a) == branch(b);
 }
 
-std::vector<double> JumpFamily::crossings(int a, int b,
-                                          const Interval& iv) const {
-  RootFindResult rr = crossing_times(branch(a), branch(b), iv.lo);
-  std::vector<double> out;
-  if (rr.identically_zero) return out;
-  for (double r : rr.roots) {
-    if (r > iv.lo && r < iv.hi) out.push_back(r);
-  }
-  return out;
+void JumpFamily::crossings_into(int a, int b, const Interval& iv,
+                                std::vector<double>& out) const {
+  polynomial_crossings_into(branch(a), branch(b), iv, out);
 }
 
 std::vector<Interval> JumpFamily::defined_intervals(int id) const {

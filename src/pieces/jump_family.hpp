@@ -48,7 +48,8 @@ class JumpFamily {
   // on their windows, which is all the envelope machinery evaluates).
   double value(int id, double t) const;
   bool identical(int a, int b) const;
-  std::vector<double> crossings(int a, int b, const Interval& iv) const;
+  void crossings_into(int a, int b, const Interval& iv,
+                      std::vector<double>& out) const;
   std::vector<Interval> defined_intervals(int id) const;
 
  private:

@@ -103,47 +103,26 @@ void overlay_into(const PiecewiseFn& f, const PiecewiseFn& g,
   }
 }
 
-std::vector<Cell> overlay(const PiecewiseFn& f, const PiecewiseFn& g) {
-  PiecePool& pool = thread_piece_pool();
-  overlay_into(f, g, pool);
-  return pool.cells;
-}
-
-void coalesce(PiecewiseFn& fn) {
-  PieceSlab out;
-  for (const Piece& p : fn.pieces) {
-    if (!out.empty() && out.back_id() == p.id && out.back_hi() == p.iv.lo) {
-      out.set_back_hi(p.iv.hi);
-    } else {
-      out.push_back(p);
-    }
-  }
-  fn.pieces.swap(out);
-}
-
 bool PolyFamily::identical(int a, int b) const {
   return members_[static_cast<std::size_t>(a)] ==
          members_[static_cast<std::size_t>(b)];
 }
 
-std::vector<double> PolyFamily::crossings(int a, int b,
-                                          const Interval& iv) const {
-  std::vector<double> out;
-  crossings_into(a, b, iv, out);
-  return out;
-}
-
-void PolyFamily::crossings_into(int a, int b, const Interval& iv,
-                                std::vector<double>& out) const {
+void polynomial_crossings_into(const Polynomial& f, const Polynomial& g,
+                               const Interval& iv, std::vector<double>& out) {
   // Thread-confined scratch: no allocations once the buffers are warm.
   thread_local RootFindResult rr;
-  crossing_times_into(members_[static_cast<std::size_t>(a)],
-                      members_[static_cast<std::size_t>(b)], iv.lo,
-                      thread_root_scratch(), rr);
+  crossing_times_into(f, g, iv.lo, thread_root_scratch(), rr);
   out.clear();
   for (double r : rr.roots) {
     if (r > iv.lo && r < iv.hi) out.push_back(r);
   }
+}
+
+void PolyFamily::crossings_into(int a, int b, const Interval& iv,
+                                std::vector<double>& out) const {
+  polynomial_crossings_into(members_[static_cast<std::size_t>(a)],
+                            members_[static_cast<std::size_t>(b)], iv, out);
 }
 
 // --- PiecewisePoly ---------------------------------------------------------
@@ -163,13 +142,12 @@ double PiecewisePoly::operator()(double t) const {
 
 namespace {
 
-int active_span(const std::vector<PiecewisePoly::Span>& spans,
-                std::size_t& cursor, double a) {
-  while (cursor < spans.size() && spans[cursor].iv.hi <= a) ++cursor;
-  if (cursor < spans.size() && spans[cursor].iv.lo <= a) {
-    return static_cast<int>(cursor);
+// The spans as a piece list whose ids are the span indices.
+void append_span_pieces(const std::vector<PiecewisePoly::Span>& spans,
+                        PieceSlab& out) {
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    out.emplace_back(spans[i].iv.lo, spans[i].iv.hi, static_cast<int>(i));
   }
-  return -1;
 }
 
 }  // namespace
@@ -177,18 +155,17 @@ int active_span(const std::vector<PiecewisePoly::Span>& spans,
 template <class Pick>
 PiecewisePoly PiecewisePoly::merge_with(const PiecewisePoly& o, Pick pick,
                                         bool split_at_crossings) const {
-  std::vector<double> events;
-  auto push_events = [&events](const std::vector<Span>& spans) {
-    for (const Span& s : spans) {
-      events.push_back(s.iv.lo);
-      if (!std::isinf(s.iv.hi)) events.push_back(s.iv.hi);
-    }
-  };
-  push_events(spans_);
-  push_events(o.spans_);
-  std::sort(events.begin(), events.end());
-  events.erase(std::unique(events.begin(), events.end()), events.end());
-  events.push_back(kInfinity);
+  // The common refinement is overlay_into's, over the two span lists with
+  // span indices for ids.  Adjacent spans never share an id, so no two cells
+  // merge: each cell lies within one span (or gap) of either side.
+  PiecePool& pool = thread_piece_pool();
+  PiecewiseFn fs{pool.acquire_pieces()};
+  PiecewiseFn gs{pool.acquire_pieces()};
+  append_span_pieces(spans_, fs.pieces);
+  append_span_pieces(o.spans_, gs.pieces);
+  overlay_into(fs, gs, pool);
+  pool.release_pieces(std::move(fs.pieces));
+  pool.release_pieces(std::move(gs.pieces));
 
   std::vector<Span> out;
   auto emit = [&out](const Interval& iv, const Polynomial& fn) {
@@ -200,49 +177,36 @@ PiecewisePoly PiecewisePoly::merge_with(const PiecewisePoly& o, Pick pick,
     }
   };
 
-  std::size_t ci = 0, cj = 0;
-  for (std::size_t e = 0; e + 1 < events.size(); ++e) {
-    double a = events[e], b = events[e + 1];
-    if (!(b > a)) continue;
-    int si = active_span(spans_, ci, a);
-    int sj = active_span(o.spans_, cj, a);
-    if (si < 0 && sj < 0) continue;
-    Interval iv{a, b};
-    if (si < 0 || sj < 0) {
+  std::vector<double>& cuts = pool.cuts;
+  for (const Cell& cell : pool.cells) {
+    const Interval& iv = cell.iv;
+    const Polynomial* pf =
+        cell.a >= 0 ? &spans_[static_cast<std::size_t>(cell.a)].fn : nullptr;
+    const Polynomial* pg =
+        cell.b >= 0 ? &o.spans_[static_cast<std::size_t>(cell.b)].fn
+                    : nullptr;
+    if (pf == nullptr || pg == nullptr) {
       // pick() decides how one-sided cells behave (gap for +/-, pass-through
       // for min/max).
-      const Polynomial* lone =
-          si >= 0 ? &spans_[static_cast<std::size_t>(si)].fn
-                  : &o.spans_[static_cast<std::size_t>(sj)].fn;
-      if (const Polynomial* r = pick(si >= 0 ? lone : nullptr,
-                                     sj >= 0 ? lone : nullptr, iv.midpoint());
-          r != nullptr) {
+      if (const Polynomial* r = pick(pf, pg, iv.midpoint()); r != nullptr) {
         emit(iv, *r);
       }
       continue;
     }
-    const Polynomial& pf = spans_[static_cast<std::size_t>(si)].fn;
-    const Polynomial& pg = o.spans_[static_cast<std::size_t>(sj)].fn;
     if (!split_at_crossings) {
-      const Polynomial* r = pick(&pf, &pg, iv.midpoint());
+      const Polynomial* r = pick(pf, pg, iv.midpoint());
       DYNCG_ASSERT(r != nullptr, "arithmetic pick must produce a value");
       emit(iv, *r);
       continue;
     }
     // min/max: split the cell at the crossings of pf - pg.
-    RootFindResult rr = crossing_times(pf, pg, iv.lo);
+    polynomial_crossings_into(*pf, *pg, iv, cuts);
     double lo = iv.lo;
-    std::vector<double> cuts;
-    if (!rr.identically_zero) {
-      for (double r : rr.roots) {
-        if (r > iv.lo && r < iv.hi) cuts.push_back(r);
-      }
-    }
     for (std::size_t c = 0; c <= cuts.size(); ++c) {
       double hi = (c < cuts.size()) ? cuts[c] : iv.hi;
       Interval sub{lo, hi};
       if (sub.nondegenerate()) {
-        const Polynomial* r = pick(&pf, &pg, sub.midpoint());
+        const Polynomial* r = pick(pf, pg, sub.midpoint());
         DYNCG_ASSERT(r != nullptr, "min/max pick must produce a value");
         emit(sub, *r);
       }
@@ -302,10 +266,12 @@ PiecewisePoly PiecewisePoly::max_with(const PiecewisePoly& o) const {
 
 IntervalSet PiecewisePoly::sublevel_set(double threshold) const {
   std::vector<Interval> hit;
+  RootFindResult rr;
+  std::vector<double> cuts;
   for (const Span& s : spans_) {
     Polynomial shifted = s.fn - Polynomial::constant(threshold);
-    RootFindResult rr = real_roots_from(shifted, s.iv.lo);
-    std::vector<double> cuts;
+    real_roots_from_into(shifted, s.iv.lo, thread_root_scratch(), rr);
+    cuts.clear();
     if (!rr.identically_zero) {
       for (double r : rr.roots) {
         if (r > s.iv.lo && r < s.iv.hi) cuts.push_back(r);
@@ -327,6 +293,7 @@ IntervalSet PiecewisePoly::sublevel_set(double threshold) const {
 PiecewisePoly::Extremum PiecewisePoly::global_min() const {
   DYNCG_ASSERT(!spans_.empty(), "global_min of empty piecewise polynomial");
   Extremum best{kInfinity, 0.0};
+  RootFindResult crit;
   auto consider = [&best](double v, double t) {
     if (v < best.value) best = Extremum{v, t};
   };
@@ -338,7 +305,8 @@ PiecewisePoly::Extremum PiecewisePoly::global_min() const {
     } else {
       consider(s.fn(s.iv.hi), s.iv.hi);
     }
-    RootFindResult crit = real_roots_from(s.fn.derivative(), s.iv.lo);
+    real_roots_from_into(s.fn.derivative(), s.iv.lo, thread_root_scratch(),
+                         crit);
     if (!crit.identically_zero) {
       for (double t : crit.roots) {
         if (t > s.iv.lo && t < s.iv.hi) consider(s.fn(t), t);

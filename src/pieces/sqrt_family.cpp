@@ -19,34 +19,34 @@ bool SqrtFamily::identical(int a, int b) const {
   return x.a == y.a && x.b == y.b && x.c == y.c;
 }
 
-std::vector<double> SqrtFamily::crossings(int a, int b,
-                                          const Interval& iv) const {
+void SqrtFamily::crossings_into(int a, int b, const Interval& iv,
+                                std::vector<double>& out) const {
   const SqrtMotion& f = members_[static_cast<std::size_t>(a)];
   const SqrtMotion& g = members_[static_cast<std::size_t>(b)];
   // f - g = da + db x + dc x^2 with x = sqrt(t) >= 0.
   double da = f.a - g.a, db = f.b - g.b, dc = f.c - g.c;
-  std::vector<double> xs;
+  double xs[2];
+  std::size_t nx = 0;
   constexpr double kTiny = 1e-14;
   if (std::fabs(dc) < kTiny) {
-    if (std::fabs(db) >= kTiny) xs.push_back(-da / db);
+    if (std::fabs(db) >= kTiny) xs[nx++] = -da / db;
   } else {
     double disc = db * db - 4 * dc * da;
     if (disc >= 0) {
       double sq = std::sqrt(disc);
       double q = -0.5 * (db + (db >= 0 ? sq : -sq));
-      xs.push_back(q / dc);
-      if (q != 0.0) xs.push_back(da / q);
+      xs[nx++] = q / dc;
+      if (q != 0.0) xs[nx++] = da / q;
     }
   }
-  std::vector<double> out;
-  for (double x : xs) {
-    if (x < 0) continue;  // sqrt(t) is nonnegative
-    double t = x * x;
+  out.clear();
+  for (std::size_t i = 0; i < nx; ++i) {
+    if (xs[i] < 0) continue;  // sqrt(t) is nonnegative
+    double t = xs[i] * xs[i];
     if (t > iv.lo && t < iv.hi) out.push_back(t);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 }  // namespace dyncg

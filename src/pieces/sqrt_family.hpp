@@ -40,7 +40,8 @@ class SqrtFamily {
   double value(int id, double t) const;
   bool identical(int a, int b) const;
   // At most two crossings: the roots of a quadratic in sqrt(t).
-  std::vector<double> crossings(int a, int b, const Interval& iv) const;
+  void crossings_into(int a, int b, const Interval& iv,
+                      std::vector<double>& out) const;
   std::vector<Interval> defined_intervals(int) const {
     return {Interval{0.0, kInfinity}};
   }

@@ -37,10 +37,6 @@ class Polynomial {
   // The accessors below are inline: the envelope and root-isolation hot
   // loops read coefficients and evaluate millions of times per build, and
   // an out-of-line call costs more than the body.
-  double leading_coefficient() const {
-    return coeffs_.empty() ? 0.0 : coeffs_.back();
-  }
-
   // Coefficient of t^i (zero when i exceeds the degree).
   double coefficient(int i) const {
     if (i < 0 || i >= static_cast<int>(coeffs_.size())) return 0.0;

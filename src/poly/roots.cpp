@@ -153,7 +153,7 @@ void real_roots_into(const Polynomial& p, double lo, double hi,
     out.identically_zero = true;
     return;
   }
-  DYNCG_ASSERT(lo <= hi, "real_roots: empty interval");
+  DYNCG_ASSERT(lo <= hi, "real_roots_into: empty interval");
   scratch.level(static_cast<std::size_t>(p.degree()));
   roots_rec_into(p, lo, hi, magnitude_scale(p), scratch, 0, out.roots);
 }
@@ -175,25 +175,6 @@ void crossing_times_into(const Polynomial& f, const Polynomial& g, double t0,
                          RootScratch& scratch, RootFindResult& out) {
   scratch.diff.assign_difference(f, g);
   real_roots_from_into(scratch.diff, t0, scratch, out);
-}
-
-RootFindResult real_roots(const Polynomial& p, double lo, double hi) {
-  RootFindResult res;
-  real_roots_into(p, lo, hi, thread_root_scratch(), res);
-  return res;
-}
-
-RootFindResult real_roots_from(const Polynomial& p, double t0) {
-  RootFindResult res;
-  real_roots_from_into(p, t0, thread_root_scratch(), res);
-  return res;
-}
-
-RootFindResult crossing_times(const Polynomial& f, const Polynomial& g,
-                              double t0) {
-  RootFindResult res;
-  crossing_times_into(f, g, t0, thread_root_scratch(), res);
-  return res;
 }
 
 }  // namespace dyncg

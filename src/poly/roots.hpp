@@ -23,8 +23,8 @@ struct RootFindResult {
 
 // Reusable buffers for the derivative-recursion root isolation.  One level
 // per recursion depth (the derivative chain), plus the difference polynomial
-// for crossing_times.  Thread-confined; grab the calling thread's instance
-// with thread_root_scratch().
+// for crossing_times_into.  Thread-confined; grab the calling thread's
+// instance with thread_root_scratch().
 struct RootScratch {
   struct Level {
     Polynomial deriv;
@@ -43,30 +43,25 @@ struct RootScratch {
 
 RootScratch& thread_root_scratch();
 
-// All distinct real roots of p in the closed interval [lo, hi].
-RootFindResult real_roots(const Polynomial& p, double lo, double hi);
-
-// All distinct real roots of p in [t0, +infinity).  Uses the Cauchy bound to
-// cap the search interval.
-RootFindResult real_roots_from(const Polynomial& p, double t0);
-
 // Sign of p at t, treating |p(t)| below an absolute tolerance scaled by the
 // polynomial's magnitude as zero.
 int robust_sign(const Polynomial& p, double t);
 
-// The distinct t >= t0 at which f and g intersect (f - g = 0).  If the two
-// polynomials are identical, `identically_zero` is set.
-RootFindResult crossing_times(const Polynomial& f, const Polynomial& g,
-                              double t0 = 0.0);
+// The root entry points.  Results land in `out` (cleared first) and every
+// intermediate lives in `scratch`, so a warm scratch isolates roots without
+// allocating.
 
-// Allocation-free variants of the above for the envelope hot path: results
-// land in `out` (cleared first), every intermediate lives in `scratch`, and
-// the arithmetic is performed in exactly the same order as the allocating
-// versions, so the roots are bit-identical.
+// All distinct real roots of p in the closed interval [lo, hi].
 void real_roots_into(const Polynomial& p, double lo, double hi,
                      RootScratch& scratch, RootFindResult& out);
+
+// All distinct real roots of p in [t0, +infinity).  Uses the Cauchy bound to
+// cap the search interval.
 void real_roots_from_into(const Polynomial& p, double t0, RootScratch& scratch,
                           RootFindResult& out);
+
+// The distinct t >= t0 at which f and g intersect (f - g = 0).  If the two
+// polynomials are identical, `identically_zero` is set.
 void crossing_times_into(const Polynomial& f, const Polynomial& g, double t0,
                          RootScratch& scratch, RootFindResult& out);
 

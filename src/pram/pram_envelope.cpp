@@ -1,6 +1,7 @@
 #include "pram/pram_envelope.hpp"
 
-#include "pieces/envelope_serial.hpp"
+#include <algorithm>
+
 #include "support/ackermann.hpp"
 #include "support/assert.hpp"
 
@@ -22,11 +23,15 @@ std::uint64_t level_steps(std::size_t pieces) {
 
 PramEnvelopeResult pram_envelope(const PolyFamily& fam, bool take_min) {
   DYNCG_ASSERT(fam.size() >= 1, "empty family");
+  PiecePool& pool = thread_piece_pool();
   CrewPram pram(fam.size());
+  std::uint64_t ops = 0;
   std::vector<PiecewiseFn> level;
   level.reserve(fam.size());
   for (std::size_t i = 0; i < fam.size(); ++i) {
-    level.push_back(singleton_fn(fam, static_cast<int>(i)));
+    level.push_back(PiecewiseFn{pool.acquire_pieces()});
+    singleton_into(fam, static_cast<int>(i), level.back());
+    ops += 1;
   }
   pram.charge_steps(1);
   while (level.size() > 1) {
@@ -34,45 +39,27 @@ PramEnvelopeResult pram_envelope(const PolyFamily& fam, bool take_min) {
     std::vector<PiecewiseFn> next;
     next.reserve((level.size() + 1) / 2);
     for (std::size_t b = 0; b + 1 < level.size(); b += 2) {
-      max_pieces = std::max(max_pieces, level[b].piece_count() +
-                                            level[b + 1].piece_count());
-      next.push_back(combine_extremum(fam, level[b], level[b + 1], take_min));
+      std::size_t in = level[b].piece_count() + level[b + 1].piece_count();
+      max_pieces = std::max(max_pieces, in);
+      ops += in;
+      next.push_back(PiecewiseFn{pool.acquire_pieces()});
+      combine_extremum_into(fam, level[b], level[b + 1], take_min, pool,
+                            next.back());
+      ops += next.back().piece_count();
+      pool.release_pieces(std::move(level[b].pieces));
+      pool.release_pieces(std::move(level[b + 1].pieces));
     }
-    if (level.size() % 2 == 1) next.push_back(level.back());
+    if (level.size() % 2 == 1) next.push_back(std::move(level.back()));
     pram.charge_steps(level_steps(max_pieces));
     level.swap(next);
   }
-  return PramEnvelopeResult{std::move(level[0]), pram.steps()};
+  return PramEnvelopeResult{std::move(level[0]), pram.steps(), ops};
 }
 
 std::uint64_t chandran_mount_steps(std::size_t n) {
   if (n <= 1) return kChandranMountConstant;
   return kChandranMountConstant *
          (static_cast<std::uint64_t>(floor_log2(ceil_pow2(n))));
-}
-
-SerialEnvelopeResult serial_envelope_baseline(const PolyFamily& fam,
-                                              bool take_min) {
-  // The D&C recurrence T(n) = 2T(n/2) + O(lambda(n,s)) of [Atallah 1985];
-  // we count elementary piece operations: every overlay cell visited at
-  // every level.
-  std::uint64_t ops = 0;
-  std::vector<PiecewiseFn> level;
-  for (std::size_t i = 0; i < fam.size(); ++i) {
-    level.push_back(singleton_fn(fam, static_cast<int>(i)));
-    ops += 1;
-  }
-  while (level.size() > 1) {
-    std::vector<PiecewiseFn> next;
-    for (std::size_t b = 0; b + 1 < level.size(); b += 2) {
-      ops += level[b].piece_count() + level[b + 1].piece_count();
-      next.push_back(combine_extremum(fam, level[b], level[b + 1], take_min));
-      ops += next.back().piece_count();
-    }
-    if (level.size() % 2 == 1) next.push_back(level.back());
-    level.swap(next);
-  }
-  return SerialEnvelopeResult{std::move(level[0]), ops};
 }
 
 }  // namespace dyncg

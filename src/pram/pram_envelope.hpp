@@ -19,25 +19,21 @@ namespace dyncg {
 
 struct PramEnvelopeResult {
   PiecewiseFn envelope;
-  std::uint64_t steps;  // measured PRAM steps of our implementation
+  std::uint64_t steps;      // measured PRAM steps of our implementation
+  std::uint64_t piece_ops;  // elementary piece operations (serial "time")
 };
 
-// Parallel D&C envelope on a CREW PRAM with Theta(lambda(n,s)) processors.
+// Parallel D&C envelope on a CREW PRAM with Theta(lambda(n,s)) processors:
+// the bottom-up pairwise combines of the [Atallah 1985] divide and conquer,
+// one PRAM level per round of combines.  The same run is the serial
+// baseline: `piece_ops` follows its recurrence T(n) = 2T(n/2) +
+// O(lambda(n,s)) by counting one op per leaf and one per piece each combine
+// reads or writes.
 PramEnvelopeResult pram_envelope(const PolyFamily& fam, bool take_min = true);
 
 // Idealized [Chandran and Mount 1989] step count: kChandranMountConstant *
 // ceil(log2 n).
 inline constexpr std::uint64_t kChandranMountConstant = 10;
 std::uint64_t chandran_mount_steps(std::size_t n);
-
-// Serial [Atallah 1985]-style divide-and-conquer baseline: the envelope
-// plus the number of elementary piece operations performed (the serial
-// "time").
-struct SerialEnvelopeResult {
-  PiecewiseFn envelope;
-  std::uint64_t piece_ops;
-};
-SerialEnvelopeResult serial_envelope_baseline(const PolyFamily& fam,
-                                              bool take_min = true);
 
 }  // namespace dyncg

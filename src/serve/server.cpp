@@ -34,7 +34,10 @@ bool set_nonblocking(int fd) {
 // request stream (deterministic); batch shapes, queue depth, and pressure
 // rejections depend on arrival timing (host-noisy).  Admission rejections
 // are counted under serve.admission.* only — serve.responses.error covers
-// the batch path, which is what stays deterministic.
+// the batch path, which is what stays deterministic.  A request is counted
+// (requests_, serve.requests.*) when it is answered, so a `stats` or
+// `metrics` answer counts itself and the requests answered before it, never
+// later lines of its own batch.
 //
 // serve.shed and serve.deadline_exceeded are deterministic-class: every
 // gated fixture (serve_bench, the DYNCG_THREADS byte-identity diff) runs
@@ -296,6 +299,33 @@ void Server::shed_oldest(const std::string& why) {
   ++shed_;
   sm().shed->add();
   respond(victim.conn, render_error("", Status::unavailable(why)));
+  answer_too_long(victim.conn, victim.too_long_after);
+}
+
+// Per-connection responses follow request order, so an over-long line
+// waits for the connection's queued lines.  Only lines of this read phase
+// can be queued (every batch runs before the next poll), and the newest
+// one of the connection is answered last of them.
+void Server::reject_too_long(std::size_t ci) {
+  for (auto it = pending_.rbegin(); it != pending_.rend(); ++it) {
+    if (it->conn == ci) {
+      ++it->too_long_after;
+      return;
+    }
+  }
+  answer_too_long(ci, 1);
+}
+
+void Server::answer_too_long(std::size_t ci, std::uint32_t count) {
+  for (std::uint32_t i = 0; i < count; ++i) {
+    ++requests_;
+    ++errors_;
+    sm().admission_line_too_long->add();
+    respond(ci, render_error(
+                    "", Status::invalid_argument(
+                            "request line exceeds max_line (" +
+                            std::to_string(opt_.max_line) + " bytes)")));
+  }
 }
 
 // Close connections that made no read or write progress for
@@ -348,13 +378,7 @@ void Server::take_lines(std::size_t ci) {
     }
     if (line.empty()) continue;  // blank keep-alives are not requests
     if (line.size() > opt_.max_line) {
-      ++requests_;
-      ++errors_;
-      sm().admission_line_too_long->add();
-      respond(ci, render_error(
-                      "", Status::invalid_argument(
-                              "request line exceeds max_line (" +
-                              std::to_string(opt_.max_line) + " bytes)")));
+      reject_too_long(ci);
       continue;
     }
     if (draining_) {
@@ -376,13 +400,7 @@ void Server::take_lines(std::size_t ci) {
   }
   c.in.erase(0, start);
   if (!c.skipping && c.in.size() > opt_.max_line) {
-    ++requests_;
-    ++errors_;
-    sm().admission_line_too_long->add();
-    respond(ci, render_error(
-                    "", Status::invalid_argument(
-                            "request line exceeds max_line (" +
-                            std::to_string(opt_.max_line) + " bytes)")));
+    reject_too_long(ci);
     c.in.clear();
     c.skipping = true;  // drop the rest of this line when it arrives
   }
@@ -457,16 +475,11 @@ void Server::process_batch() {
   // never reaches the compute pass — the engine does no work for it.
   auto dequeue_now = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < take; ++i) {
-    ++requests_;
     items.push_back(Item{pending_[i].conn, read_request(pending_[i].line),
                          {}, false, false});
     Item& item = items.back();
-    if (!item.req.is_ok()) {
-      sm().requests_invalid->add();
-      continue;
-    }
+    if (!item.req.is_ok()) continue;
     const Request& r = item.req.value();
-    op_counter(r.op).add();
     std::uint64_t budget = r.deadline_ms != 0 ? r.deadline_ms
                                               : opt_.deadline_ms;
     if (budget != 0) {
@@ -517,22 +530,27 @@ void Server::process_batch() {
   // Pass 3: replay in arrival order with sequential cache semantics.  The
   // pool is idle again here, so admin ops may collect the metrics registry
   // and flush the trace buffer (the collection contract of both modules).
-  // Response counters bump *after* rendering: a `metrics` response reflects
-  // every response completed before it, not itself.
+  // Request counters bump *before* rendering and response counters *after*:
+  // a `stats` or `metrics` response counts itself as a request but not as a
+  // response, and nothing that comes after it.  Over-long lines that
+  // arrived behind a request are answered right after it.
   // Deadlines re-checked between passes: compute may have taken long
   // enough to expire requests that were still live at dequeue.  Expired
   // requests (either check) skip the cache entirely — no counting lookup,
   // no insert — so cache counters remain a pure function of the request
   // sequence that actually completed.
   auto replay_now = std::chrono::steady_clock::now();
-  for (Item& item : items) {
+  auto replay = [&](Item& item) {
+    ++requests_;
     if (!item.req.is_ok()) {
+      sm().requests_invalid->add();
       ++errors_;
       respond(item.conn, render_error("", item.req.status()));
       sm().responses_error->add();
-      continue;
+      return;
     }
     Request& r = item.req.value();
+    op_counter(r.op).add();
     if (item.has_deadline && !item.expired && replay_now >= item.deadline) {
       item.expired = true;
     }
@@ -543,7 +561,7 @@ void Server::process_batch() {
               render_error(r.id_json,
                            Status::deadline_exceeded(
                                "deadline budget expired before execution")));
-      continue;
+      return;
     }
     if (is_fleet_op(r.op)) {
       // Sequential by construction (this pass runs in arrival order), so
@@ -559,23 +577,23 @@ void Server::process_batch() {
         sm().responses_error->add();
       }
       sm().fleets_open->set(static_cast<std::int64_t>(fleets_.open_count()));
-      continue;
+      return;
     }
     if (r.op == Op::kPing) {
       respond(item.conn, render_pong(r.id_json));
       sm().responses_ok->add();
-      continue;
+      return;
     }
     if (r.op == Op::kStats) {
       if (git_rev_.empty() && opt_.git_rev) git_rev_ = opt_.git_rev();
       respond(item.conn, render_stats(r.id_json, stats()));
       sm().responses_ok->add();
-      continue;
+      return;
     }
     if (r.op == Op::kMetrics) {
       respond(item.conn, render_metrics(r.id_json, metrics::to_json()));
       sm().responses_ok->add();
-      continue;
+      return;
     }
     if (r.op == Op::kFlushTrace) {
       if (opt_.trace_out.empty()) {
@@ -600,14 +618,14 @@ void Server::process_batch() {
           sm().responses_error->add();
         }
       }
-      continue;
+      return;
     }
     // A hit's `key` comes from its entry: the request was never finished.
     if (const CachedResult* hit = cache_.find(r.key)) {
       respond(item.conn,
               render_result(r.id_json, r.op, *hit, true, hit->fingerprint));
       sm().responses_ok->add();
-      continue;
+      return;
     }
     // Counted miss: fetch this key's computed slot.  A key pass 1 found
     // cached has none when an earlier miss in this batch evicted it (FIFO,
@@ -629,13 +647,17 @@ void Server::process_batch() {
       ++errors_;
       respond(item.conn, render_error(r.id_json, slot->status));
       sm().responses_error->add();
-      continue;  // errors are never cached
+      return;  // errors are never cached
     }
     cache_.insert(r.key, slot->result);
     respond(item.conn,
             render_result(r.id_json, r.op, slot->result, false,
                           slot->result.fingerprint));
     sm().responses_ok->add();
+  };
+  for (std::size_t i = 0; i < take; ++i) {
+    replay(items[i]);
+    answer_too_long(pending_[i].conn, pending_[i].too_long_after);
   }
   pending_.erase(pending_.begin(),
                  pending_.begin() + static_cast<std::ptrdiff_t>(take));

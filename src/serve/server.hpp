@@ -146,6 +146,9 @@ class Server {
     // When the line was split out of the read buffer — the zero point of
     // its deadline budget and the age key for oldest-first shedding.
     std::chrono::steady_clock::time_point arrival;
+    // Over-long lines of the same connection that arrived after this line
+    // and before its next queued one; they are answered right after it.
+    std::uint32_t too_long_after = 0;
   };
 
   Status setup_listener();
@@ -156,6 +159,11 @@ class Server {
   void process_batch();
   void respond(std::size_t ci, const std::string& line);
   void shed_oldest(const std::string& why);
+  // An over-long line arrived on connection ci: answer it now, or right
+  // after the connection's last queued line when one is still waiting.
+  void reject_too_long(std::size_t ci);
+  // Answer `count` over-long lines of connection ci.
+  void answer_too_long(std::size_t ci, std::uint32_t count);
   void reap_stalled();
   // Transition into the draining state once drain_ is set; called between
   // poll iterations AND between batches so a deep queue cannot delay it.

@@ -84,7 +84,7 @@ DiameterFunction steady_diameter_function(const MotionSystem& system) {
   // pairwise squared distances of the system (a conservative structural
   // root bound).
   PolyFamily fam(std::move(d2));
-  PiecewiseFn env = envelope_serial_all(fam, /*take_min=*/false);
+  PiecewiseFn env = envelope_serial(fam, /*take_min=*/false);
   double horizon = 0.0;
   for (std::size_t i = 0; i < system.size(); ++i) {
     for (std::size_t j = i + 1; j < system.size(); ++j) {

@@ -335,10 +335,11 @@ TEST(DynamicEnvelopeMemo, DegreeEightScoresKeepEveryCrossing) {
   // The generator's closest scales with its farthest offsets still cross
   // 8 times.
   const Polynomial& p8 = eight_root_poly();
-  ASSERT_EQ(crossing_times(p8 + Polynomial::constant(20.0),
-                           p8 * 2.0 - Polynomial::constant(20.0))
-                .roots.size(),
-            8u);
+  RootScratch scratch;
+  RootFindResult rr;
+  crossing_times_into(p8 + Polynomial::constant(20.0),
+                      p8 * 2.0 - Polynomial::constant(20.0), 0.0, scratch, rr);
+  ASSERT_EQ(rr.roots.size(), 8u);
   Rng rng(8888);
   DynamicEnvelope env(/*take_min=*/true, s);
   Members live;

@@ -42,7 +42,7 @@ TEST(Motion, TrajectoryBasics) {
 TEST(MotionIo, RoundTripPreservesTrajectories) {
   Rng rng(83);
   MotionSystem sys = random_motion_system(rng, 7, 3, 2);
-  MotionSystem back = motion_from_text(to_text(sys));
+  MotionSystem back = try_motion_from_text(to_text(sys)).value();
   ASSERT_EQ(back.size(), sys.size());
   ASSERT_EQ(back.dimension(), sys.dimension());
   for (std::size_t i = 0; i < sys.size(); ++i) {
@@ -62,7 +62,7 @@ TEST(MotionIo, ParsesHandWrittenFile) {
       "dim 2\n"
       "point 0 1 ; 0 0.5\n"
       "point 10 -1 ; 2\n";
-  MotionSystem sys = motion_from_text(text);
+  MotionSystem sys = try_motion_from_text(text).value();
   EXPECT_EQ(sys.size(), 2u);
   EXPECT_EQ(sys.dimension(), 2u);
   auto pos = sys.point(0).position(2.0);
@@ -72,11 +72,12 @@ TEST(MotionIo, ParsesHandWrittenFile) {
 }
 
 TEST(MotionIo, RejectsGarbage) {
-  EXPECT_DEATH(motion_from_text("hello world\n"), "motion file");
-  EXPECT_DEATH(motion_from_text("dyncg-motion 1\npoint 1 2\n"),
+  EXPECT_DEATH(try_motion_from_text("hello world\n").value(), "motion file");
+  EXPECT_DEATH(try_motion_from_text("dyncg-motion 1\npoint 1 2\n").value(),
                "point before dim");
-  EXPECT_DEATH(motion_from_text("dyncg-motion 1\ndim 2\npoint 1 2\n"),
-               "coordinate count");
+  EXPECT_DEATH(
+      try_motion_from_text("dyncg-motion 1\ndim 2\npoint 1 2\n").value(),
+      "coordinate count");
 }
 
 

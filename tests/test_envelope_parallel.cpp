@@ -26,7 +26,7 @@ TEST(ParallelEnvelope, MatchesSerialOnSmallFamily) {
                   Polynomial({6.0, -0.5})});
   Machine mesh = envelope_machine_mesh(fam.size(), 1);
   PiecewiseFn par = parallel_envelope(mesh, fam, 1);
-  PiecewiseFn ser = lower_envelope_serial(fam);
+  PiecewiseFn ser = envelope_serial(fam);
   ASSERT_EQ(par.piece_count(), ser.piece_count());
   for (std::size_t i = 0; i < par.pieces.size(); ++i) {
     EXPECT_EQ(par.pieces[i].id, ser.pieces[i].id);
@@ -48,7 +48,7 @@ TEST_P(ParallelEnvelopeProperty, AgreesWithSerialOracle) {
                                  : envelope_machine_hypercube(fam.size(), max_deg);
   EnvelopeRunStats stats;
   PiecewiseFn par = parallel_envelope(m, fam, max_deg, take_min, &stats);
-  PiecewiseFn ser = envelope_serial_all(fam, take_min);
+  PiecewiseFn ser = envelope_serial(fam, take_min);
   ASSERT_EQ(par.piece_count(), ser.piece_count())
       << "machine=" << m.topology().name();
   for (std::size_t i = 0; i < par.pieces.size(); ++i) {

@@ -38,7 +38,7 @@ void expect_matches_bruteforce(const PolyFamily& fam, const PiecewiseFn& env,
 
 TEST(EnvelopeSerial, TwoLines) {
   PolyFamily fam({Polynomial({0.0, 1.0}), Polynomial({3.0})});
-  PiecewiseFn env = lower_envelope_serial(fam);
+  PiecewiseFn env = envelope_serial(fam);
   ASSERT_EQ(env.piece_count(), 2u);
   EXPECT_EQ(env.pieces[0].id, 0);
   EXPECT_EQ(env.pieces[1].id, 1);
@@ -46,7 +46,7 @@ TEST(EnvelopeSerial, TwoLines) {
 
 TEST(EnvelopeSerial, SingleFunction) {
   PolyFamily fam({Polynomial({1.0, 1.0})});
-  PiecewiseFn env = lower_envelope_serial(fam);
+  PiecewiseFn env = envelope_serial(fam);
   ASSERT_EQ(env.piece_count(), 1u);
   EXPECT_EQ(env.pieces[0].id, 0);
 }
@@ -63,7 +63,7 @@ TEST(EnvelopeSerial, LinesObeyLambdaN1) {
       lines.push_back(Polynomial({rng.uniform(-5, 5), rng.uniform(-2, 2)}));
     }
     PolyFamily fam(std::move(lines));
-    PiecewiseFn env = lower_envelope_serial(fam);
+    PiecewiseFn env = envelope_serial(fam);
     EXPECT_LE(env.piece_count(), static_cast<std::size_t>(n));
     EXPECT_TRUE(is_davenport_schinzel(env.origin_sequence(), n, 1));
     expect_matches_bruteforce(fam, env, true);
@@ -82,7 +82,7 @@ TEST(EnvelopeSerial, ParabolasObeyLambdaN2) {
           {rng.uniform(-5, 5), rng.uniform(-3, 3), rng.uniform(-1, 1)}));
     }
     PolyFamily fam(std::move(ps));
-    PiecewiseFn env = lower_envelope_serial(fam);
+    PiecewiseFn env = envelope_serial(fam);
     EXPECT_LE(env.piece_count(), static_cast<std::size_t>(2 * n - 1));
     EXPECT_TRUE(is_davenport_schinzel(env.origin_sequence(), n, 2));
     expect_matches_bruteforce(fam, env, true);
@@ -97,7 +97,7 @@ TEST_P(EnvelopeProperty, MatchesBruteForceAndDsBound) {
   auto [n, max_deg, take_min] = GetParam();
   Rng rng(static_cast<std::uint64_t>(n * 100 + max_deg * 10 + take_min));
   PolyFamily fam = random_family(rng, n, max_deg);
-  PiecewiseFn env = envelope_serial_all(fam, take_min);
+  PiecewiseFn env = envelope_serial(fam, take_min);
   expect_matches_bruteforce(fam, env, take_min);
   // Lemma 2.2: piece count bounded by lambda(n, s), s = max pairwise
   // crossings <= max_deg.
@@ -122,14 +122,14 @@ TEST(EnvelopeSerial, WorstCaseLinesHitNPieces) {
     lines.push_back(Polynomial({a * a, -2 * a}));
   }
   PolyFamily fam(std::move(lines));
-  PiecewiseFn env = lower_envelope_serial(fam);
+  PiecewiseFn env = envelope_serial(fam);
   EXPECT_EQ(env.piece_count(), static_cast<std::size_t>(n));
 }
 
 TEST(EnvelopeSerial, DuplicateFunctions) {
   PolyFamily fam({Polynomial({1.0, 1.0}), Polynomial({1.0, 1.0}),
                   Polynomial({0.5, 1.0})});
-  PiecewiseFn env = lower_envelope_serial(fam);
+  PiecewiseFn env = envelope_serial(fam);
   ASSERT_EQ(env.piece_count(), 1u);
   EXPECT_EQ(env.pieces[0].id, 2);
 }

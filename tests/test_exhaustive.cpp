@@ -14,7 +14,7 @@ namespace dyncg {
 namespace {
 
 void check_envelope(const PolyFamily& fam, int s) {
-  PiecewiseFn env = lower_envelope_serial(fam);
+  PiecewiseFn env = envelope_serial(fam);
   ASSERT_TRUE(env.well_formed(fam.size()));
   ASSERT_TRUE(env.support().complement().empty());
   EXPECT_LE(env.piece_count(),

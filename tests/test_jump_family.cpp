@@ -54,7 +54,7 @@ TEST(JumpFamily, EnvelopeSwitchesAtAJump) {
   // knot far away) takes over discontinuously — with no crossing.
   JumpFamily fam({JumpMotion{Polynomial({0.0}), Polynomial({10.0}), 3.0},
                   JumpMotion{Polynomial({1.0}), Polynomial({1.0}), 100.0}});
-  PiecewiseFn env = envelope_serial_all(fam, true);
+  PiecewiseFn env = envelope_serial(fam, true);
   EXPECT_EQ(fam.owner(env.id_at(1.0)), 0u);
   EXPECT_EQ(fam.owner(env.id_at(5.0)), 1u);
   // The switch is exactly at the jump knot.
@@ -71,7 +71,8 @@ TEST(JumpFamily, BranchCrossingsArePlainRoots) {
                              1000.0}});
   // after-branch of motion 0 (id 1) vs before-branch of motion 1 (id 2):
   // 10 = t - 5 at t = 15.
-  auto xs = fam.crossings(1, 2, Interval{0.0, kInfinity});
+  std::vector<double> xs;
+  fam.crossings_into(1, 2, Interval{0.0, kInfinity}, xs);
   ASSERT_EQ(xs.size(), 1u);
   EXPECT_NEAR(xs[0], 15.0, 1e-9);
 }
@@ -113,7 +114,7 @@ TEST(JumpFamily, SerialMatchesMachine) {
   JumpFamily fam = random_family(rng, 11);
   Machine m = envelope_machine_hypercube(fam.size(), 3);
   PiecewiseFn par = parallel_envelope(m, fam, 3, true);
-  PiecewiseFn ser = envelope_serial_all(fam, true);
+  PiecewiseFn ser = envelope_serial(fam, true);
   ASSERT_EQ(par.piece_count(), ser.piece_count());
   for (std::size_t i = 0; i < par.pieces.size(); ++i) {
     EXPECT_EQ(par.pieces[i].id, ser.pieces[i].id);
@@ -123,7 +124,7 @@ TEST(JumpFamily, SerialMatchesMachine) {
 TEST(JumpFamily, KnotAtZeroDropsBeforeBranch) {
   JumpFamily fam({JumpMotion{Polynomial({99.0}), Polynomial({1.0}), 0.0},
                   JumpMotion{Polynomial({2.0}), Polynomial({2.0}), 5.0}});
-  PiecewiseFn env = envelope_serial_all(fam, true);
+  PiecewiseFn env = envelope_serial(fam, true);
   // Motion 0's after-branch (value 1) wins everywhere.
   for (double t : {0.5, 3.0, 10.0}) {
     EXPECT_EQ(fam.owner(env.id_at(t)), 0u);

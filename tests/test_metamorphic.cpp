@@ -51,13 +51,13 @@ TEST(Metamorphic, EnvelopeBreakpointsScaleWithTime) {
         {rng.uniform(-3, 3), rng.uniform(-2, 2), rng.uniform(-1, 1)}));
   }
   PolyFamily fam(fns);
-  PiecewiseFn env = lower_envelope_serial(fam);
+  PiecewiseFn env = envelope_serial(fam);
 
   double c = 2.0;  // g_i(t) = f_i(c t): breakpoints divide by c
   std::vector<Polynomial> scaled;
   for (const auto& f : fns) scaled.push_back(time_scaled(f, c));
   PolyFamily fam2(std::move(scaled));
-  PiecewiseFn env2 = lower_envelope_serial(fam2);
+  PiecewiseFn env2 = envelope_serial(fam2);
 
   ASSERT_EQ(env.piece_count(), env2.piece_count());
   for (std::size_t i = 0; i < env.pieces.size(); ++i) {

@@ -106,7 +106,7 @@ TEST_P(OtherTopologyOps, EnvelopeMatchesSerialOracle) {
   }
   PolyFamily fam(std::move(fns));
   PiecewiseFn par = parallel_envelope(m, fam, 2);
-  PiecewiseFn ser = lower_envelope_serial(fam);
+  PiecewiseFn ser = envelope_serial(fam);
   ASSERT_EQ(par.piece_count(), ser.piece_count());
   for (std::size_t i = 0; i < par.pieces.size(); ++i) {
     EXPECT_EQ(par.pieces[i].id, ser.pieces[i].id);
@@ -126,7 +126,7 @@ TEST_P(OtherTopologyOps, NonPolynomialFamiliesRunToo) {
   }
   SqrtFamily sf(std::move(sm));
   PiecewiseFn a = parallel_envelope(m, sf, 2, true);
-  PiecewiseFn b = envelope_serial_all(sf, true);
+  PiecewiseFn b = envelope_serial(sf, true);
   ASSERT_EQ(a.piece_count(), b.piece_count());
 
   std::vector<JumpMotion> jm;
@@ -137,7 +137,7 @@ TEST_P(OtherTopologyOps, NonPolynomialFamiliesRunToo) {
   }
   JumpFamily jf(std::move(jm));
   PiecewiseFn c = parallel_envelope(m, jf, 3, true);
-  PiecewiseFn d = envelope_serial_all(jf, true);
+  PiecewiseFn d = envelope_serial(jf, true);
   ASSERT_EQ(c.piece_count(), d.piece_count());
   for (std::size_t i = 0; i < c.pieces.size(); ++i) {
     EXPECT_EQ(c.pieces[i].id, d.pieces[i].id);

@@ -160,10 +160,12 @@ TEST(PerfPathsRouteCache, RepeatLookupIsAHit) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
-// --- Pooled combine: equality with the allocating forms --------------------
+// --- Pooled combine: a recycled pool matches a fresh one --------------------
 
+// One pool reused across every trial must refine exactly as a fresh pool.
 TEST(PerfPathsCombine, OverlayIntoMatchesOverlay) {
   Rng rng(11);
+  PiecePool warm;
   for (int trial = 0; trial < 20; ++trial) {
     PiecewiseFn f, g;
     double t = 0;
@@ -178,15 +180,16 @@ TEST(PerfPathsCombine, OverlayIntoMatchesOverlay) {
       g.pieces.push_back(Piece{Interval{t, hi}, 10 + i});
       t = hi;
     }
-    std::vector<Cell> plain = overlay(f, g);
-    PiecePool pool;
-    overlay_into(f, g, pool);
-    ASSERT_EQ(pool.cells.size(), plain.size());
-    for (std::size_t i = 0; i < plain.size(); ++i) {
-      EXPECT_EQ(pool.cells[i].iv.lo, plain[i].iv.lo);
-      EXPECT_EQ(pool.cells[i].iv.hi, plain[i].iv.hi);
-      EXPECT_EQ(pool.cells[i].a, plain[i].a);
-      EXPECT_EQ(pool.cells[i].b, plain[i].b);
+    PiecePool fresh;
+    overlay_into(f, g, fresh);
+    overlay_into(f, g, warm);
+    const std::vector<Cell>& want = fresh.cells;
+    ASSERT_EQ(warm.cells.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(warm.cells[i].iv.lo, want[i].iv.lo);
+      EXPECT_EQ(warm.cells[i].iv.hi, want[i].iv.hi);
+      EXPECT_EQ(warm.cells[i].a, want[i].a);
+      EXPECT_EQ(warm.cells[i].b, want[i].b);
     }
   }
 }
@@ -206,8 +209,9 @@ TEST(PerfPathsCombine, WarmPoolMatchesFreshPool) {
   PolyFamily fam(std::move(members));
   PiecePool warm;
   for (int a = 0; a + 1 < static_cast<int>(fam.size()); a += 2) {
-    PiecewiseFn f = singleton_fn(fam, a);
-    PiecewiseFn g = singleton_fn(fam, a + 1);
+    PiecewiseFn f, g;
+    singleton_into(fam, a, f);
+    singleton_into(fam, a + 1, g);
     for (bool take_min : {true, false}) {
       PiecePool fresh;
       PiecewiseFn from_fresh, from_warm;
@@ -223,7 +227,7 @@ TEST(PerfPathsCombine, WarmPoolMatchesFreshPool) {
   }
 }
 
-// --- Root scratch: bit-identical to the legacy allocating calls ------------
+// --- Root scratch: a reused scratch is bit-identical to a fresh one ---------
 
 TEST(PerfPathsRoots, IntoVariantsMatchLegacy) {
   Rng rng(37);
@@ -234,7 +238,9 @@ TEST(PerfPathsRoots, IntoVariantsMatchLegacy) {
     std::vector<double> c(static_cast<std::size_t>(deg) + 1);
     for (double& x : c) x = rng.uniform(-3.0, 3.0);
     Polynomial p(c);
-    RootFindResult want = real_roots_from(p, 0.0);
+    RootScratch fresh;
+    RootFindResult want;
+    real_roots_from_into(p, 0.0, fresh, want);
     real_roots_from_into(p, 0.0, scratch, got);  // scratch reused throughout
     EXPECT_EQ(got.identically_zero, want.identically_zero);
     ASSERT_EQ(got.roots.size(), want.roots.size()) << "trial " << trial;
@@ -256,7 +262,9 @@ TEST(PerfPathsRoots, CrossingTimesIntoMatchesLegacy) {
       return Polynomial(c);
     };
     Polynomial f = rand_poly(), g = rand_poly();
-    RootFindResult want = crossing_times(f, g, 0.0);
+    RootScratch fresh;
+    RootFindResult want;
+    crossing_times_into(f, g, 0.0, fresh, want);
     crossing_times_into(f, g, 0.0, scratch, got);
     EXPECT_EQ(got.identically_zero, want.identically_zero);
     ASSERT_EQ(got.roots.size(), want.roots.size()) << "trial " << trial;

@@ -10,6 +10,23 @@
 namespace dyncg {
 namespace {
 
+// Member `id` alone, and the min (or max) of two piecewise functions, each
+// into a fresh output through the pooled entry points.
+template <class Family>
+PiecewiseFn single(const Family& fam, int id) {
+  PiecewiseFn out;
+  singleton_into(fam, id, out);
+  return out;
+}
+
+template <class Family>
+PiecewiseFn combined(const Family& fam, const PiecewiseFn& f,
+                     const PiecewiseFn& g, bool take_min) {
+  PiecewiseFn out;
+  combine_extremum_into(fam, f, g, take_min, thread_piece_pool(), out);
+  return out;
+}
+
 TEST(Interval, Basics) {
   Interval iv{1.0, 3.0};
   EXPECT_TRUE(iv.nondegenerate());
@@ -101,21 +118,13 @@ TEST(PiecewiseFn, WellFormedAndLookup) {
   EXPECT_FALSE(bad.well_formed(2));
 }
 
-TEST(PiecewiseFn, Coalesce) {
-  PiecewiseFn f;
-  f.pieces = {Piece{Interval{0, 1}, 0}, Piece{Interval{1, 2}, 0},
-              Piece{Interval{2, 3}, 1}, Piece{Interval{3, kInfinity}, 1}};
-  coalesce(f);
-  ASSERT_EQ(f.piece_count(), 2u);
-  EXPECT_DOUBLE_EQ(f.pieces[0].iv.hi, 2.0);
-  EXPECT_TRUE(std::isinf(f.pieces[1].iv.hi));
-}
-
 TEST(Overlay, RefinesTwoPieceLists) {
   PiecewiseFn f, g;
   f.pieces = {Piece{Interval{0, 2}, 0}, Piece{Interval{2, kInfinity}, 1}};
   g.pieces = {Piece{Interval{1, 3}, 5}};
-  auto cells = overlay(f, g);
+  PiecePool pool;
+  overlay_into(f, g, pool);
+  const std::vector<Cell>& cells = pool.cells;
   // [0,1]: (0,-1); [1,2]: (0,5); [2,3]: (1,5); [3,inf): (1,-1).
   ASSERT_EQ(cells.size(), 4u);
   EXPECT_EQ(cells[0].a, 0);
@@ -135,8 +144,8 @@ TEST(CombineMin, Figure4Example) {
   PolyFamily fam({Polynomial({0.0, 1.0}),      // f0 = t
                   Polynomial({2.0}),           // f1 = 2
                   Polynomial({6.0, -0.5})});   // f2 = 6 - t/2
-  PiecewiseFn f01 = combine_min(fam, singleton_fn(fam, 0), singleton_fn(fam, 1));
-  PiecewiseFn h = combine_min(fam, f01, singleton_fn(fam, 2));
+  PiecewiseFn f01 = combined(fam, single(fam, 0), single(fam, 1), true);
+  PiecewiseFn h = combined(fam, f01, single(fam, 2), true);
   ASSERT_EQ(h.piece_count(), 3u);
   EXPECT_EQ(h.pieces[0].id, 0);
   EXPECT_NEAR(h.pieces[0].iv.hi, 2.0, 1e-9);  // t = 2 crosses the constant
@@ -148,7 +157,7 @@ TEST(CombineMin, Figure4Example) {
 
 TEST(CombineMin, IdenticalMembersPreferSmallerId) {
   PolyFamily fam({Polynomial({1.0}), Polynomial({1.0})});
-  PiecewiseFn h = combine_min(fam, singleton_fn(fam, 0), singleton_fn(fam, 1));
+  PiecewiseFn h = combined(fam, single(fam, 0), single(fam, 1), true);
   ASSERT_EQ(h.piece_count(), 1u);
   EXPECT_EQ(h.pieces[0].id, 0);
 }
@@ -160,7 +169,10 @@ struct TiedFamily {
   std::size_t size() const { return 2; }
   double value(int, double) const { return 1.0; }
   bool identical(int, int) const { return false; }
-  std::vector<double> crossings(int, int, const Interval&) const { return {}; }
+  void crossings_into(int, int, const Interval&,
+                      std::vector<double>& out) const {
+    out.clear();
+  }
   std::vector<Interval> defined_intervals(int) const {
     return {Interval{0.0, kInfinity}};
   }
@@ -168,11 +180,11 @@ struct TiedFamily {
 
 TEST(CombineExtremum, ExactTiePrefersSmallerIdInBothOrders) {
   TiedFamily fam;
-  const PiecewiseFn f0 = singleton_fn(fam, 0);
-  const PiecewiseFn f1 = singleton_fn(fam, 1);
+  const PiecewiseFn f0 = single(fam, 0);
+  const PiecewiseFn f1 = single(fam, 1);
   for (const PiecewiseFn& h :
-       {combine_min(fam, f0, f1), combine_min(fam, f1, f0),
-        combine_max(fam, f0, f1), combine_max(fam, f1, f0)}) {
+       {combined(fam, f0, f1, true), combined(fam, f1, f0, true),
+        combined(fam, f0, f1, false), combined(fam, f1, f0, false)}) {
     ASSERT_EQ(h.piece_count(), 1u);
     EXPECT_EQ(h.pieces[0].id, 0);
     EXPECT_EQ(h.pieces[0].iv.lo, 0.0);
@@ -185,7 +197,7 @@ TEST(CombineMin, PartialFunctionsGapBehaviour) {
   PiecewiseFn f, g;
   f.pieces = {Piece{Interval{0, 2}, 0}};                 // defined on [0,2]
   g.pieces = {Piece{Interval{1, 5}, 1}};                 // defined on [1,5]
-  PiecewiseFn h = combine_min(fam, f, g);
+  PiecewiseFn h = combined(fam, f, g, true);
   // [0,1]: f alone; [1,2]: min = f (1 < 2); [2,5]: g alone; gap after 5.
   ASSERT_EQ(h.piece_count(), 2u);
   EXPECT_EQ(h.pieces[0].id, 0);
@@ -197,7 +209,7 @@ TEST(CombineMin, PartialFunctionsGapBehaviour) {
 
 TEST(CombineMax, MirrorsMin) {
   PolyFamily fam({Polynomial({0.0, 1.0}), Polynomial({4.0})});
-  PiecewiseFn h = combine_max(fam, singleton_fn(fam, 0), singleton_fn(fam, 1));
+  PiecewiseFn h = combined(fam, single(fam, 0), single(fam, 1), false);
   ASSERT_EQ(h.piece_count(), 2u);
   EXPECT_EQ(h.pieces[0].id, 1);
   EXPECT_NEAR(h.pieces[0].iv.hi, 4.0, 1e-9);
@@ -259,7 +271,7 @@ TEST(PiecewisePoly, GlobalMin) {
 
 TEST(PiecewisePoly, MaterializeFromEnvelope) {
   PolyFamily fam({Polynomial({0.0, 1.0}), Polynomial({2.0})});
-  PiecewiseFn h = combine_min(fam, singleton_fn(fam, 0), singleton_fn(fam, 1));
+  PiecewiseFn h = combined(fam, single(fam, 0), single(fam, 1), true);
   PiecewisePoly p = materialize(fam, h);
   EXPECT_DOUBLE_EQ(p(1.0), 1.0);
   EXPECT_DOUBLE_EQ(p(10.0), 2.0);

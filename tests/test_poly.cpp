@@ -101,35 +101,42 @@ TEST(Polynomial, CoefficientAccessorOutOfRange) {
 }
 
 TEST(Roots, LinearAndQuadratic) {
-  RootFindResult r = real_roots(Polynomial({-2.0, 1.0}), 0.0, 10.0);
+  RootScratch scratch;
+  RootFindResult r;
+  real_roots_into(Polynomial({-2.0, 1.0}), 0.0, 10.0, scratch, r);
   ASSERT_EQ(r.roots.size(), 1u);
   EXPECT_NEAR(r.roots[0], 2.0, 1e-12);
 
-  r = real_roots(Polynomial::from_roots({1.0, 3.0}), 0.0, 10.0);
+  real_roots_into(Polynomial::from_roots({1.0, 3.0}), 0.0, 10.0, scratch, r);
   ASSERT_EQ(r.roots.size(), 2u);
   EXPECT_NEAR(r.roots[0], 1.0, 1e-10);
   EXPECT_NEAR(r.roots[1], 3.0, 1e-10);
 
   // Tangential (double) root.
-  r = real_roots(Polynomial::from_roots({2.0, 2.0}), 0.0, 10.0);
+  real_roots_into(Polynomial::from_roots({2.0, 2.0}), 0.0, 10.0, scratch, r);
   ASSERT_EQ(r.roots.size(), 1u);
   EXPECT_NEAR(r.roots[0], 2.0, 1e-6);
 
   // No real roots.
-  r = real_roots(Polynomial({1.0, 0.0, 1.0}), -10.0, 10.0);
+  real_roots_into(Polynomial({1.0, 0.0, 1.0}), -10.0, 10.0, scratch, r);
   EXPECT_TRUE(r.roots.empty());
 }
 
 TEST(Roots, IdenticallyZero) {
-  RootFindResult r = real_roots(Polynomial(), 0.0, 1.0);
+  RootScratch scratch;
+  RootFindResult r;
+  real_roots_into(Polynomial(), 0.0, 1.0, scratch, r);
   EXPECT_TRUE(r.identically_zero);
-  r = crossing_times(Polynomial({1.0, 2.0}), Polynomial({1.0, 2.0}));
+  crossing_times_into(Polynomial({1.0, 2.0}), Polynomial({1.0, 2.0}), 0.0,
+                      scratch, r);
   EXPECT_TRUE(r.identically_zero);
 }
 
 TEST(Roots, HighDegreeKnownRoots) {
   Polynomial p = Polynomial::from_roots({0.5, 1.0, 2.0, 4.0, 8.0});
-  RootFindResult r = real_roots_from(p, 0.0);
+  RootScratch scratch;
+  RootFindResult r;
+  real_roots_from_into(p, 0.0, scratch, r);
   ASSERT_EQ(r.roots.size(), 5u);
   double expect[] = {0.5, 1.0, 2.0, 4.0, 8.0};
   for (int i = 0; i < 5; ++i) EXPECT_NEAR(r.roots[i], expect[i], 1e-8);
@@ -137,11 +144,13 @@ TEST(Roots, HighDegreeKnownRoots) {
 
 TEST(Roots, WindowRestriction) {
   Polynomial p = Polynomial::from_roots({1.0, 5.0, 9.0});
-  RootFindResult r = real_roots(p, 2.0, 8.0);
+  RootScratch scratch;
+  RootFindResult r;
+  real_roots_into(p, 2.0, 8.0, scratch, r);
   ASSERT_EQ(r.roots.size(), 1u);
   EXPECT_NEAR(r.roots[0], 5.0, 1e-9);
-  // real_roots_from excludes roots before t0.
-  r = real_roots_from(p, 4.0);
+  // real_roots_from_into excludes roots before t0.
+  real_roots_from_into(p, 4.0, scratch, r);
   ASSERT_EQ(r.roots.size(), 2u);
 }
 
@@ -160,7 +169,9 @@ TEST_P(RootRecovery, RandomRootsRecovered) {
   }
   Polynomial p = Polynomial::from_roots(roots) *
                  rng.uniform(0.5, 2.0) * (rng.uniform(0, 1) < 0.5 ? -1 : 1);
-  RootFindResult r = real_roots_from(p, 0.0);
+  RootScratch scratch;
+  RootFindResult r;
+  real_roots_from_into(p, 0.0, scratch, r);
   ASSERT_EQ(r.roots.size(), roots.size());
   for (std::size_t i = 0; i < roots.size(); ++i) {
     EXPECT_NEAR(r.roots[i], roots[i], 1e-6 * (1 + roots[i]));

@@ -37,7 +37,7 @@ TEST(PramEnvelope, MatchesSerial) {
   for (int trial = 0; trial < 8; ++trial) {
     PolyFamily fam = random_family(rng, 4 + trial * 3, 2);
     PramEnvelopeResult res = pram_envelope(fam);
-    PiecewiseFn want = lower_envelope_serial(fam);
+    PiecewiseFn want = envelope_serial(fam);
     ASSERT_EQ(res.envelope.piece_count(), want.piece_count());
     for (std::size_t i = 0; i < want.pieces.size(); ++i) {
       EXPECT_EQ(res.envelope.pieces[i].id, want.pieces[i].id);
@@ -63,8 +63,9 @@ TEST(PramEnvelope, StepsAreThetaLogSquared) {
 TEST(PramEnvelope, ChandranMountModelIsLogarithmic) {
   EXPECT_EQ(chandran_mount_steps(2), kChandranMountConstant);
   EXPECT_EQ(chandran_mount_steps(1024), 10 * kChandranMountConstant);
+  Rng rng(1);
   EXPECT_LT(chandran_mount_steps(1 << 16),
-            pram_envelope(random_family(*(new Rng(1)), 64, 2)).steps * 100);
+            pram_envelope(random_family(rng, 64, 2)).steps * 100);
 }
 
 TEST(Pram, CrcwStepCostTracksSortGrade) {
@@ -97,8 +98,8 @@ TEST(Pram, DirectSimulationCostComposes) {
 TEST(SerialBaseline, MatchesAndCountsOps) {
   Rng rng(9);
   PolyFamily fam = random_family(rng, 20, 2);
-  SerialEnvelopeResult res = serial_envelope_baseline(fam);
-  PiecewiseFn want = lower_envelope_serial(fam);
+  PramEnvelopeResult res = pram_envelope(fam);
+  PiecewiseFn want = envelope_serial(fam);
   ASSERT_EQ(res.envelope.piece_count(), want.piece_count());
   EXPECT_GT(res.piece_ops, 20u);
 }

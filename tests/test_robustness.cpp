@@ -59,9 +59,11 @@ TEST(AngleFamily, CrossingsAreTrueAngleEqualities) {
     MotionSystem sys = small_planar(rng, 5, 2);
     RelativeMotion rel = RelativeMotion::around(sys, 0);
     AngleFamily g(&rel, true);
+    std::vector<double> xs;
     for (int a = 0; a < static_cast<int>(g.size()); ++a) {
       for (int b = a + 1; b < static_cast<int>(g.size()); ++b) {
-        for (double t : g.crossings(a, b, Interval{0.0, kInfinity})) {
+        g.crossings_into(a, b, Interval{0.0, kInfinity}, xs);
+        for (double t : xs) {
           double ta = g.value(a, t), tb = g.value(b, t);
           // Angles equal mod 2pi with the same orientation.
           double diff = std::remainder(ta - tb, 2 * M_PI);

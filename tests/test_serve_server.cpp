@@ -11,6 +11,7 @@
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "support/json.hpp"
+#include "support/metrics.hpp"
 #include "support/status.hpp"
 
 // In-process tests for the server loop's resilience machinery
@@ -59,8 +60,8 @@ std::string status_of(const std::string& response) {
   return s != nullptr && s->is_string() ? s->string : "<missing>";
 }
 
-std::uint64_t stat_counter(Client& c, const std::string& key) {
-  std::string line = c.round_trip("{\"op\":\"stats\"}");
+// One counter of a `stats` response line; all ones when it is missing.
+std::uint64_t stat_in(const std::string& line, const std::string& key) {
   json::Value v;
   if (!json::parse(line, &v)) return ~std::uint64_t{0};
   const json::Value* stats = v.find("stats");
@@ -68,6 +69,10 @@ std::uint64_t stat_counter(Client& c, const std::string& key) {
   const json::Value* x = stats->find(key);
   return x != nullptr && x->is_number() ? static_cast<std::uint64_t>(x->number)
                                         : ~std::uint64_t{0};
+}
+
+std::uint64_t stat_counter(Client& c, const std::string& key) {
+  return stat_in(c.round_trip("{\"op\":\"stats\"}"), key);
 }
 
 // A request the engine takes tens of milliseconds to answer — long enough
@@ -102,6 +107,29 @@ TEST(ServeAdmission, LineCapBoundary) {
   EXPECT_EQ(status_of(resp), "INVALID_ARGUMENT");
   EXPECT_NE(resp.find("max_line"), std::string::npos);
   EXPECT_EQ(status_of(c.round_trip("{\"op\":\"ping\"}")), "OK");
+
+  // Pipelined in one write, the over-long line is answered in its place:
+  // after the lines before it, before the line after it.
+  auto ping = [](int id) {
+    return "{\"op\":\"ping\",\"id\":" + std::to_string(id) + "}\n";
+  };
+  ASSERT_TRUE(c.send(ping(1) + ping(2) + over + "\n" + ping(4)));
+  std::vector<std::string> rs;
+  for (int i = 0; i < 4; ++i) rs.push_back(c.recv_line());
+  for (int i : {0, 1, 3}) {
+    EXPECT_EQ(status_of(rs[i]), "OK") << rs[i];
+    EXPECT_NE(rs[i].find("\"id\":" + std::to_string(i + 1)),
+              std::string::npos)
+        << rs[i];
+  }
+  EXPECT_EQ(status_of(rs[2]), "INVALID_ARGUMENT") << rs[2];
+
+  // So is an unterminated tail past max_line, then skipped to its newline.
+  ASSERT_TRUE(c.send(ping(5) + over));
+  EXPECT_NE(c.recv_line().find("\"id\":5"), std::string::npos);
+  EXPECT_EQ(status_of(c.recv_line()), "INVALID_ARGUMENT");
+  ASSERT_TRUE(c.send("tail\n" + ping(6)));
+  EXPECT_NE(c.recv_line().find("\"id\":6"), std::string::npos);
 }
 
 TEST(ServeAdmission, QueueCapShedsOldestFirst) {
@@ -134,6 +162,49 @@ TEST(ServeAdmission, QueueCapShedsOldestFirst) {
         << responses[i];
   }
   EXPECT_EQ(stat_counter(c, "shed"), 2u);
+}
+
+// `stats` and `metrics` count the requests answered before them and
+// themselves — what a server answering one line at a time reports — even
+// when later lines share their batch.
+TEST(ServeCounters, AdminOpsCountOnlyEarlierRequests) {
+  std::uint64_t pings_before = 0;
+  for (const metrics::CounterSnapshot& m : metrics::snapshot().counters) {
+    if (m.name == "serve.requests.ping") pings_before = m.value;
+  }
+  struct MetricsOn {
+    bool was = metrics::enabled();
+    MetricsOn() { metrics::enable(); }
+    ~MetricsOn() {
+      if (!was) metrics::disable();
+    }
+  } on;
+  TestServer ts(ServerOptions{});
+  Client c(ts.port());
+  ASSERT_TRUE(c.send(
+      "{\"op\":\"ping\"}\n{\"op\":\"stats\"}\n{\"op\":\"ping\"}\n"
+      "{\"op\":\"metrics\"}\n{\"op\":\"ping\"}\n"));
+  std::vector<std::string> rs;
+  for (int i = 0; i < 5; ++i) rs.push_back(c.recv_line());
+
+  EXPECT_EQ(stat_in(rs[1], "requests"), 2u) << rs[1];
+
+  json::Value snap;
+  ASSERT_TRUE(json::parse(rs[3], &snap)) << rs[3];
+  const json::Value* registry = snap.find("metrics");
+  ASSERT_NE(registry, nullptr) << rs[3];
+  const json::Value* counters = registry->find("counters");
+  ASSERT_NE(counters, nullptr);
+  double pings = -1;
+  for (const json::Value& m : counters->array) {
+    const json::Value* name = m.find("name");
+    const json::Value* value = m.find("value");
+    if (name != nullptr && name->string == "serve.requests.ping" &&
+        value != nullptr) {
+      pings = value->number;
+    }
+  }
+  EXPECT_EQ(pings, static_cast<double>(pings_before + 2));
 }
 
 TEST(ServeAdmission, ConnLimitBoundary) {

@@ -43,10 +43,11 @@ TEST(SqrtFamily, EvaluationAndIdentity) {
 
 TEST(SqrtFamily, CrossingsAreRealCrossings) {
   Rng rng(5);
+  std::vector<double> xs;
   for (int trial = 0; trial < 20; ++trial) {
     SqrtFamily fam = random_family(rng, 2);
     if (fam.identical(0, 1)) continue;
-    auto xs = fam.crossings(0, 1, Interval{0.0, kInfinity});
+    fam.crossings_into(0, 1, Interval{0.0, kInfinity}, xs);
     EXPECT_LE(xs.size(), 2u);  // Section 6 property (4) with k = 2
     for (double t : xs) {
       EXPECT_NEAR(fam.value(0, t), fam.value(1, t),
@@ -59,7 +60,8 @@ TEST(SqrtFamily, KnownCrossing) {
   // f = sqrt(t), g = t/2: equal at t = 0 (excluded by open interval) and
   // t = 4.
   SqrtFamily fam({SqrtMotion{0, 1, 0}, SqrtMotion{0, 0, 0.5}});
-  auto xs = fam.crossings(0, 1, Interval{0.001, kInfinity});
+  std::vector<double> xs;
+  fam.crossings_into(0, 1, Interval{0.001, kInfinity}, xs);
   ASSERT_EQ(xs.size(), 1u);
   EXPECT_NEAR(xs[0], 4.0, 1e-9);
 }
@@ -103,7 +105,7 @@ TEST(SqrtFamily, SerialEnvelopeAgreesWithMachine) {
   SqrtFamily fam = random_family(rng, 12);
   Machine m = envelope_machine_hypercube(12, 2);
   PiecewiseFn par = parallel_envelope(m, fam, 2, true);
-  PiecewiseFn ser = envelope_serial_all(fam, true);
+  PiecewiseFn ser = envelope_serial(fam, true);
   ASSERT_EQ(par.piece_count(), ser.piece_count());
   for (std::size_t i = 0; i < par.pieces.size(); ++i) {
     EXPECT_EQ(par.pieces[i].id, ser.pieces[i].id);
@@ -115,7 +117,7 @@ TEST(SqrtFamily, PureDiffusionEnvelopeIsOrderedBySqrtCoefficient) {
   // forever; one piece.
   SqrtFamily fam({SqrtMotion{0, 3, 0}, SqrtMotion{0, 1, 0},
                   SqrtMotion{0, 2, 0}});
-  PiecewiseFn env = envelope_serial_all(fam, true);
+  PiecewiseFn env = envelope_serial(fam, true);
   ASSERT_EQ(env.piece_count(), 1u);
   EXPECT_EQ(env.pieces[0].id, 1);
 }

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <charconv>
 #include <cmath>
@@ -8,6 +9,7 @@
 #include <fstream>
 #include <numeric>
 #include <sstream>
+#include <string>
 
 #include "counting_allocator.hpp"
 #include "envelope/parallel_envelope.hpp"
@@ -339,7 +341,10 @@ TEST(TraceExport, ChromeTraceAndJsonlWellFormed) {
   std::vector<long> v(8, 1);
   ops::reduce(m, v, std::plus<long>{});
 
-  const std::string base = ::testing::TempDir() + "test_trace_out";
+  // One file per process: ctest runs this binary several times at once
+  // (the thread matrix beside the discovered tests).
+  const std::string base = ::testing::TempDir() + "test_trace_out_" +
+                           std::to_string(getpid());
   ASSERT_TRUE(trace::write(base + ".json"));
   ASSERT_TRUE(trace::write(base + ".jsonl"));
 

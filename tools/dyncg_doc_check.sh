@@ -1,5 +1,5 @@
 #!/bin/sh
-# Doc drift gate (ctest: doc_check).  Four invariants over README.md and
+# Doc drift gate (ctest: doc_check).  Five invariants over README.md and
 # docs/*.md:
 #
 #   1. every `--flag` the docs mention is accepted by some repo binary —
@@ -13,7 +13,10 @@
 #      documented in docs/SERVING.md — adding an op without wire docs fails;
 #   4. every DYNCG_* environment variable or build option the docs mention
 #      still occurs in src/, tools/, bench/, tests/ or a CMake file, so
-#      deleting one fails this test until its documentation follows.
+#      deleting one fails this test until its documentation follows;
+#   5. every identifier in a code span of the "Code" column of
+#      docs/ALGORITHMS.md (the paper -> code map) occurs as a word in src/,
+#      so the map cannot point at deleted code.
 #
 #   dyncg_doc_check.sh SRC_DIR CLI SERVE LOAD JSON_CHECK BENCH_DIFF
 set -e
@@ -81,6 +84,16 @@ for tok in $(grep -hoE 'DYNCG_[A-Z0-9_]+' "$SRC/README.md" "$SRC"/docs/*.md |
   if ! grep -rqw -- "$tok" "$SRC/src" "$SRC/tools" "$SRC/bench" "$SRC/tests" \
        "$SRC/CMakeLists.txt" "$SRC/CMakePresets.json"; then
     echo "doc drift: documented name $tok occurs in no source or CMake file" >&2
+    rc=1
+  fi
+done
+
+# --- 5. paper -> code map -------------------------------------------------
+for tok in $(awk -F'|' '/^\| / && $3 !~ /^ *Code *$/ { print $3 }' \
+               "$SRC/docs/ALGORITHMS.md" | grep -oE '`[^`]+`' |
+               grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u); do
+  if ! grep -rqw -- "$tok" "$SRC/src"; then
+    echo "doc drift: docs/ALGORITHMS.md maps to $tok, which is not in src/" >&2
     rc=1
   fi
 done

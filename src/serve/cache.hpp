@@ -15,10 +15,10 @@
 // counts (envelope/scenario_key.hpp).  Each key is stored once, in its map
 // node; the FIFO points at it there (node addresses survive rehashing).
 // Buckets use the standard library's string hash, which reads the key a
-// word at a time (keys run to KBs, and a hit hashes its key twice:
-// contains, then find); the 64-bit FNV-1a fingerprint only names an entry
-// in responses.  Equality is byte equality, so a hash collision can
-// degrade lookups but can never serve the wrong bytes.
+// word at a time (keys run to KBs; a hit hashes its key once, in find); the
+// 64-bit FNV-1a fingerprint only names an entry in responses.  Equality is
+// byte equality, so a hash collision can degrade lookups but can never
+// serve the wrong bytes.
 //
 // Eviction is FIFO by insertion order (not LRU): a lookup never reorders
 // the queue, so the sequence of hits/misses/evictions for a given request
@@ -26,8 +26,7 @@
 // boundaries, and thread count.  That is what lets the e2e tests assert
 // exact hit/miss counters (docs/SERVING.md#cache).
 //
-// Not thread-safe: the server touches the cache only from its poll loop
-// (batch compute fans out *between* the lookup and insert passes).
+// Not thread-safe: the server touches the cache only from its poll loop.
 namespace dyncg {
 namespace serve {
 
@@ -44,13 +43,6 @@ class ResultCache {
 
   // Counting lookup.  The pointer is valid until the next insert.
   const CachedResult* find(const std::string& key);
-
-  // Peek without touching the hit/miss counters (the server's batch
-  // scheduler uses this to decide what to compute before the counting pass
-  // replays the batch in order).
-  bool contains(const std::string& key) const {
-    return map_.find(key) != map_.end();
-  }
 
   // Inserts (no-op if the key is already present), evicting the oldest
   // entry first when full.

@@ -25,9 +25,9 @@ namespace serve {
 namespace {
 
 // Per-request distributions.  The simulated figures are ledger deltas —
-// pure functions of the scenario, so their histograms are deterministic at
-// any DYNCG_THREADS even though observations happen on pool threads (shard
-// sums are order-independent).  Host latency is wall clock and marked
+// pure functions of the scenario, and the server computes each miss in
+// arrival order — so their histograms are deterministic at any
+// DYNCG_THREADS and batch boundary.  Host latency is wall clock and marked
 // noisy.  24 power-of-two buckets cover 1 .. 8M rounds/messages/ops.
 struct QueryMetrics {
   metrics::Histogram& rounds = metrics::histogram(

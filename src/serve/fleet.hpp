@@ -32,7 +32,7 @@
 //
 // Everything here is deterministic: sessions are named "fleet-1",
 // "fleet-2", ... in open order, handled sequentially in arrival order by
-// the server's replay pass, and never touch the result cache.
+// the server's batch pass, and never touch the result cache.
 namespace dyncg {
 namespace serve {
 

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "serve/engine.hpp"
@@ -450,218 +451,146 @@ void Server::write_ready(std::size_t ci) {
   }
 }
 
+// One pass over the batch in arrival order (the batching model in
+// server.hpp).  Over-long lines that arrived behind a request are answered
+// right after it.
 void Server::process_batch() {
   TRACE_SPAN("serve.batch");
   ++batches_;
   sm().batches->add();
   std::size_t take = std::min(opt_.batch_cap, pending_.size());
   sm().batch_size->observe(take);
-
-  struct Item {
-    std::size_t conn;
-    StatusOr<Request> req;
-    // Deadline budget resolved at dequeue: request override, else the
-    // server default; zero when deadlines are off for this request.
-    std::chrono::steady_clock::time_point deadline;
-    bool has_deadline = false;
-    bool expired = false;
-  };
-  std::vector<Item> items;
-  items.reserve(take);
-
-  // Pass 1: read every line (read_request: validation and the cache key,
-  // nothing more), check deadlines at dequeue, and collect the distinct
-  // keys the cache cannot answer.  An expired request is marked here and
-  // never reaches the compute pass — the engine does no work for it.
-  auto dequeue_now = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < take; ++i) {
-    items.push_back(Item{pending_[i].conn, read_request(pending_[i].line),
-                         {}, false, false});
-    Item& item = items.back();
-    if (!item.req.is_ok()) continue;
-    const Request& r = item.req.value();
-    std::uint64_t budget = r.deadline_ms != 0 ? r.deadline_ms
-                                              : opt_.deadline_ms;
-    if (budget != 0) {
-      item.has_deadline = true;
-      item.deadline = pending_[i].arrival + std::chrono::milliseconds(budget);
-      if (dequeue_now >= item.deadline) item.expired = true;
-    }
-  }
-  std::vector<Request*> to_compute;  // into items; reserve() keeps the
-  for (Item& item : items) {         // addresses stable
-    if (!item.req.is_ok() || item.expired) continue;
-    Request& r = item.req.value();
-    // Fleet ops mutate session state: handled sequentially in the replay
-    // pass, never fanned out, never cached.
-    if (is_admin_op(r.op) || is_fleet_op(r.op)) continue;
-    if (cache_.contains(r.key)) continue;
-    bool queued = false;
-    for (const Request* q : to_compute) queued |= q->key == r.key;
-    if (!queued) to_compute.push_back(&r);
-  }
-
-  // Pass 2: finish and compute the missing keys concurrently.
-  // finish_request and run_query are pure per request; results land in
-  // per-index slots, so this is a textbook independent-iteration loop
-  // (docs/PARALLELISM.md).  Only misses are ever finished: a hit needs
-  // nothing but its key.
-  struct Computed {
-    Status status = Status::ok();
-    CachedResult result;
-  };
-  auto compute = [](Request& r) {
-    finish_request(&r);
-    Computed c;
-    StatusOr<CachedResult> res = run_query(r);
-    if (res.is_ok()) {
-      c.result = std::move(res).value();
-    } else {
-      c.status = res.status();
-    }
-    return c;
-  };
-  std::vector<Computed> computed(to_compute.size());
-  parallel_for(
-      to_compute.size(),
-      [&](std::size_t i) { computed[i] = compute(*to_compute[i]); },
-      /*grain=*/1);
-
-  // Pass 3: replay in arrival order with sequential cache semantics.  The
-  // pool is idle again here, so admin ops may collect the metrics registry
-  // and flush the trace buffer (the collection contract of both modules).
-  // Request counters bump *before* rendering and response counters *after*:
-  // a `stats` or `metrics` response counts itself as a request but not as a
-  // response, and nothing that comes after it.  Over-long lines that
-  // arrived behind a request are answered right after it.
-  // Deadlines re-checked between passes: compute may have taken long
-  // enough to expire requests that were still live at dequeue.  Expired
-  // requests (either check) skip the cache entirely — no counting lookup,
-  // no insert — so cache counters remain a pure function of the request
-  // sequence that actually completed.
-  auto replay_now = std::chrono::steady_clock::now();
-  auto replay = [&](Item& item) {
-    ++requests_;
-    if (!item.req.is_ok()) {
-      sm().requests_invalid->add();
-      ++errors_;
-      respond(item.conn, render_error("", item.req.status()));
-      sm().responses_error->add();
-      return;
-    }
-    Request& r = item.req.value();
-    op_counter(r.op).add();
-    if (item.has_deadline && !item.expired && replay_now >= item.deadline) {
-      item.expired = true;
-    }
-    if (item.expired) {
-      ++deadline_exceeded_;
-      sm().deadline_exceeded->add();
-      respond(item.conn,
-              render_error(r.id_json,
-                           Status::deadline_exceeded(
-                               "deadline budget expired before execution")));
-      return;
-    }
-    if (is_fleet_op(r.op)) {
-      // Sequential by construction (this pass runs in arrival order), so
-      // session state — like cache counters — is a pure function of the
-      // request sequence.
-      StatusOr<std::string> resp = fleets_.handle(r);
-      if (resp.is_ok()) {
-        respond(item.conn, resp.value());
-        sm().responses_ok->add();
-      } else {
-        ++errors_;
-        respond(item.conn, render_error(r.id_json, resp.status()));
-        sm().responses_error->add();
-      }
-      sm().fleets_open->set(static_cast<std::int64_t>(fleets_.open_count()));
-      return;
-    }
-    if (r.op == Op::kPing) {
-      respond(item.conn, render_pong(r.id_json));
-      sm().responses_ok->add();
-      return;
-    }
-    if (r.op == Op::kStats) {
-      if (git_rev_.empty() && opt_.git_rev) git_rev_ = opt_.git_rev();
-      respond(item.conn, render_stats(r.id_json, stats()));
-      sm().responses_ok->add();
-      return;
-    }
-    if (r.op == Op::kMetrics) {
-      respond(item.conn, render_metrics(r.id_json, metrics::to_json()));
-      sm().responses_ok->add();
-      return;
-    }
-    if (r.op == Op::kFlushTrace) {
-      if (opt_.trace_out.empty()) {
-        ++errors_;
-        respond(item.conn,
-                render_error(r.id_json,
-                             Status::unavailable(
-                                 "server started without --trace-out")));
-        sm().responses_error->add();
-      } else {
-        std::uint64_t spans = trace::event_count();
-        if (trace::write_and_clear(opt_.trace_out)) {
-          respond(item.conn,
-                  render_flush_trace(r.id_json, spans, opt_.trace_out));
-          sm().responses_ok->add();
-        } else {
-          ++errors_;
-          respond(item.conn,
-                  render_error(r.id_json,
-                               Status::io_error("cannot write trace file " +
-                                                opt_.trace_out)));
-          sm().responses_error->add();
-        }
-      }
-      return;
-    }
-    // A hit's `key` comes from its entry: the request was never finished.
-    if (const CachedResult* hit = cache_.find(r.key)) {
-      respond(item.conn,
-              render_result(r.id_json, r.op, *hit, true, hit->fingerprint));
-      sm().responses_ok->add();
-      return;
-    }
-    // Counted miss: fetch this key's computed slot.  A key pass 1 found
-    // cached has none when an earlier miss in this batch evicted it (FIFO,
-    // cache full); a sequential server would miss and compute it too, so
-    // it is finished and computed here.
-    Computed late;
-    const Computed* slot = nullptr;
-    for (std::size_t i = 0; i < to_compute.size(); ++i) {
-      if (to_compute[i]->key == r.key) {
-        slot = &computed[i];
-        break;
-      }
-    }
-    if (slot == nullptr) {
-      late = compute(r);
-      slot = &late;
-    }
-    if (!slot->status.is_ok()) {
-      ++errors_;
-      respond(item.conn, render_error(r.id_json, slot->status));
-      sm().responses_error->add();
-      return;  // errors are never cached
-    }
-    cache_.insert(r.key, slot->result);
-    respond(item.conn,
-            render_result(r.id_json, r.op, slot->result, false,
-                          slot->result.fingerprint));
-    sm().responses_ok->add();
-  };
-  for (std::size_t i = 0; i < take; ++i) {
-    replay(items[i]);
+    answer(pending_[i]);
     answer_too_long(pending_[i].conn, pending_[i].too_long_after);
   }
   pending_.erase(pending_.begin(),
                  pending_.begin() + static_cast<std::ptrdiff_t>(take));
   sm().cache_entries->set(static_cast<std::int64_t>(cache_.size()));
+}
+
+// One line: read it (read_request: validation and the cache key), count
+// it, check its deadline, then answer it.  Request counters bump *before*
+// rendering and response counters *after*: a `stats` or `metrics` response
+// counts itself as a request but not as a response, and nothing that comes
+// after it.  No parallel region is open between lines, so admin ops may
+// collect the metrics registry and flush the trace buffer (the collection
+// contract of both modules).
+void Server::answer(const Pending& p) {
+  ++requests_;
+  StatusOr<Request> read = read_request(p.line);
+  if (!read.is_ok()) {
+    sm().requests_invalid->add();
+    ++errors_;
+    respond(p.conn, render_error("", read.status()));
+    sm().responses_error->add();
+    return;
+  }
+  Request& r = read.value();
+  op_counter(r.op).add();
+  // The budget is the request's own, else the server default; 0 is off.
+  // An expired request skips the cache entirely — no counting lookup, no
+  // insert — so cache counters remain a pure function of the request
+  // sequence that actually completed.
+  std::uint64_t budget = r.deadline_ms != 0 ? r.deadline_ms
+                                            : opt_.deadline_ms;
+  if (budget != 0 && std::chrono::steady_clock::now() >=
+                         p.arrival + std::chrono::milliseconds(budget)) {
+    ++deadline_exceeded_;
+    sm().deadline_exceeded->add();
+    respond(p.conn,
+            render_error(r.id_json,
+                         Status::deadline_exceeded(
+                             "deadline budget expired before execution")));
+    return;
+  }
+  if (is_fleet_op(r.op)) {
+    // Sequential by construction (lines are answered in arrival order), so
+    // session state — like cache counters — is a pure function of the
+    // request sequence.
+    StatusOr<std::string> resp = fleets_.handle(r);
+    if (resp.is_ok()) {
+      respond(p.conn, resp.value());
+      sm().responses_ok->add();
+    } else {
+      ++errors_;
+      respond(p.conn, render_error(r.id_json, resp.status()));
+      sm().responses_error->add();
+    }
+    sm().fleets_open->set(static_cast<std::int64_t>(fleets_.open_count()));
+    return;
+  }
+  if (r.op == Op::kPing) {
+    respond(p.conn, render_pong(r.id_json));
+    sm().responses_ok->add();
+    return;
+  }
+  if (r.op == Op::kStats) {
+    if (git_rev_.empty() && opt_.git_rev) git_rev_ = opt_.git_rev();
+    respond(p.conn, render_stats(r.id_json, stats()));
+    sm().responses_ok->add();
+    return;
+  }
+  if (r.op == Op::kMetrics) {
+    respond(p.conn, render_metrics(r.id_json, metrics::to_json()));
+    sm().responses_ok->add();
+    return;
+  }
+  if (r.op == Op::kFlushTrace) {
+    if (opt_.trace_out.empty()) {
+      ++errors_;
+      respond(p.conn,
+              render_error(r.id_json,
+                           Status::unavailable(
+                               "server started without --trace-out")));
+      sm().responses_error->add();
+    } else {
+      std::uint64_t spans = trace::event_count();
+      if (trace::write_and_clear(opt_.trace_out)) {
+        respond(p.conn, render_flush_trace(r.id_json, spans, opt_.trace_out));
+        sm().responses_ok->add();
+      } else {
+        ++errors_;
+        respond(p.conn,
+                render_error(r.id_json,
+                             Status::io_error("cannot write trace file " +
+                                              opt_.trace_out)));
+        sm().responses_error->add();
+      }
+    }
+    return;
+  }
+  // A hit's `key` comes from its entry: the request is never finished.
+  if (const CachedResult* hit = cache_.find(r.key)) {
+    respond(p.conn,
+            render_result(r.id_json, r.op, *hit, true, hit->fingerprint));
+    sm().responses_ok->add();
+    return;
+  }
+  // A miss is finished and computed where it stands, in a one-index
+  // parallel_for: that never leaves this thread and, with more than one
+  // host thread, runs inside the parallel region, so the engine's nested
+  // loops stay serial at any thread count (docs/PARALLELISM.md).
+  std::optional<StatusOr<CachedResult>> computed;
+  parallel_for(
+      1,
+      [&](std::size_t) {
+        finish_request(&r);
+        computed.emplace(run_query(r));
+      },
+      /*grain=*/1);
+  if (!computed->is_ok()) {
+    ++errors_;
+    respond(p.conn, render_error(r.id_json, computed->status()));
+    sm().responses_error->add();
+    return;  // errors are never cached
+  }
+  // The cache stores a copy, which drops the rendered text's spare capacity.
+  const CachedResult& result = computed->value();
+  cache_.insert(r.key, result);
+  respond(p.conn, render_result(r.id_json, r.op, result, false,
+                                result.fingerprint));
+  sm().responses_ok->add();
 }
 
 Status Server::run() {

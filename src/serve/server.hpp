@@ -17,18 +17,14 @@
 // answering repeated scenarios from the result cache (serve/cache.hpp).
 //
 // Batching model (docs/SERVING.md#batching).  Complete lines drain into one
-// pending queue; each loop iteration takes up to batch_cap of them and runs
-// three passes:
-//   1. peek  — read every line (read_request: validation and the cache
-//              key); collect the distinct cache-missing keys;
-//   2. fan   — finish and compute those keys concurrently (ThreadPool
-//              parallel_for, grain 1; finish_request and run_query are
-//              pure per request; a lone key runs on the loop thread);
-//   3. replay— walk the batch in arrival order doing the *sequential* cache
-//              protocol: counting lookup, then insert on miss.
-// Pass 3 makes hit/miss/eviction counters and every response byte a pure
-// function of the request sequence — independent of batch boundaries,
-// timing, and DYNCG_THREADS — which is what the determinism tests assert.
+// pending queue; each loop iteration takes up to batch_cap of them and
+// answers them in one pass, in arrival order, as a sequential server would:
+// read the line, count it, check its deadline, then answer it — admin and
+// fleet ops directly, a hit from its cache entry, a miss finished, computed
+// where it stands, inserted and rendered.  Hit/miss/eviction counters,
+// engine metrics and every response byte are therefore a pure function of
+// the request sequence — independent of batch boundaries, timing, and
+// DYNCG_THREADS — which is what the determinism tests assert.
 //
 // Admission control (docs/SERVING.md#admission).  A line that arrives while
 // the pending queue holds queue_cap entries sheds the *oldest* queued line
@@ -40,8 +36,8 @@
 //
 // Resilience (docs/ROBUSTNESS.md#serving-resilience).  Each request carries
 // a deadline budget (the server's deadline_ms default, overridable per
-// request) measured from its arrival; expired work is answered
-// DEADLINE_EXCEEDED at dequeue or between batch passes without running the
+// request) measured from its arrival; a request whose budget has expired
+// when its turn comes is answered DEADLINE_EXCEEDED without running the
 // engine, and never touches the cache — so cache counters stay a pure
 // function of the requests that actually completed.  Writes are
 // non-blocking with a bounded per-connection output buffer (overflow closes
@@ -157,6 +153,7 @@ class Server {
   void write_ready(std::size_t ci);
   void take_lines(std::size_t ci);
   void process_batch();
+  void answer(const Pending& p);
   void respond(std::size_t ci, const std::string& line);
   void shed_oldest(const std::string& why);
   // An over-long line arrived on connection ci: answer it now, or right

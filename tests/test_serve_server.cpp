@@ -75,6 +75,43 @@ std::uint64_t stat_counter(Client& c, const std::string& key) {
   return stat_in(c.round_trip("{\"op\":\"stats\"}"), key);
 }
 
+// Records metrics while in scope.  The registry is process-wide, so tests
+// compare figures before and after, never absolute values.
+struct MetricsOn {
+  bool was = metrics::enabled();
+  MetricsOn() { metrics::enable(); }
+  ~MetricsOn() {
+    if (!was) metrics::disable();
+  }
+};
+
+// `field` of the registry entry `name` in a `metrics` response line, from
+// its `kind` array ("counters" or "histograms").  An entry not registered
+// yet reads 0, like one that has recorded nothing; -1 when the line holds
+// no registry.
+double registry_in(const std::string& line, const std::string& kind,
+                   const std::string& name, const std::string& field) {
+  json::Value v;
+  if (!json::parse(line, &v)) return -1;
+  const json::Value* registry = v.find("metrics");
+  const json::Value* entries =
+      registry != nullptr ? registry->find(kind) : nullptr;
+  if (entries == nullptr) return -1;
+  for (const json::Value& m : entries->array) {
+    const json::Value* n = m.find("name");
+    const json::Value* x = m.find(field);
+    if (n != nullptr && n->string == name && x != nullptr) return x->number;
+  }
+  return 0;
+}
+
+// Queries the engine has computed, process-wide: the observation count of
+// the deterministic serve.query.rounds histogram.
+double queries_computed(Client& c) {
+  return registry_in(c.round_trip("{\"op\":\"metrics\"}"), "histograms",
+                     "serve.query.rounds", "count");
+}
+
 // A request the engine takes tens of milliseconds to answer — long enough
 // that work queued behind it observably waits.
 std::string heavy(int seed) {
@@ -172,13 +209,7 @@ TEST(ServeCounters, AdminOpsCountOnlyEarlierRequests) {
   for (const metrics::CounterSnapshot& m : metrics::snapshot().counters) {
     if (m.name == "serve.requests.ping") pings_before = m.value;
   }
-  struct MetricsOn {
-    bool was = metrics::enabled();
-    MetricsOn() { metrics::enable(); }
-    ~MetricsOn() {
-      if (!was) metrics::disable();
-    }
-  } on;
+  MetricsOn on;
   TestServer ts(ServerOptions{});
   Client c(ts.port());
   ASSERT_TRUE(c.send(
@@ -188,23 +219,33 @@ TEST(ServeCounters, AdminOpsCountOnlyEarlierRequests) {
   for (int i = 0; i < 5; ++i) rs.push_back(c.recv_line());
 
   EXPECT_EQ(stat_in(rs[1], "requests"), 2u) << rs[1];
+  EXPECT_EQ(registry_in(rs[3], "counters", "serve.requests.ping", "value"),
+            static_cast<double>(pings_before + 2))
+      << rs[3];
+}
 
-  json::Value snap;
-  ASSERT_TRUE(json::parse(rs[3], &snap)) << rs[3];
-  const json::Value* registry = snap.find("metrics");
-  ASSERT_NE(registry, nullptr) << rs[3];
-  const json::Value* counters = registry->find("counters");
-  ASSERT_NE(counters, nullptr);
-  double pings = -1;
-  for (const json::Value& m : counters->array) {
-    const json::Value* name = m.find("name");
-    const json::Value* value = m.find("value");
-    if (name != nullptr && name->string == "serve.requests.ping" &&
-        value != nullptr) {
-      pings = value->number;
-    }
-  }
-  EXPECT_EQ(pings, static_cast<double>(pings_before + 2));
+// With the cache off, a sequential server computes every request, the
+// second of two equal ones too, and so does a batch holding both: the
+// engine's deterministic histograms do not depend on where batch
+// boundaries fall.
+TEST(ServeCounters, CacheOffComputesEveryRequestOfABatch) {
+  MetricsOn on;
+  ServerOptions opt;
+  opt.cache_cap = 0;
+  TestServer ts(opt);
+  Client c(ts.port());
+  const double computed = queries_computed(c);
+  const std::string line =
+      "{\"op\":\"neighbor\",\"scenario\":{\"seed\":3,\"n\":6,\"k\":1}}";
+  ASSERT_TRUE(c.send(line + "\n" + line + "\n{\"op\":\"metrics\"}\n"));
+  std::string first = c.recv_line();
+  std::string second = c.recv_line();
+  EXPECT_EQ(status_of(first), "OK") << first;
+  EXPECT_EQ(second, first);
+  std::string after = c.recv_line();
+  EXPECT_EQ(registry_in(after, "histograms", "serve.query.rounds", "count"),
+            computed + 2)
+      << after;
 }
 
 TEST(ServeAdmission, ConnLimitBoundary) {
@@ -291,29 +332,44 @@ TEST(ServeErrors, PartitioningFaultPlanIsUnrecoverable) {
 // --- deadlines ---------------------------------------------------------------
 
 TEST(ServeDeadline, ExpiredAtDequeueWithoutTouchingCache) {
-  ServerOptions opt;
-  opt.batch_cap = 1;  // the victim waits behind the heavy request
-  TestServer ts(opt);
-  Client c(ts.port());
+  MetricsOn on;
+  // The victim waits behind the heavy request, in the next batch
+  // (batch_cap 1) or in the same one (the default cap), and its budget
+  // runs out before its turn comes.
+  const struct {
+    std::size_t batch_cap;
+    int deadline_ms;
+  } cases[] = {{1, 1}, {ServerOptions{}.batch_cap, 10}};
+  for (const auto& k : cases) {
+    SCOPED_TRACE("batch_cap " + std::to_string(k.batch_cap));
+    ServerOptions opt;
+    opt.batch_cap = k.batch_cap;
+    TestServer ts(opt);
+    Client c(ts.port());
 
-  const char* victim =
-      "{\"op\":\"neighbor\",\"id\":\"v\",\"scenario\":"
-      "{\"seed\":7,\"n\":6,\"k\":1},\"deadline_ms\":1}";
-  ASSERT_TRUE(c.send(heavy(1) + "\n" + victim + "\n"));
-  std::string first = c.recv_line();
-  EXPECT_EQ(status_of(first), "OK") << first;
-  std::string second = c.recv_line();
-  EXPECT_EQ(status_of(second), "DEADLINE_EXCEEDED") << second;
-  EXPECT_NE(second.find("\"id\":\"v\""), std::string::npos) << second;
+    const double computed = queries_computed(c);
+    const std::string victim =
+        "{\"op\":\"neighbor\",\"id\":\"v\",\"scenario\":"
+        "{\"seed\":7,\"n\":6,\"k\":1},\"deadline_ms\":" +
+        std::to_string(k.deadline_ms) + "}";
+    ASSERT_TRUE(c.send(heavy(1) + "\n" + victim + "\n"));
+    std::string first = c.recv_line();
+    EXPECT_EQ(status_of(first), "OK") << first;
+    std::string second = c.recv_line();
+    EXPECT_EQ(status_of(second), "DEADLINE_EXCEEDED") << second;
+    EXPECT_NE(second.find("\"id\":\"v\""), std::string::npos) << second;
+    // The engine ran for the heavy request only.
+    EXPECT_EQ(queries_computed(c), computed + 1);
 
-  // The expired request never ran and never touched the cache: the same
-  // scenario sent again (no deadline) is a miss, and the counters agree.
-  std::string retry = c.round_trip(
-      "{\"op\":\"neighbor\",\"id\":\"v2\",\"scenario\":"
-      "{\"seed\":7,\"n\":6,\"k\":1}}");
-  EXPECT_EQ(status_of(retry), "OK") << retry;
-  EXPECT_NE(retry.find("\"cache\":\"miss\""), std::string::npos) << retry;
-  EXPECT_EQ(stat_counter(c, "deadline_exceeded"), 1u);
+    // The expired request never ran and never touched the cache: the same
+    // scenario sent again (no deadline) is a miss, and the counters agree.
+    std::string retry = c.round_trip(
+        "{\"op\":\"neighbor\",\"id\":\"v2\",\"scenario\":"
+        "{\"seed\":7,\"n\":6,\"k\":1}}");
+    EXPECT_EQ(status_of(retry), "OK") << retry;
+    EXPECT_NE(retry.find("\"cache\":\"miss\""), std::string::npos) << retry;
+    EXPECT_EQ(stat_counter(c, "deadline_exceeded"), 1u);
+  }
 }
 
 TEST(ServeDeadline, ServerDefaultAppliesAndPerRequestOverrides) {
@@ -346,8 +402,8 @@ TEST(ServeDeadline, ServerDefaultAppliesAndPerRequestOverrides) {
 
 // --- result cache ------------------------------------------------------------
 
-// With the cache full, a key the plan pass found cached can be evicted by an
-// earlier miss in the same batch before the replay pass reaches it.  A
+// With the cache full, a key that was cached when its batch began can be
+// evicted by an earlier miss in the same batch before its turn comes.  A
 // sequential server would count that request a miss and compute it, and so
 // does the batch: OK, never an error.
 TEST(ServeCache, KeyEvictedEarlierInItsBatchIsRecomputed) {
@@ -374,9 +430,9 @@ TEST(ServeCache, KeyEvictedEarlierInItsBatchIsRecomputed) {
   EXPECT_EQ(stat_counter(c, "evictions"), 2u);
 }
 
-// The same with inline scenarios, which the first pass only reads: the
-// evicted hit must be finished (system built, fingerprint computed) before
-// it is computed, and it answers with the first miss's bytes and key.
+// The same with inline scenarios, which a lookup only reads: the evicted
+// key must be finished (system built, fingerprint computed) before it is
+// computed, and it answers with the first miss's bytes and key.
 TEST(ServeCache, InlineKeyEvictedEarlierInItsBatchIsFinishedAndRecomputed) {
   ServerOptions opt;
   opt.cache_cap = 1;

@@ -23,10 +23,10 @@
 // With --decode, writes each OK response's decoded `result` text instead —
 // i.e. exactly the bytes dyncg_cli prints for the same scenario minus its
 // cost line — and fails (exit 5) on any non-OK response; this is what the
-// e2e test diffs against real CLI output.  With --pipeline, every line is
-// sent before the first response is read — one multi-request burst, so the
-// server actually forms multi-request batches (the determinism fixture
-// uses this to exercise parallel batch compute).
+// e2e test diffs against real CLI output.  With --pipeline, the whole
+// script is sent in one write before the first response is read — one
+// burst, so the server forms multi-request batches (the determinism
+// fixture diffs this against one line per write).
 //
 // Either mode, --oracle: every response must pass serve::oracle_mismatch —
 // an OK answer byte-identical (key, machine, cost, result) to the rendering
@@ -57,7 +57,8 @@
 //   --send FILE        script mode (see above)
 //   --results-out F    script-mode responses to F instead of stdout
 //   --decode           script mode: write decoded result text, not JSON
-//   --pipeline         script mode: send every line before reading replies
+//   --pipeline         script mode: send the whole script in one write
+//                      before reading replies
 //   --oracle           verify results against in-process recompute
 //   --stream N         fleet-session stream mode (see above): N update
 //                      batches, oracle-checked queries, exit 7 on mismatch
@@ -344,22 +345,20 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    // With --pipeline every request goes out before the first response is
-    // read; responses come back in request order (one connection, FIFO
-    // replay), so the processing loop below is identical either way.
+    // With --pipeline the whole script goes out in one write before the
+    // first response is read; responses come back in request order (one
+    // connection, answered in arrival order), so the processing loop below
+    // is identical either way.
     std::vector<std::string> lines;
     std::string line;
     while (std::getline(in, line)) {
       if (!line.empty()) lines.push_back(line);
     }
     int rc = 0;
-    if (pipeline) {
-      for (const std::string& l : lines) {
-        if (!client.send(l + "\n")) {
-          rc = connection_lost(l);
-          break;
-        }
-      }
+    if (pipeline && !lines.empty()) {
+      std::string script;
+      for (const std::string& l : lines) script += l + "\n";
+      if (!client.send(script)) rc = connection_lost(lines.front());
     }
     for (std::size_t li = 0; li < lines.size() && rc == 0; ++li) {
       line = lines[li];

@@ -42,9 +42,9 @@
 //                     members per fleet session; the session's merge tree
 //                     and simulated machine are sized from this at open,
 //                     so it bounds per-session memory        (default 1024)
-//   --threads T       host threads for batch compute (0 = all hardware
-//                     threads; overrides DYNCG_THREADS; default 1).  Never
-//                     changes any response byte — docs/PARALLELISM.md.
+//   --threads T       accepted and range-checked (0..1024), but has no
+//                     effect: every cache miss computes on the loop thread
+//                     with its nested loops serial (docs/PARALLELISM.md)
 //   --trace-out FILE  record serve.batch/serve.query spans; written at
 //                     shutdown (Chrome trace or .jsonl) and on demand via
 //                     the flush_trace op or SIGUSR1 (write-and-clear)
@@ -99,9 +99,9 @@ void on_flush_signal(int) {
                "[--max-line BYTES] [--max-conns N] [--deadline-ms MS] "
                "[--drain-ms MS] [--stall-timeout-ms MS] "
                "[--max-out-buf BYTES] [--max-fleets N] "
-               "[--max-fleet-members N] [--threads T] [--trace-out FILE] "
-               "[--metrics-out FILE] [--metrics-interval SECONDS] "
-               "[--list-ops]\n");
+               "[--max-fleet-members N] [--threads T (no effect)] "
+               "[--trace-out FILE] [--metrics-out FILE] "
+               "[--metrics-interval SECONDS] [--list-ops]\n");
   std::exit(2);
 }
 

@@ -11,8 +11,9 @@
 #   3. flush_trace  — the admin op write-and-clears --trace-out on demand,
 #      and SIGUSR1 does the same without stopping the daemon;
 #   4. determinism  — the stability=deterministic half of the registry is
-#      byte-identical across DYNCG_THREADS 1 and 4 for the same pipelined
-#      request script (multi-request batches, parallel compute).
+#      byte-identical for the same request script across --threads 1 and 4
+#      and whether the script arrives in one write (multi-request batches)
+#      or one line per write, with the cache on and with it off.
 #
 #   serve_metrics.sh DYNCG_SERVE DYNCG_LOAD DYNCG_JSON_CHECK
 set -e
@@ -93,7 +94,8 @@ grep -q '^# TYPE dyncg_serve_requests_ping counter$' "$dir/metrics.prom"
 grep -q '^# TYPE dyncg_serve_query_rounds histogram$' "$dir/metrics.prom"
 grep -q '_bucket{le="+Inf"}' "$dir/metrics.prom"
 
-# --- 4. deterministic half byte-identical across thread counts -------------
+# --- 4. deterministic half independent of threads and batch boundaries ----
+# Nine distinct requests, each twice.
 : > "$dir/script"
 for pass in 1 2; do
   for seed in 1 2 3; do
@@ -104,18 +106,32 @@ for pass in 1 2; do
     } >> "$dir/script"
   done
 done
-for t in 1 4; do
-  "$SERVE" --port-file "$dir/port$t" --threads "$t" \
-    --metrics-out "$dir/m$t.json" &
+# det NAME LOAD_FLAGS [DYNCG_SERVE FLAGS...]: serve the script on a fresh
+# daemon and keep the deterministic half of its final registry in
+# $dir/det.NAME.  LOAD_FLAGS "--pipeline" sends the script in one write, so
+# the daemon forms multi-request batches; "" sends one line per write and
+# waits for each answer, so every batch holds one request.
+det() {
+  name=$1
+  load_flags=$2
+  shift 2
+  "$SERVE" --port-file "$dir/port.$name" --metrics-out "$dir/m.$name.json" \
+    "$@" &
   pid=$!
-  # --pipeline sends the whole script before reading: the server forms
-  # multi-request batches and computes them on $t threads.
-  "$LOAD" --port-file "$dir/port$t" --send "$dir/script" --pipeline \
+  "$LOAD" --port-file "$dir/port.$name" --send "$dir/script" $load_flags \
     --oracle > /dev/null
   kill -TERM "$pid"
   wait "$pid"
   pid=
-  "$CHECK" --metrics-deterministic "$dir/m$t.json" > "$dir/det$t"
-  test -s "$dir/det$t"
-done
-diff "$dir/det1" "$dir/det4"
+  "$CHECK" --metrics-deterministic "$dir/m.$name.json" > "$dir/det.$name"
+  test -s "$dir/det.$name"
+}
+det t1 --pipeline --threads 1
+det t4 --pipeline --threads 4
+det lines "" --threads 1
+diff "$dir/det.t1" "$dir/det.t4"
+diff "$dir/det.t1" "$dir/det.lines"
+# With the cache off every repeat computes again, in a batch or alone.
+det off --pipeline --cache-cap 0
+det off_lines "" --cache-cap 0
+diff "$dir/det.off" "$dir/det.off_lines"

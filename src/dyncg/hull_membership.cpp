@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "poly/roots.hpp"
 #include "support/assert.hpp"
@@ -30,14 +31,17 @@ void RelativeMotion::parallel_times(int a, int b, const Interval& iv,
   const auto ia = static_cast<std::size_t>(a);
   const auto ib = static_cast<std::size_t>(b);
   Polynomial cross = dx[ia] * dy[ib] - dy[ia] * dx[ib];
-  Polynomial dot = dx[ia] * dx[ib] + dy[ia] * dy[ib];
   thread_local RootFindResult rr;
-  real_roots_from_into(cross, iv.lo, thread_root_scratch(), rr);
+  real_roots_from_into(cross, iv.lo, thread_root_scratch(), rr, iv.hi);
   out.clear();
   if (rr.identically_zero) return;  // handled by identical()
+  // Most pairs have no parallel time inside the cell: build the dot
+  // product for the first one that does.
+  std::optional<Polynomial> dot;
   for (double t : rr.roots) {
     if (t <= iv.lo || t >= iv.hi) continue;
-    int s = robust_sign(dot, t);
+    if (!dot) dot = dx[ia] * dx[ib] + dy[ia] * dy[ib];
+    int s = robust_sign(*dot, t);
     if (same_direction ? s > 0 : s < 0) out.push_back(t);
   }
 }

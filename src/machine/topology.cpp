@@ -47,15 +47,18 @@ void Topology::compute_pattern_costs() {
     }
   }
   // A miss measures outside the lock; threads racing on one geometry
-  // measure the same costs, and the first insert wins.
+  // measure the same costs, and the first insert wins.  The loops read
+  // every rank's node log2(n) + 1 times, so it is decoded once here.
   std::size_t n = size();
+  std::vector<std::size_t> node(n);
+  for (std::size_t r = 0; r < n; ++r) node[r] = node_of_rank(r);
   int bits = floor_log2(n);
   exchange_cost_.assign(static_cast<std::size_t>(bits), 0);
   for (int k = 0; k < bits; ++k) {
     std::size_t worst = 0;
     for (std::size_t r = 0; r < n; ++r) {
       std::size_t partner = r ^ (std::size_t{1} << k);
-      std::size_t d = shortest_path(node_of_rank(r), node_of_rank(partner));
+      std::size_t d = shortest_path(node[r], node[partner]);
       worst = std::max(worst, d);
     }
     exchange_cost_[static_cast<std::size_t>(k)] =
@@ -63,8 +66,7 @@ void Topology::compute_pattern_costs() {
   }
   std::size_t worst_shift = 0;
   for (std::size_t r = 0; r + 1 < n; ++r) {
-    worst_shift = std::max(
-        worst_shift, shortest_path(node_of_rank(r), node_of_rank(r + 1)));
+    worst_shift = std::max(worst_shift, shortest_path(node[r], node[r + 1]));
   }
   shift_cost_ = static_cast<unsigned>(std::max<std::size_t>(1, worst_shift));
   std::lock_guard<std::mutex> lk(memo.mu);
@@ -85,15 +87,6 @@ MeshTopology::MeshTopology(std::uint32_t side, MeshOrder order)
     : side_(side), order_(order) {
   DYNCG_ASSERT(side >= 1 && (side & (side - 1)) == 0,
                "mesh side must be a power of two");
-  std::size_t n = static_cast<std::size_t>(side) * side;
-  rank_to_node_.resize(n);
-  node_to_rank_.resize(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    RowCol rc = mesh_rank_to_rc(order, side, r);
-    std::size_t node = static_cast<std::size_t>(rc.row) * side + rc.col;
-    rank_to_node_[r] = node;
-    node_to_rank_[node] = r;
-  }
   compute_pattern_costs();
 }
 
@@ -131,11 +124,15 @@ std::size_t MeshTopology::diameter() const {
 }
 
 std::size_t MeshTopology::node_of_rank(std::size_t r) const {
-  return rank_to_node_[r];
+  RowCol rc = mesh_rank_to_rc(order_, side_, r);
+  return static_cast<std::size_t>(rc.row) * side_ + rc.col;
 }
 
 std::size_t MeshTopology::rank_of_node(std::size_t v) const {
-  return node_to_rank_[v];
+  return static_cast<std::size_t>(mesh_rc_to_rank(
+      order_, side_,
+      RowCol{static_cast<std::uint32_t>(v / side_),
+             static_cast<std::uint32_t>(v % side_)}));
 }
 
 // --- Hypercube ---------------------------------------------------------------

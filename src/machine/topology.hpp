@@ -69,6 +69,10 @@ class Topology {
 };
 
 // Two-dimensional mesh of size side*side (side a power of two), Figure 1.
+// Node ids are row-major lattice positions.  Ranks are decoded per call
+// (mesh_rank_to_rc / mesh_rc_to_rank, O(log side)) and no per-PE table is
+// kept: a fault-free query reads no rank, and the readers that do
+// (shearsort, PE-down remapping, the reference ops) decode each rank once.
 class MeshTopology final : public Topology {
  public:
   MeshTopology(std::uint32_t side, MeshOrder order = MeshOrder::kProximity);
@@ -88,8 +92,6 @@ class MeshTopology final : public Topology {
  private:
   std::uint32_t side_;
   MeshOrder order_;
-  std::vector<std::size_t> rank_to_node_;
-  std::vector<std::size_t> node_to_rank_;
 };
 
 // Hypercube with 2^dims PEs, Figure 3.

@@ -27,7 +27,8 @@
 // The per-rank loops are data-parallel (each rank writes only its own slot,
 // reading a pre-exchange snapshot) and execute across host threads on large
 // machines; all pattern charges are issued before the loop, so the ledger is
-// independent of the host thread count (docs/PARALLELISM.md).
+// independent of the host thread count (docs/PARALLELISM.md).  `reduce`
+// has no per-rank loop: it folds each block once on the calling thread.
 namespace dyncg {
 namespace ops {
 
@@ -41,6 +42,13 @@ inline void check_block(std::size_t n, std::size_t width) {
 // associative `op` (applied in rank order; commutativity not required).
 // On return every PE of a block holds the block's total (an all-reduce,
 // which is how the mesh/hypercube doubling scheme naturally ends).
+//
+// The ladder is charged level by level: at level k every PE exchanges with
+// its rank partner r ^ 2^k and combines, the lower block first.  Every PE
+// then holds its block folded pairwise, (2i, 2i+1) first, then pairs of
+// pairs, so the host folds each block once in that association (width - 1
+// calls of `op`) and copies the total: the ladder's registers bit for bit,
+// even for an `op` that is not exactly associative (floating-point sums).
 template <class T, class Op>
 void reduce(Machine& m, std::vector<T>& regs, Op op,
             std::size_t width = 0) {
@@ -51,19 +59,18 @@ void reduce(Machine& m, std::vector<T>& regs, Op op,
   DYNCG_ASSERT(regs.size() == n, "register file size mismatch");
   int levels = floor_log2(width);
   for (int k = 0; k < levels; ++k) {
-    std::size_t stride = std::size_t{1} << k;
     m.charge_exchange(static_cast<unsigned>(k));
     m.charge_local(1);
-    std::vector<T> incoming(regs);
-    parallel_for(n, [&](std::size_t r) {
-      std::size_t partner = r ^ stride;
-      // Order-respecting combine: the lower rank's block comes first.
-      if (r & stride) {
-        regs[r] = op(incoming[partner], regs[r]);
-      } else {
-        regs[r] = op(regs[r], incoming[partner]);
+  }
+  for (std::size_t block = 0; block < n; block += width) {
+    for (std::size_t stride = 1; stride < width; stride <<= 1) {
+      for (std::size_t r = block; r < block + width; r += 2 * stride) {
+        regs[r] = op(regs[r], regs[r + stride]);
       }
-    }, kRegisterLoopGrain);
+    }
+    for (std::size_t r = block + 1; r < block + width; ++r) {
+      regs[r] = regs[block];
+    }
   }
 }
 

@@ -112,7 +112,7 @@ void polynomial_crossings_into(const Polynomial& f, const Polynomial& g,
                                const Interval& iv, std::vector<double>& out) {
   // Thread-confined scratch: no allocations once the buffers are warm.
   thread_local RootFindResult rr;
-  crossing_times_into(f, g, iv.lo, thread_root_scratch(), rr);
+  crossing_times_into(f, g, iv.lo, thread_root_scratch(), rr, iv.hi);
   out.clear();
   for (double r : rr.roots) {
     if (r > iv.lo && r < iv.hi) out.push_back(r);
@@ -270,7 +270,8 @@ IntervalSet PiecewisePoly::sublevel_set(double threshold) const {
   std::vector<double> cuts;
   for (const Span& s : spans_) {
     Polynomial shifted = s.fn - Polynomial::constant(threshold);
-    real_roots_from_into(shifted, s.iv.lo, thread_root_scratch(), rr);
+    real_roots_from_into(shifted, s.iv.lo, thread_root_scratch(), rr,
+                         s.iv.hi);
     cuts.clear();
     if (!rr.identically_zero) {
       for (double r : rr.roots) {
@@ -306,7 +307,7 @@ PiecewisePoly::Extremum PiecewisePoly::global_min() const {
       consider(s.fn(s.iv.hi), s.iv.hi);
     }
     real_roots_from_into(s.fn.derivative(), s.iv.lo, thread_root_scratch(),
-                         crit);
+                         crit, s.iv.hi);
     if (!crit.identically_zero) {
       for (double t : crit.roots) {
         if (t > s.iv.lo && t < s.iv.hi) consider(s.fn(t), t);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "poly/kernels.hpp"
 #include "support/assert.hpp"
@@ -12,6 +13,7 @@ namespace {
 constexpr double kAbsTol = 1e-10;   // |p(t)| below scale * this counts as 0
 constexpr double kRootTol = 1e-12;  // bisection interval width target
 constexpr int kBisectIters = 200;
+constexpr double kNoStop = std::numeric_limits<double>::infinity();
 
 double magnitude_scale(const Polynomial& p) {
   double m = 0.0;
@@ -49,23 +51,20 @@ double bisect(const Polynomial& p, const Polynomial& dp, double lo,
   return r;
 }
 
-// Sort v[start..] and drop in place any element within tol of its kept
-// predecessor (same keep rule as the old copy-out dedup).
-void dedup_sorted_tail(std::vector<double>& v, std::size_t start, double tol) {
-  std::sort(v.begin() + static_cast<std::ptrdiff_t>(start), v.end());
-  std::size_t w = start;
-  for (std::size_t i = start; i < v.size(); ++i) {
-    if (w == start || v[i] - v[w - 1] > tol) v[w++] = v[i];
-  }
-  v.resize(w);
-}
-
 // Core recursion: distinct roots of p on [lo, hi], assuming p not identically
-// zero, appended to `out`.  `scale` is the magnitude of the original
-// polynomial's coefficients; `depth` indexes the scratch level (the
-// derivative chain).
-void roots_rec_into(const Polynomial& p, double lo, double hi, double scale,
-                    RootScratch& scratch, std::size_t depth,
+// zero, appended to `out` in ascending order.  `scale` is the magnitude of
+// the original polynomial's coefficients; `depth` indexes the scratch level
+// (the derivative chain).
+//
+// `stop` cuts the work past the caller's window without moving a bracket,
+// so every root below it keeps its bits.  Depth 0 keeps its knots through
+// the first one at or past `stop`, which skips every monotone interval that
+// starts there.  Depth 1 returns once it has kept a root at or past `stop`:
+// its list up to that root is the uncut list's, and that root is depth 0's
+// last knot.  Deeper levels run whole: a cut depth 2 could hide depth 1's
+// first root past `stop`, and depth 0 would bisect a wider last interval.
+void roots_rec_into(const Polynomial& p, double lo, double hi, double stop,
+                    double scale, RootScratch& scratch, std::size_t depth,
                     std::vector<double>& out) {
   const std::size_t start = out.size();
   int deg = p.degree();
@@ -101,13 +100,19 @@ void roots_rec_into(const Polynomial& p, double lo, double hi, double scale,
   RootScratch::Level& lv = scratch.levels[depth];
   lv.deriv.assign_derivative(p);
   lv.crit.clear();
-  roots_rec_into(lv.deriv, lo, hi, scale, scratch, depth + 1, lv.crit);
+  roots_rec_into(lv.deriv, lo, hi, depth == 0 ? stop : kNoStop, scale,
+                 scratch, depth + 1, lv.crit);
   lv.knots.clear();
   lv.knots.push_back(lo);
   for (double c : lv.crit) {
     if (c > lv.knots.back()) lv.knots.push_back(c);
   }
   if (hi > lv.knots.back()) lv.knots.push_back(hi);
+  if (depth == 0) {
+    auto past = std::find_if(lv.knots.begin(), lv.knots.end(),
+                             [stop](double k) { return k >= stop; });
+    if (past != lv.knots.end()) lv.knots.erase(past + 1, lv.knots.end());
+  }
 
   // One batched sweep evaluates p at every knot; the scalar loop evaluated
   // each interior knot twice (as fb then fa) with identical results, so
@@ -116,18 +121,26 @@ void roots_rec_into(const Polynomial& p, double lo, double hi, double scale,
   kernels::horner_many(p.coefficients().data(), p.coefficients().size(),
                        lv.knots.data(), lv.knots.size(), lv.vals.data());
 
-  double tol = kAbsTol * scale;
+  // Each interval adds roots inside itself, in order, so they arrive
+  // ascending and one pass drops each within dedup_tol of the last kept.
+  // The tolerance comes from [lo, hi], whatever `stop` cuts.
+  const double tol = kAbsTol * scale;
+  const double dedup_tol = kRootTol * (1 + std::fabs(lo) + std::fabs(hi));
+  auto keep = [&](double r) {
+    if (out.size() == start || r - out.back() > dedup_tol) out.push_back(r);
+  };
   for (std::size_t i = 0; i + 1 < lv.knots.size(); ++i) {
     double a = lv.knots[i], b = lv.knots[i + 1];
     double fa = lv.vals[i], fb = lv.vals[i + 1];
     bool za = std::fabs(fa) <= tol, zb = std::fabs(fb) <= tol;
-    if (za) out.push_back(a);
-    if (zb && i + 2 == lv.knots.size()) out.push_back(b);
+    if (za) keep(a);
+    if (zb && i + 2 == lv.knots.size()) keep(b);
     if (!za && !zb && (fa < 0) != (fb < 0)) {
-      out.push_back(bisect(p, lv.deriv, a, b));
+      keep(bisect(p, lv.deriv, a, b));
     }
+    // Depth 1's cut.  Depth 0 can pass it only in its last interval.
+    if (out.size() > start && out.back() >= stop) return;
   }
-  dedup_sorted_tail(out, start, kRootTol * (1 + std::fabs(lo) + std::fabs(hi)));
 }
 
 }  // namespace
@@ -155,11 +168,12 @@ void real_roots_into(const Polynomial& p, double lo, double hi,
   }
   DYNCG_ASSERT(lo <= hi, "real_roots_into: empty interval");
   scratch.level(static_cast<std::size_t>(p.degree()));
-  roots_rec_into(p, lo, hi, magnitude_scale(p), scratch, 0, out.roots);
+  roots_rec_into(p, lo, hi, kNoStop, magnitude_scale(p), scratch, 0,
+                 out.roots);
 }
 
 void real_roots_from_into(const Polynomial& p, double t0, RootScratch& scratch,
-                          RootFindResult& out) {
+                          RootFindResult& out, double stop) {
   out.identically_zero = false;
   out.roots.clear();
   if (p.is_zero()) {
@@ -168,13 +182,14 @@ void real_roots_from_into(const Polynomial& p, double t0, RootScratch& scratch,
   }
   double hi = std::max(t0 + 1.0, p.root_bound() + 1.0);
   scratch.level(static_cast<std::size_t>(p.degree()));
-  roots_rec_into(p, t0, hi, magnitude_scale(p), scratch, 0, out.roots);
+  roots_rec_into(p, t0, hi, stop, magnitude_scale(p), scratch, 0, out.roots);
 }
 
 void crossing_times_into(const Polynomial& f, const Polynomial& g, double t0,
-                         RootScratch& scratch, RootFindResult& out) {
+                         RootScratch& scratch, RootFindResult& out,
+                         double stop) {
   scratch.diff.assign_difference(f, g);
-  real_roots_from_into(scratch.diff, t0, scratch, out);
+  real_roots_from_into(scratch.diff, t0, scratch, out, stop);
 }
 
 }  // namespace dyncg

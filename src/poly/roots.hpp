@@ -1,5 +1,6 @@
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "poly/polynomial.hpp"
@@ -57,12 +58,21 @@ void real_roots_into(const Polynomial& p, double lo, double hi,
 
 // All distinct real roots of p in [t0, +infinity).  Uses the Cauchy bound to
 // cap the search interval.
-void real_roots_from_into(const Polynomial& p, double t0, RootScratch& scratch,
-                          RootFindResult& out);
+//
+// `stop` is where the caller's window ends: a caller that keeps only the
+// roots inside its cell (t0, stop) passes the cell's end, and the monotone
+// intervals past it are skipped.  No bracket moves, so every root below
+// `stop` has the bits the default call (+infinity) gives it; roots at or
+// past it may be missing.
+void real_roots_from_into(
+    const Polynomial& p, double t0, RootScratch& scratch, RootFindResult& out,
+    double stop = std::numeric_limits<double>::infinity());
 
-// The distinct t >= t0 at which f and g intersect (f - g = 0).  If the two
-// polynomials are identical, `identically_zero` is set.
-void crossing_times_into(const Polynomial& f, const Polynomial& g, double t0,
-                         RootScratch& scratch, RootFindResult& out);
+// The distinct t >= t0 at which f and g intersect (f - g = 0), cut at
+// `stop` as above.  If the two polynomials are identical,
+// `identically_zero` is set.
+void crossing_times_into(
+    const Polynomial& f, const Polynomial& g, double t0, RootScratch& scratch,
+    RootFindResult& out, double stop = std::numeric_limits<double>::infinity());
 
 }  // namespace dyncg

@@ -72,10 +72,6 @@ struct ThreadPool::Impl {
 ThreadPool::ThreadPool(unsigned workers)
     : workers_(workers == 0 ? 1 : workers), impl_(new Impl) {
   impl_->errors.resize(workers_);
-  impl_->threads.reserve(workers_ - 1);
-  for (unsigned w = 1; w < workers_; ++w) {
-    impl_->threads.emplace_back([this, w] { worker_main(w); });
-  }
 }
 
 ThreadPool::~ThreadPool() {
@@ -129,6 +125,14 @@ void ThreadPool::run(std::size_t n, const ChunkFn& chunk) {
     RegionGuard guard;
     chunk(0, n, workers_ - 1);
     return;
+  }
+  if (impl_->threads.empty()) {
+    // Workers start at the first run that hands them chunks, so a pool
+    // that only ever runs one iteration (the server's misses) has none.
+    impl_->threads.reserve(workers_ - 1);
+    for (unsigned w = 1; w < workers_; ++w) {
+      impl_->threads.emplace_back([this, w] { worker_main(w); });
+    }
   }
   {
     std::lock_guard<std::mutex> lk(impl_->mu);

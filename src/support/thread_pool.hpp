@@ -32,9 +32,10 @@
 namespace dyncg {
 
 // A fixed-size fork-join pool.  Worker 0 is the calling thread; workers
-// 1..W-1 are persistent std::threads parked on a condition variable.  There
-// is deliberately no task queue and no stealing: run() hands every worker
-// its statically computed chunk, which is what makes execution deterministic.
+// 1..W-1 are persistent std::threads parked on a condition variable,
+// started by the first run() that hands out two or more chunks.  There is
+// deliberately no task queue and no stealing: run() hands every worker its
+// statically computed chunk, which is what makes execution deterministic.
 class ThreadPool {
  public:
   using ChunkFn = std::function<void(std::size_t begin, std::size_t end,

@@ -3,7 +3,8 @@
 #include <cstdint>
 
 // Counting global allocator for the suites that assert a code region
-// allocates nothing (test_trace, test_metrics, test_perf_paths).
+// allocates nothing, or a bounded amount (test_trace, test_metrics,
+// test_perf_paths, test_topology_costs).
 //
 // counting_allocator.cpp replaces the plain, array, sized and nothrow
 // forms of global operator new and delete with malloc/free plus a

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <functional>
 #include <numeric>
+#include <string>
 
+#include "machine/faults.hpp"
 #include "ops/basic.hpp"
 #include "ops/crcw.hpp"
 #include "ops/sorting.hpp"
@@ -38,6 +44,118 @@ TEST(OpsReduce, NonCommutativeRespectsRankOrder) {
     return x + y;
   });
   for (const auto& s : v) EXPECT_EQ(s, "abcdefgh");
+}
+
+// The PE-by-PE doubling ladder that ops::reduce stands for: at level k
+// every PE combines its register with a snapshot of its partner r ^ 2^k's,
+// the lower rank's block first.
+template <class T, class Op>
+void ladder_reduce(Machine& m, std::vector<T>& regs, Op op,
+                   std::size_t width) {
+  const std::size_t n = m.size();
+  for (int k = 0; k < floor_log2(width); ++k) {
+    const std::size_t stride = std::size_t{1} << k;
+    m.charge_exchange(static_cast<unsigned>(k));
+    m.charge_local(1);
+    const std::vector<T> incoming(regs);
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::size_t partner = r ^ stride;
+      regs[r] = (r & stride) ? op(incoming[partner], regs[r])
+                             : op(regs[r], incoming[partner]);
+    }
+  }
+}
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+struct FoldSetting {
+  std::string label;
+  std::function<Machine()> make;
+  const FaultPlan* plan;
+};
+
+// Every machine of the sweep: a 64-PE mesh and hypercube, each fault-free,
+// with a downed link between ranks 0 and 1 and with rank 5's PE down.
+std::vector<FoldSetting> fold_settings(std::vector<FaultPlan>& plans) {
+  const std::vector<std::pair<std::string, std::function<Machine()>>> machines{
+      {"mesh", [] { return Machine::mesh_for(64); }},
+      {"hypercube", [] { return Machine::hypercube_for(64); }}};
+  plans.clear();
+  plans.reserve(2 * machines.size());
+  std::vector<FoldSetting> out;
+  for (const auto& [name, make] : machines) {
+    Machine probe = make();
+    const Topology& t = probe.topology();
+    plans.push_back(
+        FaultPlan::single_link_down(t.node_of_rank(0), t.node_of_rank(1)));
+    const FaultPlan* link = &plans.back();
+    plans.push_back(FaultPlan::single_pe_down(t.node_of_rank(5)));
+    const FaultPlan* pe = &plans.back();
+    out.push_back({name, make, nullptr});
+    out.push_back({name + " link down", make, link});
+    out.push_back({name + " pe down", make, pe});
+  }
+  return out;
+}
+
+// Runs ops::reduce and the ladder from `init` at every block width and
+// hands both register files to `same`; the ledgers must match exactly.
+template <class T, class Op, class Same>
+void expect_fold_matches_ladder(const std::vector<T>& init, Op op,
+                                Same same) {
+  std::vector<FaultPlan> plans;
+  for (const FoldSetting& s : fold_settings(plans)) {
+    for (std::size_t width = 1; width <= init.size(); width *= 2) {
+      SCOPED_TRACE(s.label + ", width " + std::to_string(width));
+      Machine folded = s.make(), laddered = s.make();
+      folded.set_fault_plan(s.plan);
+      laddered.set_fault_plan(s.plan);
+      std::vector<T> got = init, want = init;
+      ops::reduce(folded, got, op, width);
+      ladder_reduce(laddered, want, op, width);
+      same(got, want);
+      const CostSnapshot a = folded.ledger().snapshot();
+      const CostSnapshot b = laddered.ledger().snapshot();
+      EXPECT_EQ(a.rounds, b.rounds);
+      EXPECT_EQ(a.messages, b.messages);
+      EXPECT_EQ(a.local_ops, b.local_ops);
+    }
+  }
+}
+
+TEST(OpsReduce, FoldMatchesLadderOnStrings) {
+  std::vector<std::string> v;
+  for (int r = 0; r < 64; ++r) v.push_back(std::to_string(r) + ",");
+  expect_fold_matches_ladder(
+      v, [](const std::string& x, const std::string& y) { return x + y; },
+      [](const std::vector<std::string>& got,
+         const std::vector<std::string>& want) { EXPECT_EQ(got, want); });
+}
+
+// A floating-point sum is not associative, so the bits depend on the
+// ladder's association: pairs first, then pairs of pairs.
+TEST(OpsReduce, FoldMatchesLadderOnFloatingPointSums) {
+  Rng rng(11);
+  std::vector<double> v(64);
+  for (double& x : v) {
+    x = rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-8.0, 8.0));
+  }
+  // The data tells associations apart: a left-to-right sum differs.
+  const double left = std::accumulate(v.begin(), v.end(), 0.0);
+  std::vector<double> tree = v;
+  Machine m = Machine::hypercube_for(64);
+  ladder_reduce(m, tree, std::plus<double>{}, 64);
+  EXPECT_NE(std::bit_cast<std::uint64_t>(left),
+            std::bit_cast<std::uint64_t>(tree[0]));
+  expect_fold_matches_ladder(
+      v, std::plus<double>{},
+      [](const std::vector<double>& got, const std::vector<double>& want) {
+        EXPECT_EQ(bits_of(got), bits_of(want));
+      });
 }
 
 

@@ -5,6 +5,7 @@
 // modes), the all-pairs kernels, and the ops-layer register loops they drive.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -189,6 +190,38 @@ TEST(ParallelDeterminism, SingleIterationRunsOnTheCaller) {
             (std::pair<std::size_t, std::size_t>{0, 1}));
   EXPECT_TRUE(nested);
   EXPECT_FALSE(detail::in_parallel_region());
+}
+
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+// Workers start at the first run that hands out two or more chunks, so a
+// pool that only runs single iterations (a server answering its misses)
+// adds no thread.
+TEST(ParallelDeterminism, WorkersStartAtTheFirstSplitRun) {
+  const std::size_t before = live_threads();
+  ThreadPool pool(4);
+  EXPECT_EQ(live_threads(), before);
+  pool.run(1, [](std::size_t, std::size_t, unsigned) {});
+  EXPECT_EQ(live_threads(), before);
+  std::vector<int> hits(8, 0);
+  pool.run(8, [&hits](std::size_t lo, std::size_t hi, unsigned) {
+    for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+  });
+  EXPECT_EQ(live_threads(), before + 3);
+  for (int h : hits) EXPECT_EQ(h, 1);
+  pool.run(8, [&hits](std::size_t lo, std::size_t hi, unsigned) {
+    for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+  });
+  EXPECT_EQ(live_threads(), before + 3);
+  for (int h : hits) EXPECT_EQ(h, 2);
 }
 
 TEST(ParallelDeterminism, ParallelReduceMatchesSerialFold) {

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <sstream>
+#include <vector>
 
 #include "poly/asymptotic.hpp"
 #include "poly/polynomial.hpp"
@@ -179,6 +184,149 @@ TEST_P(RootRecovery, RandomRootsRecovered) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RootRecovery, ::testing::Range(0, 40));
+
+// The cut at `stop` (roots.hpp) moves no bracket: every root below `stop`
+// has the bits the uncut call gives it.  Each shard draws 32,768 cases and
+// cuts each at four windows' ends, so the eight shards check 1,048,576
+// (case, stop) pairs.  Cases mix degrees 1-8, random coefficients and
+// products of roots with multiplicities up to 3, coefficient scales
+// 1e-6..1e6, and both entry points.  Stops sit exactly at a returned root,
+// exactly at a critical point, one ulp either side of a root, at or below
+// t0 (empty windows) or anywhere in the roots' range.
+class RootCut : public ::testing::TestWithParam<int> {};
+
+Polynomial random_cut_poly(Rng& rng, std::vector<double>& planted) {
+  const int deg = rng.uniform_int(1, 8);
+  const double scale = std::pow(10.0, rng.uniform(-6.0, 6.0)) *
+                       (rng.uniform_int(0, 1) == 0 ? -1.0 : 1.0);
+  planted.clear();
+  if (rng.uniform_int(0, 2) == 0) {
+    std::vector<double> c(static_cast<std::size_t>(deg) + 1);
+    for (double& x : c) x = rng.uniform(-1.0, 1.0) * scale;
+    if (c.back() == 0.0) c.back() = scale;
+    return Polynomial(c);
+  }
+  while (planted.size() < static_cast<std::size_t>(deg)) {
+    const double r = rng.uniform(-2.0, 8.0);
+    const int mult = rng.uniform_int(1, 3);
+    for (int m = 0; m < mult && planted.size() < static_cast<std::size_t>(deg);
+         ++m) {
+      planted.push_back(r);
+    }
+  }
+  return Polynomial::from_roots(planted) * scale;
+}
+
+std::vector<std::uint64_t> bits_below(const RootFindResult& r, double stop) {
+  std::vector<std::uint64_t> out;
+  for (double x : r.roots) {
+    if (x < stop) out.push_back(std::bit_cast<std::uint64_t>(x));
+  }
+  return out;
+}
+
+TEST_P(RootCut, RootsBelowStopKeepTheirBits) {
+  constexpr int kCases = 32768;
+  constexpr int kStopsPerCase = 4;
+  Rng rng(0x5eed0000u + static_cast<std::uint64_t>(GetParam()));
+  RootScratch scratch;
+  RootFindResult full, cut, crit;
+  std::vector<double> planted;
+  std::uint64_t checked = 0, roots_kept = 0, mismatches = 0;
+  std::string first_failure;
+  for (int c = 0; c < kCases; ++c) {
+    const Polynomial p = random_cut_poly(rng, planted);
+    double t0 = 0.0;
+    switch (rng.uniform_int(0, 2)) {
+      case 0: break;
+      case 1: t0 = rng.uniform(-3.0, 6.0); break;
+      default:
+        if (!planted.empty()) {
+          t0 = planted[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<int>(planted.size()) - 1))];
+        }
+    }
+    // Half the cases go through crossing_times_into: f - g is p's
+    // coefficients rounded through f = p + q, g = q.
+    const bool crossing = rng.uniform_int(0, 1) == 0;
+    Polynomial q;
+    if (crossing) {
+      std::vector<double> qc(static_cast<std::size_t>(rng.uniform_int(1, 9)));
+      for (double& x : qc) x = rng.uniform(-1.0, 1.0);
+      q = Polynomial(qc);
+    }
+    const Polynomial f = crossing ? p + q : p;
+    auto run = [&](double stop, RootFindResult& out) {
+      if (crossing) {
+        crossing_times_into(f, q, t0, scratch, out, stop);
+      } else {
+        real_roots_from_into(p, t0, scratch, out, stop);
+      }
+    };
+    run(std::numeric_limits<double>::infinity(), full);
+    // The critical points the isolation brackets between, recomputed over
+    // the same [t0, bound] window.
+    const Polynomial diff = crossing ? f - q : p;
+    const double hi = std::max(t0 + 1.0, diff.root_bound() + 1.0);
+    real_roots_into(diff.derivative(), t0, hi, scratch, crit);
+    for (int s = 0; s < kStopsPerCase; ++s) {
+      double stop = t0;
+      const int kind = rng.uniform_int(0, 5);
+      const std::vector<double>& pick =
+          (kind == 1 && !crit.identically_zero) ? crit.roots : full.roots;
+      if ((kind <= 2) && !pick.empty()) {
+        stop = pick[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(pick.size()) - 1))];
+        if (kind == 2) {
+          const double inf = std::numeric_limits<double>::infinity();
+          stop = std::nextafter(stop, rng.uniform_int(0, 1) == 0 ? -inf : inf);
+        }
+      } else if (kind == 3) {
+        stop = rng.uniform_int(0, 1) == 0 ? t0 : t0 - rng.uniform(0.0, 2.0);
+      } else {
+        stop = rng.uniform(t0, 9.0);
+      }
+      run(stop, cut);
+      ++checked;
+      const std::vector<std::uint64_t> want = bits_below(full, stop);
+      roots_kept += want.size();
+      if (cut.identically_zero != full.identically_zero ||
+          bits_below(cut, stop) != want) {
+        if (mismatches++ == 0) {
+          std::ostringstream os;
+          os.precision(17);
+          os << "case " << c << ": " << (crossing ? "crossing " : "roots ")
+             << p.to_string() << " from t0 = " << t0 << ", stop = " << stop;
+          first_failure = os.str();
+        }
+      }
+    }
+  }
+  EXPECT_GT(roots_kept, checked / 8);  // the windows hold roots to compare
+  EXPECT_EQ(mismatches, 0u) << first_failure << " (" << roots_kept
+                            << " roots below stop in " << checked
+                            << " cuts)";
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, RootCut, ::testing::Range(0, 8));
+
+// A window that ends inside the roots skips the work past it, and one that
+// ends past the last root returns every root.
+TEST(Roots, CutKeepsTheWindowsRoots) {
+  Polynomial p = Polynomial::from_roots({0.5, 1.0, 2.0, 4.0, 8.0});
+  RootScratch scratch;
+  RootFindResult all, cut;
+  real_roots_from_into(p, 0.0, scratch, all);
+  ASSERT_EQ(all.roots.size(), 5u);
+  real_roots_from_into(p, 0.0, scratch, cut, 3.0);
+  ASSERT_GE(cut.roots.size(), 3u);
+  EXPECT_LT(cut.roots.size(), 5u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(cut.roots[i], all.roots[i]);
+  real_roots_from_into(p, 0.0, scratch, cut, 100.0);
+  EXPECT_EQ(cut.roots, all.roots);
+  real_roots_from_into(p, 2.0, scratch, cut, 2.0);  // empty window
+  for (double r : cut.roots) EXPECT_GE(r, 2.0);
+}
 
 TEST(Roots, RobustSign) {
   Polynomial p = Polynomial::from_roots({1.0});

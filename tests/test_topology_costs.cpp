@@ -8,6 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "counting_allocator.hpp"
+#include "machine/indexing.hpp"
 #include "machine/other_topologies.hpp"
 #include "machine/topology.hpp"
 #include "support/ackermann.hpp"
@@ -184,6 +186,45 @@ TEST(TopologyCosts, PatternsFitTheDiameterOfAConnectedGraph) {
     }
     EXPECT_LE(far, t.diameter());
   }
+}
+
+// A mesh decodes its PE order per call.  For every order and side, rank
+// and node are inverse bijections, and a rank's node is its lattice
+// position from mesh_rank_to_rc in row-major node ids.
+TEST(TopologyCosts, MeshRanksDecodeToTheirLatticePositions) {
+  for (std::uint32_t side = 1; side <= 256; side *= 2) {
+    for (MeshOrder order : {MeshOrder::kProximity, MeshOrder::kRowMajor,
+                            MeshOrder::kShuffledRowMajor, MeshOrder::kSnake}) {
+      const MeshTopology mesh(side, order);
+      SCOPED_TRACE(mesh.name());
+      const std::size_t n = mesh.size();
+      std::vector<char> seen(n, 0);
+      std::size_t wrong = 0;
+      for (std::size_t r = 0; r < n; ++r) {
+        const RowCol rc = mesh_rank_to_rc(order, side, r);
+        const std::size_t node = mesh.node_of_rank(r);
+        if (node != static_cast<std::size_t>(rc.row) * side + rc.col ||
+            node >= n || seen[node] || mesh.rank_of_node(node) != r) {
+          ++wrong;
+          continue;
+        }
+        seen[node] = 1;
+      }
+      EXPECT_EQ(wrong, 0u);
+    }
+  }
+}
+
+// Once a geometry's costs are in the table, a mesh build allocates its
+// object, its name and its per-bit costs, whatever its size: no per-PE
+// table (two 8-byte rank maps were 1 MiB at 256 x 256).
+TEST(TopologyCosts, LaterMeshBuildAllocatesNoPerPeTable) {
+  make_mesh_for(65536);  // measures the geometry unless already measured
+  const std::uint64_t before = test::allocated_bytes();
+  std::shared_ptr<const Topology> mesh = make_mesh_for(65536);
+  const std::uint64_t bytes = test::allocated_bytes() - before;
+  EXPECT_EQ(mesh->size(), 65536u);
+  EXPECT_LT(bytes, 1024u);
 }
 
 // The 8-PE CCC is an 8-cycle, not four disconnected 2-cycles: each node

@@ -16,8 +16,8 @@
 // object on one line, in request order per connection.  The complete field
 // reference lives in docs/SERVING.md; this header is the single
 // implementation of both directions, shared by the server, the client and
-// its oracles (serve/client.hpp), the schema checker (dyncg_json_check),
-// and the protocol tests — so the documented grammar and the accepted
+// its oracles (serve/client.hpp), and the protocol tests, which pin each
+// response's exact form — so the documented grammar and the accepted
 // grammar cannot drift apart.
 //
 // Parsing is strict: unknown fields, wrong types, out-of-range values, and

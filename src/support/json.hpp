@@ -9,7 +9,8 @@
 // Minimal JSON support: a streaming writer used by the trace/telemetry/bench
 // exporters and the serving responses, a pull reader that is the one
 // implementation of the grammar, and a small DOM parser built on it for the
-// schema checker tool, the clients and the tests.  No external dependency.
+// readers of the exported formats (dyncg_bench_diff), the clients and the
+// tests.  No external dependency.
 // The reader is on the serving hot path: every request line (up to 1 MiB;
 // inline scenarios carry hundreds of coefficients) is read once, straight
 // into the request (serve::read_request), with numbers converted in place.

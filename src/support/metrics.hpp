@@ -184,9 +184,10 @@ struct RegistrySnapshot {
 };
 RegistrySnapshot snapshot();
 
-// Registry JSON (docs/OBSERVABILITY.md#metrics; validated by
-// `dyncg_json_check --metrics`): {"schema_version":1,"kind":"dyncg-metrics",
-// "counters":[...],"gauges":[...],"histograms":[...]}.
+// Registry JSON (docs/OBSERVABILITY.md#metrics; schema checked by
+// Metrics.ToJsonIsSchemaValidAndSorted):
+// {"schema_version":1,"kind":"dyncg-metrics",
+//  "counters":[...],"gauges":[...],"histograms":[...]}.
 std::string to_json();
 
 // Prometheus text exposition format 0.0.4 (# HELP / # TYPE / samples;

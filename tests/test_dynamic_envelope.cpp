@@ -115,6 +115,50 @@ TEST(DynamicEnvelopeStream, ByteIdenticalToOracleAcrossSeeds) {
   }
 }
 
+// Long sessions: fleet-style members, each coordinate a + b(t - t0) +
+// c(t - t0)^2 from its insertion time t0, scored by squared distance to the
+// origin.  The scores' coefficients grow with session time (~1e7 by
+// t = 40), which is where a zero test scaled by the largest coefficient
+// takes |p(t)| up to ~1e-3 for a root.  Each seed runs past t = 60.
+TEST(DynamicEnvelopeStream, LongSessionsMatchOracle) {
+  constexpr int kUpdates = 10000;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed);
+    DynamicEnvelope env(true, 4);
+    Members live;
+    std::uint64_t next_id = 0;
+    for (int step = 1; step <= kUpdates; ++step) {
+      const double dice = rng.uniform(0, 1);
+      if (dice < 0.4 || live.empty()) {
+        const Polynomial dt({-env.now(), 1.0});  // t - t0
+        Polynomial score;
+        for (int axis = 0; axis < 2; ++axis) {
+          const double a = rng.uniform(-8, 8), b = rng.uniform(-4, 4),
+                       c = rng.uniform(-2, 2);
+          const Polynomial x = Polynomial::constant(a) + dt * b + dt * dt * c;
+          score = score + x * x;
+        }
+        ASSERT_NE(env.insert(next_id, score),
+                  DynamicEnvelope::InsertOutcome::kDuplicateId);
+        live.emplace(next_id++, std::move(score));
+      } else if (dice < 0.8) {
+        auto it = live.begin();
+        std::advance(it, rng.uniform_int(0, static_cast<int>(live.size()) - 1));
+        ASSERT_TRUE(env.erase(it->first));
+        live.erase(it);
+      } else {
+        ASSERT_TRUE(env.advance(env.now() + rng.uniform_int(1, 4) / 64.0));
+      }
+      if (step % 16 != 0) continue;
+      const std::string want =
+          canonical_rebuild(to_vector(live), env.now()).result_string();
+      ASSERT_EQ(env.result_string(), want)
+          << "seed " << seed << ", update " << step << ", t = " << env.now();
+    }
+    EXPECT_GT(env.now(), 60.0) << "seed " << seed;
+  }
+}
+
 TEST(DynamicEnvelopeStream, InsertOnlyGrowthMatchesOracleEveryStep) {
   Rng rng(1234);
   DynamicEnvelope env;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -158,6 +159,10 @@ TEST(Metrics, ResetZeroesEverythingButKeepsRegistrations) {
   EXPECT_EQ(c.value(), 2u);
 }
 
+// The registry JSON's schema (docs/OBSERVABILITY.md#metrics), checked here
+// where it is written: every entry of every kind names a known stability,
+// names ascend strictly per kind, and each histogram's buckets are its
+// bounds plus the overflow bucket and add up to its count.
 TEST(Metrics, ToJsonIsSchemaValidAndSorted) {
   MetricsSession session;
   metrics::counter("test.json.b", "second", metrics::Stability::kHostNoisy)
@@ -165,28 +170,76 @@ TEST(Metrics, ToJsonIsSchemaValidAndSorted) {
   metrics::counter("test.json.a", "first",
                    metrics::Stability::kDeterministic)
       .add(1);
+  metrics::gauge("test.json.gauge", "a gauge", metrics::Stability::kHostNoisy)
+      .set(-4);
+  metrics::Histogram& h =
+      metrics::histogram("test.json.hist", "a histogram",
+                         metrics::Stability::kDeterministic, {1, 8});
+  h.observe(1);
+  h.observe(9);  // the overflow bucket
   json::Value v;
   std::string err;
   ASSERT_TRUE(json::parse(metrics::to_json(), &v, &err)) << err;
   EXPECT_EQ(v.find("schema_version")->number, 1);
   EXPECT_EQ(v.find("kind")->string, "dyncg-metrics");
-  const json::Value* counters = v.find("counters");
-  ASSERT_NE(counters, nullptr);
-  std::string prev;
-  bool saw_a = false;
-  for (const json::Value& c : counters->array) {
-    const std::string& name = c.find("name")->string;
-    EXPECT_LT(prev, name);  // strictly ascending => no duplicates
-    prev = name;
-    const std::string& stability = c.find("stability")->string;
-    EXPECT_TRUE(stability == "deterministic" || stability == "host-noisy");
-    if (name == "test.json.a") {
-      saw_a = true;
-      EXPECT_EQ(c.find("value")->number, 1);
-      EXPECT_EQ(stability, "deterministic");
+  std::map<std::string, const json::Value*> seen;
+  for (const char* kind : {"counters", "gauges", "histograms"}) {
+    const json::Value* entries = v.find(kind);
+    ASSERT_NE(entries, nullptr) << kind;
+    ASSERT_TRUE(entries->is_array()) << kind;
+    std::string prev;
+    for (const json::Value& e : entries->array) {
+      const json::Value* name = e.find("name");
+      ASSERT_NE(name, nullptr) << kind;
+      ASSERT_TRUE(name->is_string()) << kind;
+      const std::string where = std::string(kind) + " " + name->string;
+      EXPECT_LT(prev, name->string) << where;  // strictly ascending
+      prev = name->string;
+      seen[name->string] = &e;
+      ASSERT_NE(e.find("help"), nullptr) << where;
+      EXPECT_TRUE(e.find("help")->is_string()) << where;
+      const json::Value* stability = e.find("stability");
+      ASSERT_NE(stability, nullptr) << where;
+      EXPECT_TRUE(stability->string == "deterministic" ||
+                  stability->string == "host-noisy")
+          << where;
+      if (std::string(kind) != "histograms") {
+        ASSERT_NE(e.find("value"), nullptr) << where;
+        EXPECT_TRUE(e.find("value")->is_number()) << where;
+        continue;
+      }
+      const json::Value* bounds = e.find("bounds");
+      const json::Value* buckets = e.find("buckets");
+      const json::Value* count = e.find("count");
+      ASSERT_NE(bounds, nullptr) << where;
+      ASSERT_NE(buckets, nullptr) << where;
+      ASSERT_NE(count, nullptr) << where;
+      ASSERT_NE(e.find("sum"), nullptr) << where;
+      EXPECT_TRUE(e.find("sum")->is_number()) << where;
+      EXPECT_FALSE(bounds->array.empty()) << where;
+      for (std::size_t i = 0; i < bounds->array.size(); ++i) {
+        EXPECT_TRUE(bounds->array[i].is_number()) << where;
+        if (i > 0) {
+          EXPECT_LT(bounds->array[i - 1].number, bounds->array[i].number)
+              << where;
+        }
+      }
+      EXPECT_EQ(buckets->array.size(), bounds->array.size() + 1) << where;
+      double total = 0;
+      for (const json::Value& b : buckets->array) {
+        EXPECT_TRUE(b.is_number()) << where;
+        total += b.number;
+      }
+      EXPECT_EQ(count->number, total) << where;
     }
   }
-  EXPECT_TRUE(saw_a);
+  ASSERT_EQ(seen.count("test.json.a"), 1u);
+  EXPECT_EQ(seen["test.json.a"]->find("value")->number, 1);
+  EXPECT_EQ(seen["test.json.a"]->find("stability")->string, "deterministic");
+  ASSERT_EQ(seen.count("test.json.gauge"), 1u);
+  EXPECT_EQ(seen["test.json.gauge"]->find("value")->number, -4);
+  ASSERT_EQ(seen.count("test.json.hist"), 1u);
+  EXPECT_EQ(seen["test.json.hist"]->find("count")->number, 2);
 }
 
 TEST(Metrics, PrometheusExpositionCumulatesBuckets) {

@@ -557,25 +557,60 @@ TEST(ServeRender, FleetResponsesExactForm) {
 
 // --- response rendering ------------------------------------------------------
 
+// The whole line of each OK form a query or admin op answers with.  Query
+// answers are also byte-checked against an in-process run by the oracle
+// (serve/client.hpp); these pin the form itself.
+TEST(ServeRender, QueryAndAdminResponsesExactForm) {
+  CachedResult r;
+  r.text = "nearest: P1\n";
+  r.cost = CostSnapshot{3, 8, 2};
+  r.topology = "mesh 2x2";
+  r.pes = 4;
+  EXPECT_EQ(render_result("\"q\"", Op::kNeighbor, r, /*hit=*/true,
+                          kFingerprintSeed),
+            "{\"id\":\"q\",\"status\":\"OK\",\"op\":\"neighbor\","
+            "\"cache\":\"hit\",\"key\":\"cbf29ce484222325\","
+            "\"machine\":{\"topology\":\"mesh 2x2\",\"pes\":4},"
+            "\"cost\":{\"rounds\":3,\"messages\":8,\"local_ops\":2,"
+            "\"time\":5},\"result\":\"nearest: P1\\n\"}");
+  EXPECT_EQ(render_pong(""),
+            "{\"status\":\"OK\",\"op\":\"ping\",\"result\":\"pong\"}");
+  EXPECT_EQ(render_flush_trace("2", 17, "/tmp/t.json"),
+            "{\"id\":2,\"status\":\"OK\",\"op\":\"flush_trace\","
+            "\"spans\":17,\"path\":\"/tmp/t.json\"}");
+  // The registry is embedded verbatim.
+  EXPECT_EQ(render_metrics("", "{\"kind\":\"dyncg-metrics\"}"),
+            "{\"status\":\"OK\",\"op\":\"metrics\","
+            "\"metrics\":{\"kind\":\"dyncg-metrics\"}}");
+}
+
 TEST(ServeRender, StatsV4PinnedFieldOrder) {
   // Schema v3 inserted "shed" and "deadline_exceeded" between "rejected"
   // and "batches"; v4 appended "fleets" after "entries".  The order is
   // part of the contract (docs/SERVING.md#the-stats-op).
   ServeStats s;
-  s.rejected = 2;
-  s.shed = 3;
-  s.deadline_exceeded = 4;
-  s.batches = 5;
-  s.entries = 6;
-  s.fleets = 7;
-  std::string line = render_stats("", s);
-  EXPECT_NE(line.find("\"schema_version\":4"), std::string::npos);
-  EXPECT_NE(line.find("\"rejected\":2,\"shed\":3,"
-                      "\"deadline_exceeded\":4,\"batches\":5"),
-            std::string::npos)
-      << line;
-  EXPECT_NE(line.find("\"entries\":6,\"fleets\":7"), std::string::npos)
-      << line;
+  s.git_rev = "abc1234";
+  s.uptime_seconds = 1.5;
+  s.connections = 1;
+  s.requests = 2;
+  s.errors = 3;
+  s.rejected = 4;
+  s.shed = 5;
+  s.deadline_exceeded = 6;
+  s.batches = 7;
+  s.hits = 8;
+  s.misses = 9;
+  s.evictions = 10;
+  s.entries = 11;
+  s.fleets = 12;
+  EXPECT_EQ(render_stats("\"s\"", s),
+            "{\"id\":\"s\",\"status\":\"OK\",\"op\":\"stats\","
+            "\"stats\":{\"schema_version\":4,\"git_rev\":\"abc1234\","
+            "\"uptime_seconds\":1.5,\"connections\":1,\"requests\":2,"
+            "\"errors\":3,\"rejected\":4,\"shed\":5,"
+            "\"deadline_exceeded\":6,\"batches\":7,\"hits\":8,"
+            "\"misses\":9,\"evictions\":10,\"entries\":11,"
+            "\"fleets\":12}}");
 }
 
 TEST(ServeRender, ErrorDrainingFlagForm) {

@@ -335,11 +335,36 @@ TEST(TraceSpan, LedgerIdenticalWithTracingOnAndOff) {
   set_host_threads(0);  // back to the default resolution
 }
 
+// Each field `obj` must carry, with its type.
+void expect_fields(
+    const json::Value& obj,
+    std::initializer_list<std::pair<const char*, json::Value::Type>> fields,
+    const std::string& where) {
+  ASSERT_TRUE(obj.is_object()) << where;
+  for (const auto& [key, type] : fields) {
+    const json::Value* v = obj.find(key);
+    if (v == nullptr) {
+      ADD_FAILURE() << where << ": no \"" << key << "\"";
+    } else {
+      EXPECT_EQ(v->type, type) << where << ": \"" << key << "\" mistyped";
+    }
+  }
+}
+
+constexpr json::Value::Type kNum = json::Value::Type::kNumber;
+constexpr json::Value::Type kStr = json::Value::Type::kString;
+
+// The trace writers' schema (docs/OBSERVABILITY.md): every Chrome event and
+// every JSONL line carries each field with its type.  This is the one check
+// of that schema; the --trace-out and DYNCG_TRACE fixtures only prove the
+// file was written.
 TEST(TraceExport, ChromeTraceAndJsonlWellFormed) {
   TraceSession session;
   Machine m = Machine::hypercube_for(8);
   std::vector<long> v(8, 1);
   ops::reduce(m, v, std::plus<long>{});
+  const std::uint64_t reduce_rounds = m.ledger().snapshot().rounds;
+  ops::broadcast(m, v, 0);
 
   // One file per process: ctest runs this binary several times at once
   // (the thread matrix beside the discovered tests).
@@ -356,12 +381,29 @@ TEST(TraceExport, ChromeTraceAndJsonlWellFormed) {
   ASSERT_TRUE(json::parse(ss.str(), &doc, &err)) << err;
   const json::Value* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
+  ASSERT_GE(trace::event_count(), 2u);
   ASSERT_EQ(events->array.size(), trace::event_count());
+  for (std::size_t i = 0; i < events->array.size(); ++i) {
+    const json::Value& e = events->array[i];
+    const std::string where = "traceEvents[" + std::to_string(i) + "]";
+    expect_fields(e,
+                  {{"name", kStr}, {"ph", kStr}, {"ts", kNum}, {"dur", kNum},
+                   {"pid", kNum}, {"tid", kNum},
+                   {"args", json::Value::Type::kObject}},
+                  where);
+    if (const json::Value* ph = e.find("ph")) {
+      EXPECT_EQ(ph->string, "X") << where << ": not a complete event";
+    }
+    if (const json::Value* args = e.find("args")) {
+      expect_fields(*args,
+                    {{"rounds", kNum}, {"messages", kNum}, {"local_ops", kNum}},
+                    where + ".args");
+    }
+  }
   const json::Value& e = events->array[0];
   EXPECT_EQ(e.find("name")->string, "ops.reduce");
-  EXPECT_EQ(e.find("ph")->string, "X");
   EXPECT_EQ(e.find("args")->find("rounds")->number,
-            static_cast<double>(m.ledger().snapshot().rounds));
+            static_cast<double>(reduce_rounds));
 
   std::ifstream jl(base + ".jsonl");
   std::string line;
@@ -370,8 +412,11 @@ TEST(TraceExport, ChromeTraceAndJsonlWellFormed) {
     if (line.empty()) continue;
     json::Value rec;
     ASSERT_TRUE(json::parse(line, &rec, &err)) << err;
-    EXPECT_NE(rec.find("name"), nullptr);
-    EXPECT_NE(rec.find("rounds"), nullptr);
+    expect_fields(rec,
+                  {{"name", kStr}, {"tid", kNum}, {"depth", kNum},
+                   {"start_us", kNum}, {"dur_us", kNum}, {"rounds", kNum},
+                   {"messages", kNum}, {"local_ops", kNum}},
+                  "line " + std::to_string(lines + 1));
     ++lines;
   }
   EXPECT_EQ(lines, trace::event_count());

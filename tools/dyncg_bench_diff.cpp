@@ -23,7 +23,15 @@
 //
 // schema_version must match (both v2); name must match (comparing fig4
 // against table2 is a harness bug, not a perf delta).  git_rev and
-// config.threads are informational: printed, never compared.
+// config.threads are informational: required, never compared.
+//
+// This tool is also the reader that checks the report schema
+// (bench/common.hpp writes it; docs/OBSERVABILITY.md documents it): every
+// field it compares, and of both reports also kind == "dyncg-bench",
+// config.threads, each row's slope, a non-empty tables array and, for
+// name == "serve", the ten numbers of the serve section and a metrics
+// object.  A report without a baseline (a faulted run) is checked by
+// passing it as both arguments with --host-tolerance 0.
 //
 // Exit 0 on match, 1 on drift (with one diagnostic line per difference),
 // 2 on usage / unreadable / malformed input.  --require upgrades a missing
@@ -62,7 +70,7 @@ std::string num_str(double v) {
 }
 
 // Fetch obj[key] with the given type; malformed reports abort the diff
-// (exit 2) — dyncg_json_check owns schema validation, this tool assumes it.
+// (exit 2).
 const Value& get(const Value& obj, const char* key, Value::Type type,
                  const std::string& where) {
   const Value* v = obj.find(key);
@@ -81,6 +89,39 @@ double get_num(const Value& obj, const char* key, const std::string& where) {
 const std::string& get_str(const Value& obj, const char* key,
                            const std::string& where) {
   return get(obj, key, Value::Type::kString, where).string;
+}
+
+// The fields of one report that no comparison below reads.
+void check_schema(const Value& doc, const std::string& side) {
+  if (get_str(doc, "kind", side) != "dyncg-bench") {
+    std::fprintf(stderr, "bench-diff: %s: kind is not \"dyncg-bench\"\n",
+                 side.c_str());
+    std::exit(2);
+  }
+  get_num(get(doc, "config", Value::Type::kObject, side), "threads",
+          side + ".config");
+  const Value& tables = get(doc, "tables", Value::Type::kArray, side);
+  if (tables.array.empty()) {
+    std::fprintf(stderr, "bench-diff: %s: tables is empty\n", side.c_str());
+    std::exit(2);
+  }
+  for (std::size_t t = 0; t < tables.array.size(); ++t) {
+    std::string where = side + ".tables[" + std::to_string(t) + "]";
+    const Value& rows =
+        get(tables.array[t], "rows", Value::Type::kArray, where);
+    for (std::size_t r = 0; r < rows.array.size(); ++r) {
+      get_num(rows.array[r], "slope",
+              where + ".rows[" + std::to_string(r) + "]");
+    }
+  }
+  if (get_str(doc, "name", side) != "serve") return;
+  const Value& serve = get(doc, "serve", Value::Type::kObject, side);
+  for (const char* key : {"requests", "rps", "p50_ms", "p99_ms", "hits",
+                          "misses", "evictions", "batches", "sim_rounds_p50",
+                          "sim_rounds_p99"}) {
+    get_num(serve, key, side + ".serve");
+  }
+  get(doc, "metrics", Value::Type::kObject, side);
 }
 
 void diff_exact_num(double base, double cur, const std::string& what) {
@@ -302,6 +343,8 @@ int main(int argc, char** argv) {
     }
   }
 
+  check_schema(base, "baseline");
+  check_schema(cur, "current");
   diff_exact_num(get_num(base, "schema_version", "baseline"),
                  get_num(cur, "schema_version", "current"), "schema_version");
   diff_exact_str(get_str(base, "name", "baseline"),

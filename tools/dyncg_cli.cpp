@@ -284,10 +284,14 @@ int cmd_envelope(const Options& o) {
   Machine m =
       serve::make_machine(o.machine, lambda_upper_bound(ceil_pow2(o.n), o.k));
   if (g_cli_faults != nullptr) m.set_fault_plan(g_cli_faults);
+  m.record_unrecoverable_faults();
   CostMeter meter(m.ledger());
   StatusOr<PiecewiseFn> env =
       try_parallel_envelope(m, fam, std::max(1, o.k),
                             /*take_min=*/!o.farthest, nullptr, o.adaptive);
+  // As in serve::answer_query: the run would have aborted at the recorded
+  // event, so it outranks whatever the envelope returned.
+  if (!m.fault_status().is_ok()) return fail(m.fault_status());
   if (!env.is_ok()) return fail(env.status());
   std::printf("%s envelope, %zu pieces:\n  %s\n",
               o.farthest ? "upper" : "lower", env.value().piece_count(),

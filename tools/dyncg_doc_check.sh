@@ -18,7 +18,7 @@
 #      docs/ALGORITHMS.md (the paper -> code map) occurs as a word in src/,
 #      so the map cannot point at deleted code.
 #
-#   dyncg_doc_check.sh SRC_DIR CLI SERVE LOAD JSON_CHECK BENCH_DIFF
+#   dyncg_doc_check.sh SRC_DIR CLI SERVE LOAD BENCH_DIFF CHAOS
 set -e
 SRC=$1
 shift

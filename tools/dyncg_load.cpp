@@ -25,8 +25,7 @@
 // cost line — and fails (exit 5) on any non-OK response; this is what the
 // e2e test diffs against real CLI output.  With --pipeline, the whole
 // script is sent in one write before the first response is read — one
-// burst, so the server forms multi-request batches (the determinism
-// fixture diffs this against one line per write).
+// burst, so the server forms multi-request batches.
 //
 // Either mode, --oracle: every response must pass serve::oracle_mismatch —
 // an OK answer byte-identical (key, machine, cost, result) to the rendering

@@ -13,16 +13,16 @@
 #   3. error paths    — malformed JSON, unknown ops, out-of-range
 #      scenarios, and over-long lines are rejected with the documented
 #      status names, and the connection stays usable afterwards;
-#   4. shutdown       — both daemons exit 0 on SIGTERM;
-# plus schema validation of every request and response line exchanged
-# (dyncg_json_check --serve-request / --serve-response).
+#   4. shutdown       — both daemons exit 0 on SIGTERM.
+# Every query line also passes the server's own parser (dyncg_load --decode
+# exits 5 on an answer that is not OK), and every query answer is
+# byte-checked against an in-process run (dyncg_load --oracle).
 #
-#   serve_e2e.sh DYNCG_SERVE DYNCG_LOAD DYNCG_CLI DYNCG_JSON_CHECK
+#   serve_e2e.sh DYNCG_SERVE DYNCG_LOAD DYNCG_CLI
 set -e
 SERVE=$1
 LOAD=$2
 CLI=$3
-CHECK=$4
 dir=$(mktemp -d)
 pid=
 pid2=
@@ -46,13 +46,11 @@ for seed in 1 2 3; do
     echo '{"op":"contain","scenario":{"seed":'$seed',"n":8,"k":1},"box":[8,6]}'
   } >> "$dir/uniq"
 done
-"$CHECK" --serve-request "$dir/uniq" > /dev/null
 
 # Three identical passes: pass 1 -> 9 misses, passes 2-3 -> 18 hits.
 cat "$dir/uniq" "$dir/uniq" "$dir/uniq" > "$dir/reqs"
 "$LOAD" --port-file "$dir/port" --send "$dir/reqs" --oracle \
   --results-out "$dir/resp"
-"$CHECK" --serve-response "$dir/resp" > /dev/null
 test "$(grep -c '"cache":"miss"' "$dir/resp")" = 9
 test "$(grep -c '"cache":"hit"' "$dir/resp")" = 18
 
@@ -88,7 +86,6 @@ for seed in 1 2 3; do
   "$CLI" steady --seed "$seed" --n 8 --k 1 --query 3 | sed '$d' >> "$dir/want2"
   "$CLI" contain --seed "$seed" --n 8 --k 1 | sed '$d' >> "$dir/want2"
 done
-"$CHECK" --serve-request "$dir/more" > /dev/null
 "$LOAD" --port-file "$dir/port" --send "$dir/more" --decode --oracle \
   --results-out "$dir/got2"
 diff "$dir/want2" "$dir/got2"
@@ -104,7 +101,6 @@ diff "$dir/want2" "$dir/got2"
   echo '{"op":"ping","id":"still-alive"}'
 } > "$dir/errs"
 "$LOAD" --port-file "$dir/port" --send "$dir/errs" --results-out "$dir/errresp"
-"$CHECK" --serve-response "$dir/errresp" > /dev/null
 test "$(grep -c '"status":"PARSE_ERROR"' "$dir/errresp")" = 2
 test "$(grep -c '"status":"INVALID_ARGUMENT"' "$dir/errresp")" = 4
 grep -q '"id":"still-alive","status":"OK"' "$dir/errresp"

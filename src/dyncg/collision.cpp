@@ -29,7 +29,8 @@ std::vector<double> pair_collision_times(const Trajectory& a,
   DYNCG_ASSERT(a.dimension() == b.dimension(), "dimension mismatch");
   // Use the roots of the first coordinate difference that is not
   // identically zero as (clean, sign-changing) candidates; a candidate is a
-  // collision iff every other coordinate difference also vanishes there.
+  // collision iff every other coordinate difference also vanishes there, up
+  // to how far the candidate can be from the pivot's true root.
   const std::size_t pivot = first_difference(a, b);
   DYNCG_ASSERT(pivot < a.dimension(),
                "identical trajectories: the initial-position assumption of "
@@ -42,7 +43,7 @@ std::vector<double> pair_collision_times(const Trajectory& a,
     bool all_zero = true;
     for (std::size_t i = 0; i < a.dimension() && all_zero; ++i) {
       if (i == pivot) continue;
-      if (robust_sign(a.coordinate(i) - b.coordinate(i), t) != 0) {
+      if (!vanishes_at_isolated_root(a.coordinate(i) - b.coordinate(i), t)) {
         all_zero = false;
       }
     }

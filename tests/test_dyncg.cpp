@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "dyncg/collision.hpp"
@@ -218,6 +219,40 @@ TEST(Collision, PairPrimitiveRobustToTangentialApproach) {
   auto times = pair_collision_times(a, b);
   ASSERT_EQ(times.size(), 1u);
   EXPECT_NEAR(times[0], 2.0, 1e-5);
+}
+
+// The pivot coordinate's roots come from bisection and Newton steps, so they
+// are off by up to the root tolerance, and a coordinate that vanishes at the
+// true root is only near zero there.  Seeded cubics with integer roots
+// a < b < c are the pivot; the second coordinate vanishes at one of them (a
+// slope-s line through it) and the third at all three, so exactly that root
+// is a collision.  Moving the line by 1e-7 makes it a near miss.
+TEST(Collision, PlantedCollisionsAtCubicPivotRoots) {
+  Rng rng(29);
+  for (int draw = 0; draw < 2000; ++draw) {
+    std::vector<double> roots;
+    while (roots.size() < 3) {
+      double r = static_cast<double>(rng.uniform_int(1, 60));
+      if (std::find(roots.begin(), roots.end(), r) == roots.end()) {
+        roots.push_back(r);
+      }
+    }
+    std::sort(roots.begin(), roots.end());
+    const double hit = roots[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+    const double s = rng.uniform(0.5, 8.0) * (rng.uniform_int(0, 1) ? 1 : -1);
+    Trajectory p0 = Trajectory::fixed({0.0, 0.0, 0.0});
+    Trajectory p1({Polynomial::from_roots(roots), Polynomial({-s * hit, s}),
+                   Polynomial::from_roots(roots) * 2.0});
+    std::vector<double> times = pair_collision_times(p0, p1);
+    ASSERT_EQ(times.size(), 1u) << "roots " << roots[0] << ", " << roots[1]
+                                << ", " << roots[2] << "; hit " << hit
+                                << ", slope " << s;
+    EXPECT_NEAR(times[0], hit, 1e-9 * hit);
+    Trajectory miss({Polynomial::from_roots(roots),
+                     Polynomial({-s * (hit + 1e-7), s}),
+                     Polynomial::from_roots(roots) * 2.0});
+    EXPECT_TRUE(pair_collision_times(p0, miss).empty()) << "hit " << hit;
+  }
 }
 
 // --- Theorems 4.6-4.8 -------------------------------------------------------

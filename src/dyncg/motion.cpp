@@ -1,5 +1,6 @@
 #include "dyncg/motion.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "support/assert.hpp"
@@ -112,7 +113,22 @@ MotionSystem random_motion_system(Rng& rng, std::size_t n, std::size_t dim,
   DYNCG_ASSERT(k >= 0, "negative motion degree");
   std::vector<Trajectory> pts;
   pts.reserve(n);
+  // A start within 1e-3 of an accepted one (d^2 < 1e-6) is drawn again.
+  // Accepted starts are bucketed by their first coordinate, which lies in
+  // [-4 coeff, 4 coeff], in buckets at least 2e-3 wide, so only the same
+  // and the adjacent buckets can hold a clash.
+  const double lo = -4 * coeff;
+  const double width =
+      std::max(2e-3, 8 * coeff / static_cast<double>(std::max<std::size_t>(n, 1)));
+  const std::size_t buckets = static_cast<std::size_t>(8 * coeff / width) + 1;
+  auto bucket_of = [&](const std::vector<double>& start) {
+    const double x = dim > 0 ? (start[0] - lo) / width : 0.0;
+    return std::min(static_cast<std::size_t>(std::max(x, 0.0)), buckets - 1);
+  };
+  std::vector<std::size_t> head(buckets, n), next;  // n ends a chain
   std::vector<std::vector<double>> starts;
+  next.reserve(n);
+  starts.reserve(n);
   while (pts.size() < n) {
     std::vector<Polynomial> coords;
     std::vector<double> start;
@@ -124,14 +140,20 @@ MotionSystem random_motion_system(Rng& rng, std::size_t n, std::size_t dim,
       start.push_back(c[0]);
       coords.push_back(Polynomial(c));
     }
+    const std::size_t b = bucket_of(start);
     bool clash = false;
-    for (const auto& s : starts) {
-      double d2 = 0;
-      for (std::size_t i = 0; i < dim; ++i) d2 += (s[i] - start[i]) * (s[i] - start[i]);
-      if (d2 < 1e-6) clash = true;
+    for (std::size_t nb = b > 0 ? b - 1 : 0; nb <= b + 1 && nb < buckets; ++nb) {
+      for (std::size_t j = head[nb]; j != n; j = next[j]) {
+        const std::vector<double>& s = starts[j];
+        double d2 = 0;
+        for (std::size_t i = 0; i < dim; ++i) d2 += (s[i] - start[i]) * (s[i] - start[i]);
+        if (d2 < 1e-6) clash = true;
+      }
     }
     if (clash) continue;
-    starts.push_back(start);
+    next.push_back(head[b]);
+    head[b] = starts.size();
+    starts.push_back(std::move(start));
     pts.push_back(Trajectory(std::move(coords)));
   }
   return MotionSystem(dim, std::move(pts));

@@ -24,14 +24,9 @@ std::uint64_t bits_of(double v) {
   return b;
 }
 
-void to_hex(char (&buf)[16], std::uint64_t b) {
-  static const char* digits = "0123456789abcdef";
-  for (int i = 15; i >= 0; --i, b >>= 4) buf[i] = digits[b & 0xf];
-}
-
 void append_hex(std::string& out, std::uint64_t b) {
   char buf[16];
-  to_hex(buf, b);
+  fingerprint_hex_into(buf, b);
   out.append(buf, sizeof buf);
 }
 
@@ -190,7 +185,7 @@ std::uint64_t fingerprint_scenario_key(std::uint64_t h,
       for (std::size_t j = 0; j < count; ++j) {
         std::uint64_t b;
         std::memcpy(&b, raw.data() + j * sizeof b, sizeof b);
-        to_hex(hex, b);
+        fingerprint_hex_into(hex, b);
         h = fingerprint_bytes(h, hex, sizeof hex);
       }
     }
@@ -209,6 +204,11 @@ std::string trajectory_key(const Trajectory& t) {
     append_canonical(out, t.coordinate(c));
   }
   return out;
+}
+
+void fingerprint_hex_into(char (&digits)[16], std::uint64_t h) {
+  static const char* hex = "0123456789abcdef";
+  for (int i = 15; i >= 0; --i, h >>= 4) digits[i] = hex[h & 0xf];
 }
 
 std::string fingerprint_hex(std::uint64_t h) {

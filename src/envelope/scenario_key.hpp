@@ -102,5 +102,7 @@ std::string trajectory_key(const Trajectory& t);
 // "a1b2c3d4e5f60718" — the fingerprint as 16 lowercase hex digits, the form
 // responses and telemetry use to name a cache entry.
 std::string fingerprint_hex(std::uint64_t h);
+// The same 16 digits written into a caller's buffer, without allocating.
+void fingerprint_hex_into(char (&digits)[16], std::uint64_t h);
 
 }  // namespace dyncg

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <string>
 
+#include "support/json.hpp"
+
 // Cost accounting for the simulated parallel machines.
 //
 // The paper analyzes algorithms in synchronous rounds: in one round every PE
@@ -49,6 +51,8 @@ struct CostSnapshot {
   // {"rounds":R,"messages":M,"local_ops":L,"time":T} — the fragment every
   // exporter (trace events, telemetry, bench reports) embeds.
   std::string to_json() const;
+  // The same object written as the writer's next value.
+  void write_json(json::Writer& w) const;
 };
 
 class CostLedger {

@@ -297,7 +297,7 @@ std::string FaultPlan::to_json() const {
   w.key("events");
   w.value(std::uint64_t{events_.size()});
   w.end_object();
-  return w.str();
+  return w.take();
 }
 
 std::vector<std::size_t> route_avoiding(const Topology& topo,

@@ -92,7 +92,7 @@ std::string FabricTelemetry::to_json() const {
   w.value(fault_remaps);
   w.end_object();
   w.end_object();
-  return w.str();
+  return w.take();
 }
 
 }  // namespace dyncg

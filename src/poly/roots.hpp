@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -10,8 +11,11 @@
 // solutions of f(t) = g(t) can be found in Theta(1) serial time; this module
 // is that primitive.  The method recurses on derivatives: the roots of p'
 // partition the line into intervals on which p is monotone, so each interval
-// holds at most one root, found by bisection and polished by Newton steps.
-// Tangential roots (even multiplicity) are detected at the critical points.
+// holds at most one root.  A safeguarded Newton search settled by exact
+// signs returns it as the largest double below the exact root (the root
+// itself when it is a double), whatever the interval.  Tangential roots
+// (even multiplicity) are detected at the critical points.  DESIGN.md §6
+// says which roots are canonical this way and which are not yet.
 namespace dyncg {
 
 struct RootFindResult {
@@ -35,6 +39,17 @@ struct RootScratch {
   };
   Polynomial diff;
   std::vector<Level> levels;
+  // What the root searches did, summed over the calls that used this
+  // scratch (docs/PERFORMANCE.md#certified-roots): searches, Newton steps
+  // on Horner's value and on the compensated value, signs decided by each
+  // exact_sign stage, and searches that ended in the exact-sign bisection.
+  struct Work {
+    std::uint64_t searches = 0;
+    std::uint64_t newton_steps = 0;
+    std::uint64_t compensated_steps = 0;
+    std::uint64_t signs[3] = {0, 0, 0};
+    std::uint64_t fallbacks = 0;
+  } work;
 
   Level& level(std::size_t depth) {
     if (depth >= levels.size()) levels.resize(depth + 1);
@@ -49,10 +64,18 @@ RootScratch& thread_root_scratch();
 // whose bound overflows keeps its sign.
 int robust_sign(const Polynomial& p, double t);
 
+// The exact sign of p(x): -1, 0 or +1.  Three stages, each certifying the
+// computed value's sign against its error bound, and the first that can
+// decide does: Horner's rule, then compensated Horner, then BigFloat.
+// Where a coefficient is not finite, no exact value exists and the sign of
+// Horner's value is returned.  `stage`, when given, receives the deciding
+// stage (1, 2 or 3; 0 for the zero polynomial).
+int exact_sign(const Polynomial& p, double x, int* stage = nullptr);
+
 // Whether q can vanish at the true root behind t, a root that isolation
-// reported for another polynomial.  t is off by up to the isolation's root
-// tolerance r = 2e-12 (1 + |t|), so beyond Horner's bound at t this allows
-// what q can move over r: r sum i|c_i|(|t| + r)^(i-1).
+// reported for another polynomial.  Beyond Horner's bound at t this allows
+// what q can move over r = 2e-12 (1 + |t|), r sum i|c_i|(|t| + r)^(i-1):
+// a closed-form quadratic root is only near the exact root.
 bool vanishes_at_isolated_root(const Polynomial& q, double t);
 
 // The root entry points.  Results land in `out` (cleared first) and every

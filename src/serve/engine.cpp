@@ -80,6 +80,19 @@ Machine make_machine(const std::string& name, std::size_t capacity) {
   return Machine(make_mesh_for(capacity));
 }
 
+Status check_machine_size(const std::string& op, const std::string& name,
+                          std::size_t capacity) {
+  const std::size_t limit = name == "ccc"       ? kMaxCccPes
+                            : name == "shuffle" ? kMaxShuffleExchangePes
+                                                : capacity;
+  if (capacity <= limit) return Status::ok();
+  return Status::invalid_argument("op \"" + op + "\" needs " +
+                                  std::to_string(capacity) +
+                                  " PEs, but machine \"" + name +
+                                  "\" simulates at most " +
+                                  std::to_string(limit));
+}
+
 StatusOr<Machine> query_machine(const Request& req) {
   DYNCG_ASSERT(req.system.has_value(), "the engine needs a scenario");
   const MotionSystem& sys = *req.system;
@@ -102,14 +115,9 @@ StatusOr<Machine> query_machine(const Request& req) {
           ? lambda_upper_bound(ceil_pow2(sys.size()),
                                std::max(1, 2 * sys.motion_degree()))
           : sys.size();
-  const std::size_t limit = req.machine == "ccc"       ? kMaxCccPes
-                            : req.machine == "shuffle" ? kMaxShuffleExchangePes
-                                                       : capacity;
-  if (capacity > limit) {
-    return Status::invalid_argument(
-        std::string("op \"") + op_name(req.op) + "\" needs " +
-        std::to_string(capacity) + " PEs, but machine \"" + req.machine +
-        "\" simulates at most " + std::to_string(limit));
+  if (Status st = check_machine_size(op_name(req.op), req.machine, capacity);
+      !st.is_ok()) {
+    return st;
   }
   Machine m = [&] {
     switch (req.op) {

@@ -22,6 +22,12 @@ namespace serve {
 // least `capacity` PEs.
 Machine make_machine(const std::string& name, std::size_t capacity);
 
+// INVALID_ARGUMENT, naming `op`, when `capacity` PEs exceed what the named
+// topology simulates (kMaxCccPes, kMaxShuffleExchangePes; mesh and
+// hypercube have no cap), where make_machine would abort.
+Status check_machine_size(const std::string& op, const std::string& name,
+                          std::size_t capacity);
+
 // The machine req.op runs on, with req's fault plan attached (the machine
 // points into req, so req must outlive it) and unrecoverable fault events
 // recorded rather than aborted on (Machine::record_unrecoverable_faults).

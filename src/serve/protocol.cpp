@@ -836,6 +836,12 @@ StatusOr<Request> parse_request(const std::string& line) {
 
 namespace {
 
+void write_fingerprint(json::Writer* w, std::uint64_t fingerprint) {
+  char hex[16];
+  fingerprint_hex_into(hex, fingerprint);
+  w->value(std::string_view(hex, sizeof hex));
+}
+
 void open_response(json::Writer* w, const std::string& id_json) {
   w->begin_object();
   if (!id_json.empty()) {
@@ -849,7 +855,10 @@ void open_response(json::Writer* w, const std::string& id_json) {
 std::string render_result(const std::string& id_json, Op op,
                           const CachedResult& r, bool hit,
                           std::uint64_t fingerprint) {
-  json::Writer w;
+  // The fixed fields and a cost of counts under 12 digits take under 256
+  // bytes, so such a result without escapes renders into this one
+  // allocation.
+  json::Writer w(id_json.size() + r.topology.size() + r.text.size() + 256);
   open_response(&w, id_json);
   w.key("status");
   w.value("OK");
@@ -858,7 +867,7 @@ std::string render_result(const std::string& id_json, Op op,
   w.key("cache");
   w.value(hit ? "hit" : "miss");
   w.key("key");
-  w.value(fingerprint_hex(fingerprint));
+  write_fingerprint(&w, fingerprint);
   w.key("machine");
   w.begin_object();
   w.key("topology");
@@ -867,11 +876,11 @@ std::string render_result(const std::string& id_json, Op op,
   w.value(static_cast<std::uint64_t>(r.pes));
   w.end_object();
   w.key("cost");
-  w.value_raw(r.cost.to_json());
+  r.cost.write_json(w);
   w.key("result");
   w.value(r.text);
   w.end_object();
-  return w.str();
+  return w.take();
 }
 
 std::string render_error(const std::string& id_json, const Status& st,
@@ -887,7 +896,7 @@ std::string render_error(const std::string& id_json, const Status& st,
   w.key("error");
   w.value(st.message());
   w.end_object();
-  return w.str();
+  return w.take();
 }
 
 std::string render_pong(const std::string& id_json) {
@@ -900,7 +909,7 @@ std::string render_pong(const std::string& id_json) {
   w.key("result");
   w.value("pong");
   w.end_object();
-  return w.str();
+  return w.take();
 }
 
 std::string render_stats(const std::string& id_json, const ServeStats& s) {
@@ -944,7 +953,7 @@ std::string render_stats(const std::string& id_json, const ServeStats& s) {
   w.value(s.fleets);
   w.end_object();
   w.end_object();
-  return w.str();
+  return w.take();
 }
 
 std::string render_metrics(const std::string& id_json,
@@ -958,7 +967,7 @@ std::string render_metrics(const std::string& id_json,
   w.key("metrics");
   w.value_raw(registry_json);
   w.end_object();
-  return w.str();
+  return w.take();
 }
 
 // %.17g round-trips a double exactly through strtod, and renders infinity
@@ -1006,7 +1015,7 @@ std::string render_fleet_open(const std::string& id_json,
   w.key("result");
   w.value("opened");
   w.end_object();
-  return w.str();
+  return w.take();
 }
 
 std::string render_fleet_update(const std::string& id_json,
@@ -1027,9 +1036,9 @@ std::string render_fleet_update(const std::string& id_json,
   w.value(info.erased);
   fleet_state_fields(&w, info.members, info.t, info.next_event);
   w.key("cost");
-  w.value_raw(info.cost.to_json());
+  info.cost.write_json(w);
   w.end_object();
-  return w.str();
+  return w.take();
 }
 
 std::string render_fleet_query(const std::string& id_json,
@@ -1043,14 +1052,14 @@ std::string render_fleet_query(const std::string& id_json,
   w.key("fleet");
   w.value(info.fleet);
   w.key("key");
-  w.value(fingerprint_hex(info.fingerprint));
+  write_fingerprint(&w, info.fingerprint);
   fleet_state_fields(&w, info.members, info.t, info.next_event);
   w.key("cost");
-  w.value_raw(info.cost.to_json());
+  info.cost.write_json(w);
   w.key("result");
   w.value(info.result);
   w.end_object();
-  return w.str();
+  return w.take();
 }
 
 std::string render_fleet_close(const std::string& id_json,
@@ -1069,7 +1078,7 @@ std::string render_fleet_close(const std::string& id_json,
   w.key("result");
   w.value("closed");
   w.end_object();
-  return w.str();
+  return w.take();
 }
 
 std::string render_flush_trace(const std::string& id_json,
@@ -1085,7 +1094,7 @@ std::string render_flush_trace(const std::string& id_json,
   w.key("path");
   w.value(path);
   w.end_object();
-  return w.str();
+  return w.take();
 }
 
 }  // namespace serve

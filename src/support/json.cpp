@@ -6,12 +6,12 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "support/assert.hpp"
+
 namespace dyncg {
 namespace json {
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+void append_escaped(std::string& out, std::string_view s) {
   for (unsigned char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -31,7 +31,6 @@ std::string escape(const std::string& s) {
         }
     }
   }
-  return out;
 }
 
 void Writer::comma() {
@@ -39,53 +38,43 @@ void Writer::comma() {
     after_key_ = false;
     return;
   }
-  if (!first_.empty()) {
-    if (first_.back()) {
-      first_.back() = false;
+  if (depth_ > 0) {
+    const std::uint64_t bit = std::uint64_t{1} << (depth_ - 1);
+    if (first_ & bit) {
+      first_ &= ~bit;
     } else {
       out_ += ',';
     }
   }
 }
 
-void Writer::begin_object() {
+void Writer::open(char bracket) {
   comma();
-  out_ += '{';
-  first_.push_back(true);
+  out_ += bracket;
+  DYNCG_ASSERT(depth_ < 64, "json::Writer nests at most 64 deep");
+  first_ |= std::uint64_t{1} << depth_;
+  ++depth_;
 }
 
-void Writer::end_object() {
-  out_ += '}';
-  first_.pop_back();
+void Writer::close(char bracket) {
+  out_ += bracket;
+  --depth_;
 }
 
-void Writer::begin_array() {
-  comma();
-  out_ += '[';
-  first_.push_back(true);
-}
-
-void Writer::end_array() {
-  out_ += ']';
-  first_.pop_back();
-}
-
-void Writer::key(const std::string& k) {
+void Writer::key(std::string_view k) {
   comma();
   out_ += '"';
-  out_ += escape(k);
+  append_escaped(out_, k);
   out_ += "\":";
   after_key_ = true;
 }
 
-void Writer::value(const std::string& v) {
+void Writer::value(std::string_view v) {
   comma();
   out_ += '"';
-  out_ += escape(v);
+  append_escaped(out_, v);
   out_ += '"';
 }
-
-void Writer::value(const char* v) { value(std::string(v)); }
 
 void Writer::value(double v) {
   comma();
@@ -101,12 +90,14 @@ void Writer::value(double v) {
 
 void Writer::value(std::uint64_t v) {
   comma();
-  out_ += std::to_string(v);
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 void Writer::value(std::int64_t v) {
   comma();
-  out_ += std::to_string(v);
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 void Writer::value(bool v) {
@@ -119,7 +110,7 @@ void Writer::value_null() {
   out_ += "null";
 }
 
-void Writer::value_raw(const std::string& raw) {
+void Writer::value_raw(std::string_view raw) {
   comma();
   out_ += raw;
 }
@@ -446,7 +437,7 @@ void dump_value(std::string& out, const Value& v) {
       return;
     case Value::Type::kString:
       out += '"';
-      out += escape(v.string);
+      append_escaped(out, v.string);
       out += '"';
       return;
     case Value::Type::kArray: {
@@ -463,7 +454,7 @@ void dump_value(std::string& out, const Value& v) {
       for (std::size_t i = 0; i < v.object.size(); ++i) {
         if (i != 0) out += ',';
         out += '"';
-        out += escape(v.object[i].first);
+        append_escaped(out, v.object[i].first);
         out += "\":";
         dump_value(out, v.object[i].second);
       }

@@ -14,12 +14,13 @@
 // The reader is on the serving hot path: every request line (up to 1 MiB;
 // inline scenarios carry hundreds of coefficients) is read once, straight
 // into the request (serve::read_request), with numbers converted in place.
-// The writer's documents are small and it is not tuned.
+// The writer appends in place, so a response renders into one buffer.
 namespace dyncg {
 namespace json {
 
-// JSON string escaping (quotes, backslash, control characters).
-std::string escape(const std::string& s);
+// Appends s with JSON string escaping (quotes, backslash, control
+// characters).
+void append_escaped(std::string& out, std::string_view s);
 
 // Streaming writer.  Usage mirrors the document structure:
 //   Writer w;
@@ -30,16 +31,22 @@ std::string escape(const std::string& s);
 //   w.str();
 // Commas and key/value ordering are handled internally; emitting a
 // structurally invalid sequence (value with no key inside an object) is the
-// caller's bug and is not diagnosed.
+// caller's bug and is not diagnosed.  Everything appends straight into the
+// document, so a writer built with enough capacity allocates once (the
+// serving hit path renders each response that way); nesting is at most 64
+// deep.
 class Writer {
  public:
-  void begin_object();
-  void end_object();
-  void begin_array();
-  void end_array();
-  void key(const std::string& k);
-  void value(const std::string& v);
-  void value(const char* v);
+  Writer() = default;
+  explicit Writer(std::size_t capacity) { out_.reserve(capacity); }
+
+  void begin_object() { open('{'); }
+  void end_object() { close('}'); }
+  void begin_array() { open('['); }
+  void end_array() { close(']'); }
+  void key(std::string_view k);
+  void value(std::string_view v);
+  void value(const char* v) { value(std::string_view(v)); }
   void value(double v);
   void value(std::uint64_t v);
   void value(std::int64_t v);
@@ -47,14 +54,19 @@ class Writer {
   void value(bool v);
   void value_null();
   // Pre-formatted number or other literal, inserted verbatim.
-  void value_raw(const std::string& raw);
+  void value_raw(std::string_view raw);
 
   const std::string& str() const { return out_; }
+  // Moves the document out; the writer is left empty.
+  std::string take() { return std::move(out_); }
 
  private:
   void comma();
+  void open(char bracket);
+  void close(char bracket);
   std::string out_;
-  std::vector<bool> first_;  // per open scope: no element emitted yet
+  std::uint64_t first_ = 0;  // bit d: open scope d has no element yet
+  int depth_ = 0;
   bool after_key_ = false;
 };
 

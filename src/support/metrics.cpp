@@ -357,7 +357,7 @@ std::string to_json() {
   }
   w.end_array();
   w.end_object();
-  return w.str();
+  return w.take();
 }
 
 namespace {

@@ -107,6 +107,80 @@ TEST(Motion, Generators) {
   EXPECT_EQ(div.motion_degree(), 1);
 }
 
+// The reference for random_motion_system's start check: the same draws,
+// with each new start tested against every earlier one.  Counts the
+// rejected draws in *rejected.
+MotionSystem quadratic_check_motion_system(Rng& rng, std::size_t n,
+                                           std::size_t dim, int k,
+                                           double coeff, std::size_t* rejected) {
+  std::vector<Trajectory> pts;
+  std::vector<std::vector<double>> starts;
+  while (pts.size() < n) {
+    std::vector<Polynomial> coords;
+    std::vector<double> start;
+    for (std::size_t d = 0; d < dim; ++d) {
+      std::vector<double> c(static_cast<std::size_t>(k) + 1);
+      for (double& x : c) x = rng.uniform(-coeff, coeff);
+      c[0] = rng.uniform(-4 * coeff, 4 * coeff);
+      start.push_back(c[0]);
+      coords.push_back(Polynomial(c));
+    }
+    bool clash = false;
+    for (const auto& s : starts) {
+      double d2 = 0;
+      for (std::size_t i = 0; i < dim; ++i) d2 += (s[i] - start[i]) * (s[i] - start[i]);
+      if (d2 < 1e-6) clash = true;
+    }
+    if (clash) {
+      ++*rejected;
+      continue;
+    }
+    starts.push_back(start);
+    pts.push_back(Trajectory(std::move(coords)));
+  }
+  return MotionSystem(dim, std::move(pts));
+}
+
+// The bucketed start check accepts and rejects exactly what the quadratic
+// one did, so every generated system is bit-identical and the generator
+// leaves the Rng where it did.  The small coefficients crowd the starts and
+// force rejections.
+TEST(Motion, BucketedStartCheckMatchesQuadraticCheck) {
+  struct Case {
+    std::size_t n, dim;
+    int k;
+    double coeff;
+    bool crowded;
+  };
+  const Case cases[] = {{4096, 1, 2, 2.0, true},  {4096, 2, 1, 2.0, false},
+                        {1024, 3, 2, 2.0, false}, {256, 16, 1, 2.0, false},
+                        {64, 1, 1, 0.02, true},   {300, 2, 2, 0.01, true},
+                        {200, 3, 0, 0.005, true}, {1, 2, 2, 2.0, false}};
+  for (std::uint64_t seed : {1u, 7u, 7919u}) {
+    for (const Case& c : cases) {
+      Rng fast_rng(seed), ref_rng(seed);
+      std::size_t rejected = 0;
+      const MotionSystem fast =
+          random_motion_system(fast_rng, c.n, c.dim, c.k, c.coeff);
+      const MotionSystem ref = quadratic_check_motion_system(
+          ref_rng, c.n, c.dim, c.k, c.coeff, &rejected);
+      ASSERT_EQ(fast.size(), ref.size());
+      for (std::size_t i = 0; i < fast.size(); ++i) {
+        for (std::size_t d = 0; d < c.dim; ++d) {
+          ASSERT_EQ(fast.point(i).coordinate(d).coefficients(),
+                    ref.point(i).coordinate(d).coefficients())
+              << "seed " << seed << " n " << c.n << " d " << c.dim
+              << " point " << i;
+        }
+      }
+      EXPECT_EQ(fast_rng.next_u64(), ref_rng.next_u64());
+      if (c.crowded) {
+        EXPECT_GT(rejected, 0u) << "n " << c.n << " d " << c.dim;
+      }
+    }
+  }
+}
+
 // --- Theorem 4.1 ------------------------------------------------------------
 
 class NeighborSequenceProperty

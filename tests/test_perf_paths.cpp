@@ -21,6 +21,7 @@
 #include "pieces/piecewise.hpp"
 #include "poly/roots.hpp"
 #include "serve/cache.hpp"
+#include "serve/engine.hpp"
 #include "serve/protocol.hpp"
 #include "support/status.hpp"
 #include "support/json.hpp"
@@ -367,6 +368,29 @@ TEST(PerfPathsServe, ReadRequestAllocatesTheSameAtAnySize) {
   const std::uint64_t reads_large = allocations_to_read(large);
   EXPECT_EQ(reads_small, reads_large);
   EXPECT_LE(reads_large, 2u);
+}
+
+// A hit's response appends every field into one buffer, reserved once for
+// the result's size: the key's hex digits, the cost object and the escaped
+// strings are written in place, and the line is moved out, not copied.
+TEST(PerfPathsServe, RenderResultAllocatesAtMostTwice) {
+  Rng rng(13);
+  for (std::size_t points : {8, 40, 120}) {
+    const StatusOr<serve::Request> req =
+        serve::parse_request(inline_request_line(points, &rng));
+    ASSERT_TRUE(req.is_ok());
+    const StatusOr<serve::CachedResult> r = serve::run_query(req.value());
+    ASSERT_TRUE(r.is_ok());
+    const serve::Request& q = req.value();
+    const std::string first =
+        serve::render_result("7", q.op, r.value(), true, q.fingerprint);
+    const std::uint64_t before = test::allocations();
+    const std::string line =
+        serve::render_result("7", q.op, r.value(), true, q.fingerprint);
+    const std::uint64_t allocs = test::allocations() - before;
+    EXPECT_EQ(line, first);
+    EXPECT_LE(allocs, 2u) << points << " points, " << line.size() << " bytes";
+  }
 }
 
 // A lookup, hit or miss, hashes and compares the key in place.

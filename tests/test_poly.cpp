@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "poly/asymptotic.hpp"
+#include "poly/bigfloat.hpp"
 #include "poly/polynomial.hpp"
 #include "poly/roots.hpp"
 #include "support/rng.hpp"
@@ -373,6 +375,188 @@ TEST(Roots, QuadraticWithOverflowingDiscriminant) {
   ASSERT_EQ(r.roots.size(), 2u);
   EXPECT_LT(r.roots[0], 1e-12);
   EXPECT_NEAR(r.roots[1], 1e10, 1e-9 * 1e10);
+}
+
+// --- The root contract: the exact root's one-ulp lower end -----------------
+
+// p(x) in exact arithmetic, by BigFloat Horner.
+int bigfloat_sign_at(const Polynomial& p, double x) {
+  const BigFloat bx(x);
+  BigFloat acc;
+  const std::vector<double>& c = p.coefficients();
+  for (std::size_t i = c.size(); i-- > 0;) acc = acc * bx + BigFloat(c[i]);
+  return acc.sign();
+}
+
+// The search's answer: x is an exact root, or p changes sign exactly
+// between x and the next double up.
+bool is_lower_end_of_root(const Polynomial& p, double x) {
+  const int s = bigfloat_sign_at(p, x);
+  if (s == 0) return true;
+  return bigfloat_sign_at(
+             p, std::nextafter(x, std::numeric_limits<double>::infinity())) ==
+         -s;
+}
+
+// deg distinct roots at least `gap` apart in [-5, 5), times `scale`.
+Polynomial spaced_roots_poly(Rng& rng, int deg, double gap, double scale,
+                             std::vector<double>& roots) {
+  roots.clear();
+  double r = rng.uniform(-5.0, -4.0);
+  for (int i = 0; i < deg; ++i) {
+    roots.push_back(r);
+    r += gap + rng.uniform(0.0, 8.0 / deg);
+  }
+  return Polynomial::from_roots(roots) * scale;
+}
+
+// One polynomial asked through many brackets: real_roots_into over random
+// [lo, hi], real_roots_from_into from several t0 with several stops.  A
+// root strictly inside both windows has the same bits in both answers.
+TEST(RootContract, RootsAreBracketIndependent) {
+  Rng rng(29);
+  RootScratch scratch;
+  RootFindResult whole, part;
+  std::vector<double> planted;
+  std::uint64_t compared = 0;
+  auto inside = [](const RootFindResult& r, double lo, double hi) {
+    std::vector<std::uint64_t> bits;
+    for (double x : r.roots) {
+      if (x > lo && x < hi) bits.push_back(std::bit_cast<std::uint64_t>(x));
+    }
+    return bits;
+  };
+  for (int c = 0; c < 400; ++c) {
+    const int deg = rng.uniform_int(3, 8);
+    const double scale = std::pow(10.0, rng.uniform(-3.0, 3.0)) *
+                         (rng.uniform_int(0, 1) == 0 ? -1.0 : 1.0);
+    const Polynomial p = spaced_roots_poly(rng, deg, 0.3, scale, planted);
+    real_roots_into(p, -8.0, 8.0, scratch, whole);
+    ASSERT_EQ(whole.roots.size(), planted.size()) << p.to_string();
+    for (int k = 0; k < 24; ++k) {
+      double lo = rng.uniform(-8.0, 8.0), hi = rng.uniform(-8.0, 8.0);
+      if (lo > hi) std::swap(lo, hi);
+      real_roots_into(p, lo, hi, scratch, part);
+      ASSERT_EQ(inside(part, lo, hi), inside(whole, lo, hi))
+          << p.to_string() << " on [" << lo << ", " << hi << "]";
+      compared += inside(whole, lo, hi).size();
+    }
+    for (int k = 0; k < 6; ++k) {
+      const double t0 = rng.uniform(-8.0, 6.0);
+      for (double stop : {std::numeric_limits<double>::infinity(),
+                          rng.uniform(t0, 8.0), rng.uniform(t0, 8.0)}) {
+        real_roots_from_into(p, t0, scratch, part, stop);
+        const double end = std::min(stop, 8.0);
+        ASSERT_EQ(inside(part, t0, end), inside(whole, t0, end))
+            << p.to_string() << " from " << t0 << " to " << stop;
+        compared += inside(whole, t0, end).size();
+      }
+    }
+  }
+  EXPECT_GT(compared, 20000u);
+}
+
+// Every root the search returns is the exact root's lower end, over
+// generators that stress each stage: roots planted one ulp apart (in two
+// polynomials), near-double roots, coefficient scales 1e-12..1e12, and
+// scales near 1e-300 and 1e300, where Veltkamp's split underflows or
+// overflows and BigFloat must decide.
+TEST(RootContract, SearchedRootsAreTheExactRootsLowerEnd) {
+  Rng rng(7);
+  RootScratch scratch;
+  RootFindResult r;
+  std::vector<double> planted;
+  std::uint64_t checked = 0, near_doubles = 0;
+  const std::uint64_t stage3_before = scratch.work.signs[2];
+  auto check = [&](const Polynomial& p, const char* kind) {
+    real_roots_into(p, -8.0, 8.0, scratch, r);
+    ASSERT_EQ(r.roots.size(), planted.size()) << kind << ": " << p.to_string();
+    for (double x : r.roots) {
+      ++checked;
+      ASSERT_TRUE(is_lower_end_of_root(p, x))
+          << kind << ": " << p.to_string() << " root " << x;
+    }
+  };
+  for (int c = 0; c < 300; ++c) {
+    const int deg = rng.uniform_int(3, 8);
+    const double scale = std::pow(10.0, rng.uniform(-12.0, 12.0));
+    check(spaced_roots_poly(rng, deg, 0.3, scale, planted), "scaled");
+
+    // The same roots with one moved up by an ulp.
+    spaced_roots_poly(rng, deg, 0.3, 1.0, planted);
+    check(Polynomial::from_roots(planted), "one ulp below");
+    const std::size_t j = static_cast<std::size_t>(rng.uniform_int(0, deg - 1));
+    planted[j] = std::nextafter(planted[j], 9.0);
+    check(Polynomial::from_roots(planted), "one ulp above");
+
+    // Two roots 1e-5..1e-3 apart, when the knot zero test tells them
+    // apart at the critical point between them (else it reports one root
+    // there, which is not yet canonical: ROADMAP item 3).
+    spaced_roots_poly(rng, deg - 1, 0.3, 1.0, planted);
+    planted.push_back(planted[0] + rng.uniform(1e-5, 1e-3));
+    std::sort(planted.begin(), planted.end());
+    const Polynomial near_double = Polynomial::from_roots(planted);
+    const double mid = 0.5 * (planted[0] + planted[1]);
+    if (robust_sign(near_double, mid) != 0) {
+      ++near_doubles;
+      check(near_double, "near-double");
+    }
+
+    check(spaced_roots_poly(rng, deg, 0.3, c % 2 == 0 ? 1e-300 : 1e300,
+                            planted),
+          "extreme scale");
+  }
+  EXPECT_GT(checked, 6000u);
+  EXPECT_GT(near_doubles, 100u);
+  EXPECT_GT(scratch.work.signs[2], stage3_before);  // BigFloat decided some
+}
+
+// exact_sign agrees with BigFloat Horner everywhere, and BigFloat runs
+// only where Horner's and the compensated bounds cannot decide.  For
+// coefficients between 1e-12 and 1e12, Horner's bound decides every point
+// away from a root and the compensated one every point within ulps of one;
+// near 1e-300 the bounds' underflow slack (~1e-301) swamps them, and near
+// 1e300 the values and the splits overflow.
+TEST(RootContract, ExactSignAgreesWithBigFloat) {
+  Rng rng(11);
+  std::vector<double> planted;
+  int by_stage[4] = {0, 0, 0, 0};
+  for (int c = 0; c < 400; ++c) {
+    const int deg = rng.uniform_int(1, 8);
+    const bool extreme = c % 4 == 3;
+    const double scale =
+        extreme ? (c % 8 == 3 ? 1e-300 : 1e300)
+                : std::pow(10.0, rng.uniform(-12.0, 12.0));
+    const Polynomial p = spaced_roots_poly(rng, deg, 0.3, scale, planted);
+    auto expect_sign = [&](double x, bool near_root) {
+      int stage = 0;
+      const int s = exact_sign(p, x, &stage);
+      ASSERT_EQ(s, bigfloat_sign_at(p, x)) << p.to_string() << " at " << x;
+      ++by_stage[stage];
+      if (!extreme) {
+        EXPECT_LE(stage, near_root ? 2 : 1) << p.to_string() << " at " << x;
+      }
+    };
+    for (int k = 0; k < 8; ++k) {
+      const double x = rng.uniform(-6.0, 6.0);
+      double nearest = std::numeric_limits<double>::infinity();
+      for (double q : planted) nearest = std::min(nearest, std::fabs(x - q));
+      expect_sign(x, nearest < 1e-3);
+    }
+    // Adversarial: the planted roots and the doubles around them.
+    for (double q : planted) {
+      double x = q;
+      for (int u = 0; u < 4; ++u) x = std::nextafter(x, -9.0);
+      for (int u = 0; u < 9; ++u, x = std::nextafter(x, 9.0)) {
+        expect_sign(x, true);
+      }
+    }
+  }
+  EXPECT_EQ(exact_sign(Polynomial(), 1.0), 0);
+  EXPECT_EQ(exact_sign(Polynomial::from_roots({0.5, 2.0}), 2.0), 0);
+  EXPECT_GT(by_stage[1], 0);
+  EXPECT_GT(by_stage[2], 0);
+  EXPECT_GT(by_stage[3], 0);
 }
 
 TEST(Roots, RobustSign) {

@@ -226,7 +226,7 @@ std::string make_query(Rng& rng, const std::string& id, bool* expect_ok) {
     w.value(static_cast<std::uint64_t>(rng.uniform_int(1, 2000)));
   }
   w.end_object();
-  return w.str();
+  return w.take();
 }
 
 Lane make_lane(Rng& rng, int id, std::size_t server_max_line) {

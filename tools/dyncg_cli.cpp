@@ -281,8 +281,12 @@ int cmd_envelope(const Options& o) {
     fns.push_back(Polynomial(c));
   }
   PolyFamily fam(std::move(fns));
-  Machine m =
-      serve::make_machine(o.machine, lambda_upper_bound(ceil_pow2(o.n), o.k));
+  const std::size_t pes = lambda_upper_bound(ceil_pow2(o.n), o.k);
+  if (Status st = serve::check_machine_size("envelope", o.machine, pes);
+      !st.is_ok()) {
+    return fail(st);
+  }
+  Machine m = serve::make_machine(o.machine, pes);
   if (g_cli_faults != nullptr) m.set_fault_plan(g_cli_faults);
   m.record_unrecoverable_faults();
   CostMeter meter(m.ledger());
@@ -301,6 +305,10 @@ int cmd_envelope(const Options& o) {
 }
 
 int cmd_topo(const Options& o) {
+  if (Status st = serve::check_machine_size("topo", o.machine, o.n);
+      !st.is_ok()) {
+    return fail(st);
+  }
   Machine m = serve::make_machine(o.machine, o.n);
   const Topology& t = m.topology();
   std::printf("%s: %zu PEs, diameter %zu, unit shift %u rounds\n",

@@ -4,9 +4,10 @@
 #
 #   1. every `--flag` the docs mention is accepted by some repo binary —
 #      scraped live from the usage text each binary prints on a bad
-#      invocation, so renaming or deleting a flag fails this test until its
-#      documentation follows (plus a short allowlist for external tools:
-#      cmake/ctest/google-benchmark);
+#      invocation, or by servebench/run.py — read from its
+#      `add_argument("--...")` calls — so renaming or deleting a flag fails
+#      this test until its documentation follows (plus a short allowlist for
+#      external tools: cmake/ctest/google-benchmark);
 #   2. every `bench_*` target/test name the docs mention still exists as a
 #      bench source, a CMake target, a ctest name, or a fixture;
 #   3. every protocol op the server accepts (`dyncg_serve --list-ops`) is
@@ -30,6 +31,8 @@ rc=0
 for bin in "$@"; do
   "$bin" --totally-unknown-flag 2>&1 || true
 done | grep -oE -- '--[a-z][a-z0-9_-]*' | sort -u > "$dir/flags"
+grep -oE -- 'add_argument\("--[a-z][a-z0-9_-]*' "$SRC/servebench/run.py" |
+  sed 's/^add_argument("//' >> "$dir/flags"
 # External tools the docs legitimately reference.
 cat >> "$dir/flags" <<'EOF'
 --build

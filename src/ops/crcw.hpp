@@ -87,7 +87,9 @@ void prefix_doubled(Machine& m, std::vector<T>& elems, Op op) {
 // matching values.  With exact_match = false, the read returns the value of
 // the *predecessor* record (largest data key <= query key) — this is the
 // "grouping" operation the paper uses for multiple simultaneous searches on
-// ordered data (e.g. locating sectors in Lemma 5.5).
+// ordered data (e.g. locating sectors in Lemma 5.5).  No key is copied:
+// the sorted records point at the caller's keys, the scan carries positions
+// in the sorted file, and a value is copied once, into its answer.
 template <class Key, class Value>
 std::vector<std::optional<Value>> concurrent_read(
     Machine& m, const std::vector<std::optional<std::pair<Key, Value>>>& data,
@@ -97,60 +99,52 @@ std::vector<std::optional<Value>> concurrent_read(
   DYNCG_ASSERT(data.size() == n && queries.size() == n,
                "register file size mismatch");
 
+  constexpr std::size_t kNone = ~std::size_t{0};
   struct Rec {
-    bool live = false;
-    Key key{};
-    int tag = 2;  // 0 = data, 1 = query; dead records sort last
+    const Key* key = nullptr;  // null: no record; these sort last
+    int tag = 2;               // 0 = data, 1 = query
     std::size_t origin = 0;
-    std::optional<Value> value{};
+    std::size_t source = kNone;  // query: the PE of the data record it reads
   };
   auto rec_less = [](const Rec& a, const Rec& b) {
-    if (a.live != b.live) return a.live;  // dead records last
-    if (!a.live) return false;
-    if (a.key < b.key) return true;
-    if (b.key < a.key) return false;
+    if ((a.key == nullptr) != (b.key == nullptr)) return b.key == nullptr;
+    if (a.key == nullptr) return false;
+    if (*a.key < *b.key) return true;
+    if (*b.key < *a.key) return false;
     return a.tag < b.tag;  // data before queries of the same key
   };
 
   std::vector<Rec> file(2 * n);
   for (std::size_t r = 0; r < n; ++r) {
-    if (data[r].has_value()) {
-      file[2 * r] = Rec{true, data[r]->first, 0, r, data[r]->second};
-    }
-    if (queries[r].has_value()) {
-      file[2 * r + 1] = Rec{true, *queries[r], 1, r, std::nullopt};
-    }
+    if (data[r].has_value()) file[2 * r] = Rec{&data[r]->first, 0, r};
+    if (queries[r].has_value()) file[2 * r + 1] = Rec{&*queries[r], 1, r};
   }
   detail::sort_doubled(m, file, rec_less);
 
-  // Propagate each data record rightward to the queries it serves.
-  struct Carry {
-    bool has = false;
-    Key key{};
-    std::optional<Value> value{};
-  };
-  std::vector<Carry> carry(2 * n);
+  // Propagate each data record's position rightward to the queries it
+  // serves.
+  std::vector<std::size_t> carry(2 * n, kNone);
   for (std::size_t i = 0; i < file.size(); ++i) {
-    if (file[i].live && file[i].tag == 0) {
-      carry[i] = Carry{true, file[i].key, file[i].value};
-    }
+    if (file[i].key != nullptr && file[i].tag == 0) carry[i] = i;
   }
-  detail::prefix_doubled(m, carry, [](const Carry& a, const Carry& b) {
-    return b.has ? b : a;
+  detail::prefix_doubled(m, carry, [](std::size_t a, std::size_t b) {
+    return b != kNone ? b : a;
   });
   m.charge_local(1);
   for (std::size_t i = 0; i < file.size(); ++i) {
-    if (file[i].live && file[i].tag == 1 && carry[i].has) {
-      bool key_le = !(file[i].key < carry[i].key);
-      bool key_eq = key_le && !(carry[i].key < file[i].key);
-      if (exact_match ? key_eq : key_le) file[i].value = carry[i].value;
+    if (file[i].key != nullptr && file[i].tag == 1 && carry[i] != kNone) {
+      const Key& query = *file[i].key;
+      const Key& found = *file[carry[i]].key;
+      bool key_le = !(query < found);
+      bool key_eq = key_le && !(found < query);
+      if (exact_match ? key_eq : key_le) file[i].source = file[carry[i]].origin;
     }
   }
 
   // Sort answers back to their requesters.
   auto home_less = [](const Rec& a, const Rec& b) {
-    if (a.live != b.live) return a.live;
-    if (!a.live) return false;
+    if ((a.key == nullptr) != (b.key == nullptr)) return b.key == nullptr;
+    if (a.key == nullptr) return false;
     if (a.origin != b.origin) return a.origin < b.origin;
     return a.tag < b.tag;
   };
@@ -158,7 +152,9 @@ std::vector<std::optional<Value>> concurrent_read(
 
   std::vector<std::optional<Value>> out(n);
   for (const Rec& rec : file) {
-    if (rec.live && rec.tag == 1) out[rec.origin] = rec.value;
+    if (rec.key != nullptr && rec.tag == 1 && rec.source != kNone) {
+      out[rec.origin] = data[rec.source]->second;
+    }
   }
   return out;
 }

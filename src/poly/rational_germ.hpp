@@ -62,12 +62,14 @@ class RationalGerm {
 
   int sign() const { return num_.sign_at_infinity(); }
 
-  bool operator<(const RationalGerm& o) const { return (*this - o).sign() < 0; }
+  // Comparisons take the sign of *this - o without building it (see
+  // difference_sign).
+  bool operator<(const RationalGerm& o) const { return difference_sign(o) < 0; }
   bool operator>(const RationalGerm& o) const { return o < *this; }
   bool operator<=(const RationalGerm& o) const { return !(o < *this); }
   bool operator>=(const RationalGerm& o) const { return !(*this < o); }
   bool operator==(const RationalGerm& o) const {
-    return (*this - o).sign() == 0;
+    return difference_sign(o) == 0;
   }
   bool operator!=(const RationalGerm& o) const { return !(*this == o); }
 
@@ -75,6 +77,15 @@ class RationalGerm {
   double value_at(double t) const { return num_(t) / den_(t); }
 
  private:
+  // (*this - o).sign(), computed as operator- and the constructor would:
+  // the same three products num*o.den, o.num*den and den*o.den, each
+  // trimmed by Polynomial::trimmed_size, the trimmed difference of the first
+  // two, the zero-denominator assert and the flip for a negative
+  // denominator.  The coefficients live in a stack buffer, so comparing
+  // germs whose products fit it allocates nothing; larger germs spill to
+  // the heap.  Nothing is shared between calls or threads.
+  int difference_sign(const RationalGerm& o) const;
+
   void normalize() {
     if (den_.sign_at_infinity() < 0) {
       num_ = -num_;

@@ -776,9 +776,7 @@ StatusOr<Request> read_request(const std::string& line) {
   std::size_t size = sc.size;
   if (r.op == Op::kSteady) {
     if (sc.inline_points || sc.has_d) {
-      return bad("op \"steady\" takes generator scenarios only "
-                 "('seed'/'n'/'k'; the survey builds diverging motion "
-                 "itself)");
+      return bad(kSteadyGeneratorOnly);
     }
     Rng rng(sc.seed);
     r.system = diverging_motion_system(rng, sc.n, std::max(1, sc.k));

@@ -139,6 +139,13 @@ struct Request {
   double fleet_advance = 0.0;
 };
 
+// Why `steady` refuses an inline scenario or a dimension, shared by the
+// parser and dyncg_cli (which refuses --file and --d the same way): the
+// survey builds its own planar diverging motion.
+inline constexpr char kSteadyGeneratorOnly[] =
+    "op \"steady\" takes generator scenarios only ('seed'/'n'/'k'; the "
+    "survey builds diverging motion itself)";
+
 // The --box rule shared by the parser and dyncg_cli: a box with fewer
 // dimensions than the system repeats its last one, and extra dimensions
 // are dropped.  `box` must be non-empty.

@@ -18,8 +18,8 @@
 //
 // The twist that makes this work for *steady-state* hulls: the envelope
 // parameter u does not need to be a real number.  Each combine step only
-//   (a) compares two lines at a point of an interval, and
-//   (b) computes the single crossing u* = (c2 - c1) / (s1 - s2),
+//   (a) computes the single crossing u* = (c2 - c1) / (s1 - s2), and
+//   (b) compares slopes, intercepts, u* and the cell bounds,
 // so any ordered field works.  Over RationalGerm (quotients of polynomial
 // germs at infinity) the same code computes the hull of moving points as
 // t -> infinity with every predicate a Lemma 5.1-style O(1) sign test —
@@ -27,12 +27,11 @@
 // EXPERIMENTS.md, Table 3).
 namespace dyncg {
 
-// One piece of a line envelope: the line c + s u is the extremum on
-// [lo, hi] (infinite ends flagged).
+// One piece of a line envelope: line `id` (an index into the envelope's
+// slope and intercept arrays) is the extremum on [lo, hi] (infinite ends
+// flagged).
 template <class Field>
 struct LinePiece {
-  Field s{};  // slope
-  Field c{};  // intercept
   int id = -1;
   bool lo_inf = true;
   bool hi_inf = true;
@@ -42,117 +41,103 @@ struct LinePiece {
 
 namespace dual_detail {
 
-// A representative point strictly inside the (possibly unbounded) cell.
+// Appends line `id` on [lo, hi] (a null end is infinite), dropping an
+// empty range and extending the last piece when it is the same line.
 template <class Field>
-Field representative(bool lo_inf, const Field& lo, bool hi_inf,
-                     const Field& hi) {
-  if (lo_inf && hi_inf) return Field(0.0);
-  if (lo_inf) return hi - Field(1.0);
-  if (hi_inf) return lo + Field(1.0);
-  return (lo + hi) * Field(0.5);
-}
-
-template <class Field>
-void emit(std::vector<LinePiece<Field>>& out, LinePiece<Field> piece) {
-  if (!piece.lo_inf && !piece.hi_inf && !(piece.lo < piece.hi)) return;
-  if (!out.empty() && out.back().id == piece.id) {
-    out.back().hi_inf = piece.hi_inf;
-    out.back().hi = piece.hi;
+void emit(std::vector<LinePiece<Field>>& out, int id, const Field* lo,
+          const Field* hi) {
+  if (lo != nullptr && hi != nullptr && !(*lo < *hi)) return;
+  if (!out.empty() && out.back().id == id) {
+    out.back().hi_inf = hi == nullptr;
+    if (hi != nullptr) out.back().hi = *hi;
     return;
   }
-  out.push_back(std::move(piece));
+  out.push_back(LinePiece<Field>{id, lo == nullptr, hi == nullptr,
+                                 lo != nullptr ? *lo : Field{},
+                                 hi != nullptr ? *hi : Field{}});
 }
 
-// Lemma 3.1 for line envelopes (s = 1): combine two total envelopes into
-// the pointwise min or max.  Pure field operations.
+// Lemma 3.1 for line envelopes (s = 1): combine two total envelopes of the
+// lines intercepts[i] + slopes[i] u into the pointwise min or max.  In each
+// cell of the common refinement two distinct lines cross at most once, at
+// u* = (c_g - c_f) / (s_f - s_g), which also splits the cell: left of u*
+// the steeper line is lower, right of it higher.  So the winner follows
+// from the slope order and the cell's side of u*, and no line is evaluated
+// (an evaluation at a point inside the cell needs products of the cell
+// bounds, whose rounding can flip the sign).  Parallel lines are ordered by
+// intercept; equal lines go to the smaller id.  Pure field operations.
 template <class Field>
-std::vector<LinePiece<Field>> combine(const std::vector<LinePiece<Field>>& f,
+std::vector<LinePiece<Field>> combine(const std::vector<Field>& slopes,
+                                      const std::vector<Field>& intercepts,
+                                      const std::vector<LinePiece<Field>>& f,
                                       const std::vector<LinePiece<Field>>& g,
                                       bool take_min) {
   std::vector<LinePiece<Field>> out;
   std::size_t fi = 0, gi = 0;
-  bool cur_lo_inf = true;
-  Field cur_lo{};
+  const Field* cur_lo = nullptr;  // null: -infinity
   while (fi < f.size() && gi < g.size()) {
     const LinePiece<Field>& pf = f[fi];
     const LinePiece<Field>& pg = g[gi];
-    // Cell upper bound: nearest piece end.
-    bool hi_inf;
-    Field hi{};
+    // Cell upper bound: nearest piece end (null: +infinity).
+    const Field* hi = nullptr;
     bool advance_f, advance_g;
     if (pf.hi_inf && pg.hi_inf) {
-      hi_inf = true;
       advance_f = advance_g = true;
     } else if (pf.hi_inf) {
-      hi_inf = false;
-      hi = pg.hi;
+      hi = &pg.hi;
       advance_f = false;
       advance_g = true;
     } else if (pg.hi_inf) {
-      hi_inf = false;
-      hi = pf.hi;
+      hi = &pf.hi;
       advance_f = true;
       advance_g = false;
     } else if (pf.hi < pg.hi) {
-      hi_inf = false;
-      hi = pf.hi;
+      hi = &pf.hi;
       advance_f = true;
       advance_g = false;
     } else if (pg.hi < pf.hi) {
-      hi_inf = false;
-      hi = pg.hi;
+      hi = &pg.hi;
       advance_f = false;
       advance_g = true;
     } else {
-      hi_inf = false;
-      hi = pf.hi;
+      hi = &pf.hi;
       advance_f = advance_g = true;
     }
 
-    // Within the cell the two lines cross at most once.
-    auto winner_at = [&](const Field& u) {
-      Field vf = pf.c + pf.s * u;
-      Field vg = pg.c + pg.s * u;
+    const auto id_f = static_cast<std::size_t>(pf.id);
+    const auto id_g = static_cast<std::size_t>(pg.id);
+    const Field& sf = slopes[id_f];
+    const Field& sg = slopes[id_g];
+    if (sf == sg) {
+      const Field& cf = intercepts[id_f];
+      const Field& cg = intercepts[id_g];
       bool f_wins;
-      if (vf == vg) {
-        // Break the tie by the behaviour just after u: steeper slope loses
-        // a min, wins a max; equal lines prefer the smaller id.
-        if (pf.s == pg.s) {
-          f_wins = pf.id <= pg.id;
-        } else {
-          f_wins = take_min ? pf.s < pg.s : pg.s < pf.s;
-        }
+      if (cf < cg) {
+        f_wins = take_min;
+      } else if (cg < cf) {
+        f_wins = !take_min;
       } else {
-        f_wins = take_min ? vf < vg : vg < vf;
+        f_wins = pf.id <= pg.id;
       }
-      return f_wins;
-    };
-    auto emit_range = [&](bool a_lo_inf, const Field& a_lo, bool a_hi_inf,
-                          const Field& a_hi) {
-      Field u = representative(a_lo_inf, a_lo, a_hi_inf, a_hi);
-      const LinePiece<Field>& w = winner_at(u) ? pf : pg;
-      emit(out, LinePiece<Field>{w.s, w.c, w.id, a_lo_inf, a_hi_inf, a_lo,
-                                 a_hi});
-    };
-
-    bool split = false;
-    Field ustar{};
-    if (!(pf.s == pg.s)) {
-      ustar = (pg.c - pf.c) / (pf.s - pg.s);
-      bool after_lo = cur_lo_inf || (cur_lo < ustar);
-      bool before_hi = hi_inf || (ustar < hi);
-      split = after_lo && before_hi;
-    }
-    if (split) {
-      emit_range(cur_lo_inf, cur_lo, false, ustar);
-      emit_range(false, ustar, hi_inf, hi);
+      emit(out, f_wins ? pf.id : pg.id, cur_lo, hi);
     } else {
-      emit_range(cur_lo_inf, cur_lo, hi_inf, hi);
+      const Field ustar = (intercepts[id_g] - intercepts[id_f]) / (sf - sg);
+      // The line that wins left of u*: the steeper one for a min.
+      const bool f_wins_left = take_min == (sg < sf);
+      const int left = f_wins_left ? pf.id : pg.id;
+      const int right = f_wins_left ? pg.id : pf.id;
+      const bool after_lo = cur_lo == nullptr || *cur_lo < ustar;
+      const bool before_hi = hi == nullptr || ustar < *hi;
+      if (after_lo && before_hi) {
+        emit(out, left, cur_lo, &ustar);
+        emit(out, right, &ustar, hi);
+      } else {
+        emit(out, after_lo ? left : right, cur_lo, hi);
+      }
     }
 
-    cur_lo_inf = false;
     cur_lo = hi;
-    if (hi_inf) break;
+    if (hi == nullptr) break;
     if (advance_f) ++fi;
     if (advance_g) ++gi;
   }
@@ -176,9 +161,7 @@ std::vector<LinePiece<Field>> machine_line_envelope(
   level.reserve(n);
   m.charge_local(1);
   for (std::size_t i = 0; i < n; ++i) {
-    level.push_back({LinePiece<Field>{slopes[i], intercepts[i],
-                                      static_cast<int>(i), true, true,
-                                      Field{}, Field{}}});
+    level.push_back({LinePiece<Field>{static_cast<int>(i)}});
   }
   std::size_t width = std::max<std::size_t>(1, m.size() / ceil_pow2(n));
   while (level.size() > 1) {
@@ -188,7 +171,8 @@ std::vector<LinePiece<Field>> machine_line_envelope(
     std::vector<std::vector<LinePiece<Field>>> next;
     next.reserve((level.size() + 1) / 2);
     for (std::size_t b = 0; b + 1 < level.size(); b += 2) {
-      next.push_back(dual_detail::combine(level[b], level[b + 1], take_min));
+      next.push_back(dual_detail::combine(slopes, intercepts, level[b],
+                                          level[b + 1], take_min));
       DYNCG_ASSERT(next.back().size() <= 2 * width,
                    "line envelope exceeded lambda(n,1)");
     }

@@ -251,23 +251,22 @@ ClosestPairResult<CT> machine_closest_pair(Machine& m,
 
 // Circularly ordered direction key: directions compare by ccw angle from a
 // fixed reference, using only ring operations and sign tests (germ-safe).
+// The key decides its half-plane against the reference once, when built.
 template <class CT>
 struct DirKey {
-  CT x{}, y{};
-  CT rx{}, ry{};  // the shared reference direction
+  CT x, y;
+  // 0: strictly ccw in [0, pi) from the reference, or the reference
+  // itself; 1: the rest.
+  int half;
 
-  int half() const {
-    // 0: strictly ccw-in-[0,pi) from ref (or equal to ref); 1: the rest.
-    CT cr = rx * y - ry * x;
-    int c = sign_of(cr);
-    if (c > 0) return 0;
-    if (c < 0) return 1;
-    CT dt = rx * x + ry * y;
-    return sign_of(dt) > 0 ? 0 : 1;
+  DirKey(CT dx, CT dy, const CT& rx, const CT& ry)
+      : x(std::move(dx)), y(std::move(dy)) {
+    const int c = sign_of(rx * y - ry * x);
+    const bool upper = c > 0 || (c == 0 && sign_of(rx * x + ry * y) > 0);
+    half = upper ? 0 : 1;
   }
   bool operator<(const DirKey& o) const {
-    int ha = half(), hb = o.half();
-    if (ha != hb) return ha < hb;
+    if (half != o.half) return half < o.half;
     CT cr = x * o.y - y * o.x;
     return sign_of(cr) > 0;  // a strictly ccw-before b within the half
   }
@@ -300,9 +299,9 @@ std::vector<std::pair<std::size_t, std::size_t>> machine_antipodal_pairs(
   std::vector<std::optional<DirKey<CT>>> queries(P);
   for (std::size_t i = 0; i < h; ++i) {
     auto [dx, dy] = edge_dir(i);
-    data[i] = std::pair<DirKey<CT>, long>{DirKey<CT>{dx, dy, rx, ry},
+    data[i] = std::pair<DirKey<CT>, long>{DirKey<CT>(dx, dy, rx, ry),
                                           static_cast<long>(i)};
-    queries[i] = DirKey<CT>{-dx, -dy, rx, ry};
+    queries[i] = DirKey<CT>(-dx, -dy, rx, ry);
   }
   auto located = ops::concurrent_read<DirKey<CT>, long>(
       m, data, queries, /*exact_match=*/false);
@@ -375,10 +374,10 @@ EnclosingRectangle<CT> machine_min_rectangle(Machine& m,
     std::vector<std::optional<DirKey<CT>>> queries(P);
     for (std::size_t i = 0; i < h; ++i) {
       auto [dx, dy] = edge_dir(i);
-      data[i] = std::pair<DirKey<CT>, long>{DirKey<CT>{dx, dy, rx, ry},
+      data[i] = std::pair<DirKey<CT>, long>{DirKey<CT>(dx, dy, rx, ry),
                                             static_cast<long>(i)};
       auto [qx, qy] = make_query(dx, dy);
-      queries[i] = DirKey<CT>{qx, qy, rx, ry};
+      queries[i] = DirKey<CT>(qx, qy, rx, ry);
     }
     auto res = ops::concurrent_read<DirKey<CT>, long>(m, data, queries,
                                                       /*exact_match=*/false);

@@ -5,6 +5,7 @@
 
 #include "dyncg/motion.hpp"
 #include "poly/rational_germ.hpp"
+#include "serve/protocol.hpp"
 #include "steady/dual_hull.hpp"
 #include "steady/steady_state.hpp"
 #include "support/rng.hpp"
@@ -40,6 +41,83 @@ TEST(RationalGerm, ValueAtMatchesArithmetic) {
   RationalGerm expr = (t * t + RationalGerm(3.0)) / (t + RationalGerm(1.0));
   double T = 10.0;
   EXPECT_NEAR(expr.value_at(T), (T * T + 3) / (T + 1), 1e-12);
+}
+
+// A random polynomial of the given degree (coefficients in [-2, 2]); with
+// `tiny_lead` its leading coefficient is ~1e-7 of the rest, so the product
+// of two such loses its leading term to the 1e-12 trim.
+Polynomial random_poly(Rng& rng, int degree, bool tiny_lead) {
+  std::vector<double> c(static_cast<std::size_t>(degree) + 1);
+  for (double& x : c) x = rng.uniform(-2, 2);
+  if (tiny_lead) c.back() = (rng.uniform(0, 1) < 0.5 ? -1e-7 : 1e-7);
+  if (c.back() == 0.0) c.back() = 1.0;
+  return Polynomial(std::move(c));
+}
+
+// Degrees up to twice the protocol's motion degree; one numerator in ten is
+// zero.  Leading coefficients take either sign, so half the denominators
+// arrive negative and the constructor flips them.
+RationalGerm random_germ(Rng& rng) {
+  const int top = 2 * serve::kMaxDegree;
+  const int num_degree = rng.uniform_int(0, top);
+  const int den_degree = rng.uniform_int(0, top);
+  const bool zero_num = rng.uniform(0, 1) < 0.1;
+  Polynomial num = zero_num ? Polynomial()
+                            : random_poly(rng, num_degree,
+                                          rng.uniform(0, 1) < 0.3);
+  Polynomial den = random_poly(rng, den_degree, rng.uniform(0, 1) < 0.4);
+  return RationalGerm(std::move(num), std::move(den));
+}
+
+// operator< and operator== take the sign of the difference in place; they
+// must agree with the difference germ operator- builds, on every input the
+// trims and the denominator flip make delicate: products whose leading
+// term the trim drops, denominator products whose kept leading coefficient
+// is negative, zero numerators, equal germs, and products too long for the
+// comparison's stack buffer.
+TEST(RationalGerm, InPlaceSignMatchesDifferenceGerm) {
+  // Each product is trimmed before the difference: in (1 + 1e-7 t) -
+  // (1 + 2e-7 t) / (1 + 1e-7 t) the product (1 + 1e-7 t)^2 loses its
+  // 1e-14 t^2, and what is left cancels exactly.
+  const RationalGerm p(Polynomial({1.0, 1e-7}));
+  const RationalGerm q(Polynomial({1.0, 2e-7}), Polynomial({1.0, 1e-7}));
+  EXPECT_EQ((p - q).sign(), 0);
+  EXPECT_TRUE(p == q);
+  EXPECT_FALSE(p < q);
+  EXPECT_FALSE(q < p);
+
+  Rng rng(2718);
+  int zero_nums = 0, trimmed_leads = 0, negative_dens = 0, max_degree = 0;
+  int equal = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    RationalGerm a = random_germ(rng);
+    RationalGerm b = trial % 16 == 0 ? a : random_germ(rng);
+    if (trial % 16 == 1) {
+      // Same value, other spelling: products that nearly cancel.
+      b = RationalGerm(a.num() * Polynomial({0.5, 3.0}),
+                       a.den() * Polynomial({0.5, 3.0}));
+    }
+    const int want = (a - b).sign();
+    ASSERT_EQ(a < b, want < 0) << "trial " << trial;
+    ASSERT_EQ(a == b, want == 0) << "trial " << trial;
+    ASSERT_EQ(b < a, (b - a).sign() < 0) << "trial " << trial;
+    ASSERT_EQ(a > b, (b - a).sign() < 0) << "trial " << trial;
+    zero_nums += a.num().is_zero() ? 1 : 0;
+    const Polynomial lead = a.num() * b.den();
+    if (!lead.is_zero() &&
+        lead.degree() < a.num().degree() + b.den().degree()) {
+      ++trimmed_leads;
+    }
+    negative_dens += (a.den() * b.den()).sign_at_infinity() < 0 ? 1 : 0;
+    max_degree = std::max({max_degree, a.num().degree(), a.den().degree()});
+    equal += want == 0 ? 1 : 0;
+  }
+  // The inputs reach every case named above.
+  EXPECT_GT(zero_nums, 100);
+  EXPECT_GT(trimmed_leads, 100);
+  EXPECT_GT(negative_dens, 10);
+  EXPECT_EQ(max_degree, 2 * serve::kMaxDegree);
+  EXPECT_GT(equal, 1000);
 }
 
 std::vector<Point2<double>> random_points(Rng& rng, std::size_t n) {

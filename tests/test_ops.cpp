@@ -489,6 +489,67 @@ TEST(OpsCrcw, RoutePermutation) {
   }
 }
 
+// A key that counts its copies (moves too: declaring the copy operations
+// leaves it no move constructor).
+struct CountedKey {
+  static inline long copies = 0;
+  long v = 0;
+  CountedKey() = default;
+  explicit CountedKey(long x) : v(x) {}
+  CountedKey(const CountedKey& o) : v(o.v) { ++copies; }
+  CountedKey& operator=(const CountedKey& o) {
+    v = o.v;
+    ++copies;
+    return *this;
+  }
+  bool operator<(const CountedKey& o) const { return v < o.v; }
+  bool operator==(const CountedKey& o) const { return v == o.v; }
+};
+
+// The read sorts pointers to the caller's keys and scans positions, so a
+// key is never copied; answers and charges are those of plain `long` keys,
+// duplicates and misses included, in both match modes.
+TEST(OpsCrcw, ConcurrentReadCopiesNoKey) {
+  for (bool exact : {true, false}) {
+    SCOPED_TRACE(exact ? "exact" : "predecessor");
+    Rng rng(exact ? 5 : 6);
+    const std::size_t n = 64;
+    std::vector<std::optional<std::pair<long, long>>> data(n);
+    std::vector<std::optional<long>> queries(n);
+    std::vector<std::optional<std::pair<CountedKey, long>>> counted_data(n);
+    std::vector<std::optional<CountedKey>> counted_queries(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      if (rng.uniform(0, 1) < 0.6) {
+        const long key = rng.uniform_int(0, 40);
+        data[r] = std::pair<long, long>{key, static_cast<long>(r)};
+        counted_data[r].emplace(CountedKey(key), static_cast<long>(r));
+      }
+      if (rng.uniform(0, 1) < 0.7) {
+        const long key = rng.uniform_int(-2, 42);
+        queries[r] = key;
+        counted_queries[r].emplace(key);
+      }
+    }
+    Machine plain = Machine::hypercube_for(n);
+    const auto want = ops::concurrent_read<long, long>(plain, data, queries,
+                                                       exact);
+    Machine counted = Machine::hypercube_for(n);
+    CountedKey::copies = 0;
+    const auto got = ops::concurrent_read<CountedKey, long>(
+        counted, counted_data, counted_queries, exact);
+    EXPECT_EQ(CountedKey::copies, 0);
+    EXPECT_EQ(got, want);
+    const CostSnapshot a = plain.ledger().snapshot();
+    const CostSnapshot b = counted.ledger().snapshot();
+    EXPECT_EQ(b.rounds, a.rounds);
+    EXPECT_EQ(b.messages, a.messages);
+    EXPECT_EQ(b.local_ops, a.local_ops);
+    EXPECT_GT(std::count_if(want.begin(), want.end(),
+                            [](const auto& v) { return v.has_value(); }),
+              10);
+  }
+}
+
 // Table 1 check: CR cost tracks the sort cost (2 sorts + scan).
 TEST(OpsCrcw, CostTracksSort) {
   Machine m1 = Machine::mesh_for(256);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "counting_allocator.hpp"
+#include "dyncg/motion.hpp"
 #include "machine/fabric.hpp"
 #include "machine/faults.hpp"
 #include "machine/topology.hpp"
@@ -23,6 +24,7 @@
 #include "serve/cache.hpp"
 #include "serve/engine.hpp"
 #include "serve/protocol.hpp"
+#include "steady/machine_geometry.hpp"
 #include "support/status.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
@@ -430,6 +432,30 @@ TEST(PerfPathsServe, CacheInsertStoresTheKeyOnce) {
     EXPECT_LT(bytes, key.size() + 4096) << fill << ": key stored twice";
   }
   EXPECT_EQ(cache.counters().evictions, 1u);
+}
+
+// --- Steady hull: germ work ------------------------------------------------
+
+// The steady hull and farthest pair of one served n = 256 system (the
+// protocol's generator, seed 408597231799, k = 2, mesh): the combines
+// decide cells by the side of the crossing, germ comparisons take their
+// sign on the stack, and the antipodal grouping copies no key.  Measured
+// at 36,120 allocations (the midpoint-evaluation version made 238,221);
+// the bound allows 25% for library drift.
+TEST(PerfPathsSteady, HullAndFarthestPairAllocationBound) {
+  constexpr std::uint64_t kMeasured = 36120;
+  Rng rng(408597231799ULL);
+  const MotionSystem sys = diverging_motion_system(rng, 256, 2);
+  Machine m = Machine::mesh_for(sys.size());
+  const std::uint64_t before = test::allocations();
+  const std::vector<Point2<RationalGerm>> hull = machine_steady_hull(m, sys);
+  const ClosestPairResult<AsymptoticPoly> far =
+      machine_steady_farthest_pair(m, sys, hull);
+  const std::uint64_t allocs = test::allocations() - before;
+  std::printf("steady hull + farthest pair, n = 256: %llu allocations\n",
+              static_cast<unsigned long long>(allocs));
+  EXPECT_LE(allocs, kMeasured + kMeasured / 4);
+  EXPECT_NE(far.a, far.b);
 }
 
 }  // namespace

@@ -1131,41 +1131,68 @@ TEST(ServeEngine, SteadyChargesOneHull) {
   }
 }
 
-// The answers do not move with the cost: texts recorded before the hull was
-// shared.
+// The answers and ledgers are pinned.  The first five texts were recorded
+// before the hull was shared; the last two are served lines whose hull the
+// midpoint-evaluation combine got wrong (a repeated vertex, a missing one)
+// at the same ledger.
 TEST(ServeEngine, SteadyResultsPinned) {
   struct Case {
     const char* line;
     const char* text;
+    std::uint64_t rounds, messages, local_ops;
   };
   const Case cases[] = {
       {R"({"op":"steady","scenario":{"seed":1,"n":16,"k":2}})",
        "steady NN of P0: P15\n"
        "steady hull: P8 P10 P12 P15 P1 P2 P4 P5 \n"
-       "steady farthest pair: (P12, P2)\n"},
+       "steady farthest pair: (P12, P2)\n",
+       439, 3184, 177},
       {R"({"op":"steady","machine":"hypercube",)"
        R"("scenario":{"seed":2,"n":16,"k":2}})",
        "steady NN of P0: P1\n"
        "steady hull: P10 P11 P14 P0 P1 P2 P5 P8 \n"
-       "steady farthest pair: (P14, P5)\n"},
+       "steady farthest pair: (P14, P5)\n",
+       317, 3184, 177},
       {R"({"op":"steady","scenario":{"seed":3,"n":16,"k":2},"query":5})",
        "steady NN of P5: P4\n"
        "steady hull: P8 P10 P11 P12 P15 P2 P5 P6 \n"
-       "steady farthest pair: (P15, P6)\n"},
+       "steady farthest pair: (P15, P6)\n",
+       439, 3184, 177},
       {R"({"op":"steady","machine":"hypercube",)"
        R"("scenario":{"seed":4,"n":9,"k":1},"query":3})",
        "steady NN of P3: P4\n"
        "steady hull: P3 P5 P6 P7 P8 P0 P2 \n"
-       "steady farthest pair: (P3, P8)\n"},
+       "steady farthest pair: (P3, P8)\n",
+       317, 3184, 176},
       {R"({"op":"steady","scenario":{"seed":5,"n":33,"k":3}})",
        "steady NN of P0: P32\n"
        "steady hull: P13 P17 P22 P24 P31 P2 P7 P10 \n"
-       "steady farthest pair: (P13, P31)\n"},
+       "steady farthest pair: (P13, P31)\n",
+       1383, 25600, 321},
+      // Was "... P58 P63 P31 P63 P2 ...": P63 twice, P31 not a vertex.
+      {R"({"op":"steady","scenario":{"seed":837404275098,"n":64,"k":2},)"
+       R"("machine":"mesh","query":17})",
+       "steady NN of P17: P19\n"
+       "steady hull: P33 P40 P44 P47 P50 P52 P58 P63 P2 P12 P15 P19 P26 \n"
+       "steady farthest pair: (P47, P15)\n",
+       1383, 25600, 320},
+      // Was a hull repeating P67 and P122 without P25, so the farthest pair
+      // read (P98, P28).
+      {R"({"op":"steady","scenario":{"seed":406951108260,"n":128,"k":2},)"
+       R"("machine":"mesh","query":112})",
+       "steady NN of P112: P113\n"
+       "steady hull: P67 P77 P81 P84 P85 P89 P98 P109 P117 P122 P4 P11 P25 "
+       "P28 P37 P45 P50 \n"
+       "steady farthest pair: (P85, P25)\n",
+       3567, 167168, 493},
   };
   for (const Case& c : cases) {
     StatusOr<CachedResult> res = run_query(parse(c.line).value());
     ASSERT_TRUE(res.is_ok()) << c.line;
     EXPECT_EQ(res.value().text, c.text) << c.line;
+    EXPECT_EQ(res.value().cost.rounds, c.rounds) << c.line;
+    EXPECT_EQ(res.value().cost.messages, c.messages) << c.line;
+    EXPECT_EQ(res.value().cost.local_ops, c.local_ops) << c.line;
   }
 }
 

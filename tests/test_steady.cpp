@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <tuple>
+#include <utility>
 
 #include "dyncg/motion.hpp"
 #include "dyncg/proximity.hpp"
@@ -488,6 +491,76 @@ TEST(MachineSteady, PairsAndHullMatchSerial) {
   auto want_rect = steady_min_rectangle(sys);
   double T = 1e4;
   EXPECT_NEAR(rect.area.value_at(T), want_rect.area.value_at(T), 1e-3);
+}
+
+// --- steady answers at the sizes the daemon serves ---------------------------
+
+// servebench's cold_mix asks `steady` at n = 64, 128 and 256, on mesh and
+// hypercube, over the protocol's steady generator.  At these sizes a
+// combine that picked each cell's winner by evaluating both lines at a
+// midpoint germ lost the sign to rounding and served hulls that repeat a
+// vertex (in a 4,000-line seed-1 stream, 1 of 134 lines at n = 64, 7 of
+// 133 at n = 128 and 45 of 133 at n = 256).  For every system, the
+// hull's cyclic order, its distinct ids, the farthest pair and the minimum
+// rectangle's edge must equal the serial Lemma 5.1 versions.
+class SteadyServedSizes
+    : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
+
+TEST_P(SteadyServedSizes, MatchSerialLemma51) {
+  const auto [which, n] = GetParam();
+  auto make_machine = [which, n = n] {
+    return which == 0 ? Machine::mesh_for(n) : Machine::hypercube_for(n);
+  };
+  for (std::uint64_t s = 0; s < 60; ++s) {
+    Rng rng(1'000'000 * static_cast<std::uint64_t>(which + 1) + 1000 * n + s);
+    MotionSystem sys = diverging_motion_system(rng, n, 2);
+    SCOPED_TRACE("system " + std::to_string(s));
+
+    Machine m = make_machine();
+    const std::vector<Point2<RationalGerm>> hull = machine_steady_hull(m, sys);
+    const ClosestPairResult<AsymptoticPoly> far =
+        machine_steady_farthest_pair(m, sys, hull);
+    std::vector<std::size_t> ids;
+    for (const auto& p : hull) ids.push_back(p.id);
+    std::vector<std::size_t> distinct = ids;
+    std::sort(distinct.begin(), distinct.end());
+    EXPECT_EQ(std::adjacent_find(distinct.begin(), distinct.end()),
+              distinct.end())
+        << "a hull vertex repeats";
+    const std::vector<std::size_t> want = steady_hull_ids(sys);
+    auto first = std::find(ids.begin(), ids.end(), want.front());
+    if (first != ids.end()) std::rotate(ids.begin(), first, ids.end());
+    EXPECT_EQ(ids, want);
+
+    const ClosestPairResult<AsymptoticPoly> want_far = steady_farthest_pair(sys);
+    EXPECT_EQ(std::minmax(far.a, far.b), std::minmax(want_far.a, want_far.b));
+
+    Machine m2 = make_machine();
+    const SteadyRectangle rect = machine_steady_min_rectangle(m2, sys);
+    const SteadyRectangle want_rect = steady_min_rectangle(sys);
+    EXPECT_EQ(rect.edge_from, want_rect.edge_from);
+    EXPECT_EQ(rect.edge_to, want_rect.edge_to);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MeshAndHypercube, SteadyServedSizes,
+    ::testing::Combine(::testing::Values(0, 1),
+                       ::testing::Values(std::size_t{64}, std::size_t{128},
+                                         std::size_t{256})));
+
+// At 2048 PEs the hull's bitonic sort fans its germ comparisons out over
+// the host pool (under DYNCG_THREADS > 1), so this is the case the tsan
+// preset checks for comparisons sharing state.
+TEST(MachineSteady, HullOnAThreadedSortMatchesSerial) {
+  Rng rng(2048);
+  MotionSystem sys = diverging_motion_system(rng, 2048, 2);
+  Machine m = Machine::hypercube_for(sys.size());
+  std::vector<std::size_t> ids = machine_steady_hull_ids(m, sys);
+  const std::vector<std::size_t> want = steady_hull_ids(sys);
+  auto first = std::find(ids.begin(), ids.end(), want.front());
+  if (first != ids.end()) std::rotate(ids.begin(), first, ids.end());
+  EXPECT_EQ(ids, want);
 }
 
 }  // namespace

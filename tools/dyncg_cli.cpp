@@ -8,7 +8,8 @@
 //   collisions  Theorem 4.2: collision times for a query point
 //   hullwhen    Theorem 4.5: when is the query a hull vertex
 //   contain     Theorem 4.6/4.8: containment intervals / smallest cube
-//   steady      Section 5: steady-state survey
+//   steady      Section 5: steady-state survey (of its own diverging
+//               motion: --file and --d exit 3, as the server refuses them)
 //   envelope    Theorem 3.2: min function of random polynomials
 //   topo        print a topology's pattern costs
 //
@@ -70,6 +71,7 @@ struct Options {
   std::size_t n = 8;
   int k = 2;
   std::size_t d = 2;
+  bool has_d = false;  // --d given
   std::uint64_t seed = 1;
   std::string machine = "mesh";
   std::size_t query = 0;
@@ -167,6 +169,7 @@ Options parse(int argc, char** argv) {
     } else if (a == "--d") {
       o.d = static_cast<std::size_t>(
           parse_long(argv[0], a, next().c_str(), 1, 64));
+      o.has_d = true;
     } else if (a == "--seed") {
       o.seed = static_cast<std::uint64_t>(
           parse_long(argv[0], a, next().c_str(), 0, kMaxSize));
@@ -246,7 +249,11 @@ int cmd_query(const Options& o, serve::Op op) {
   req.query = o.query;
   req.farthest = o.farthest;
   if (op == serve::Op::kSteady) {
-    // The survey builds its own diverging motion; --d and --file are unused.
+    // The survey builds its own diverging motion: a motion file or a
+    // dimension is refused, as the server refuses them.
+    if (!o.file.empty() || o.has_d) {
+      return fail(Status::invalid_argument(serve::kSteadyGeneratorOnly));
+    }
     Rng rng(o.seed);
     req.system = diverging_motion_system(rng, o.n, std::max(1, o.k));
   } else {
